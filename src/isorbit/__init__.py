@@ -28,13 +28,7 @@ from .errors import (
     NotStabilizedError,
     StageCacheMismatchError,
 )
-from .gf2 import (
-    Gf2Basis,
-    enumerate_negations,
-    negation_basis_from_generators,
-    negation_basis_from_group,
-    rref,
-)
+from .gf2 import Gf2Basis, negation_basis_from_generators, rref
 from .isometry import (
     GeneratingSet,
     Isometry,
@@ -48,15 +42,9 @@ from .labeling import (
     OrbitLabeling,
     finalize_labels,
     merge_classes_generators,
-    merge_classes_group,
     rotate_mod_lattice,
 )
-from .lattice import (
-    LatticeBasis,
-    hnf_reduce,
-    translation_basis_from_generators,
-    translation_basis_from_group,
-)
+from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
 from .permgroup import PermGroup, generate_perm_group
 from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1
@@ -68,7 +56,6 @@ from .quotient import (
     reduce_mod_lattice,
     reduce_points,
 )
-from .rotation import RotationGroup, assemble_rotation_group
 
 __version__ = "0.1.0"
 
@@ -92,26 +79,21 @@ __all__ = [
     "PermGroup",
     "Point",
     "PseudoInverse",
-    "RotationGroup",
     "SignedPermutation",
     "Stage1",
     "StageCacheMismatchError",
-    "assemble_rotation_group",
     "bfs_orbits",
     "build_pseudoinverse",
     "coefficient_numerators",
     "compute_labeling",
     "compute_orbits",
     "conjugate",
-    "enumerate_negations",
     "finalize_labels",
     "floor_ratio",
     "generate_perm_group",
     "hnf_reduce",
     "merge_classes_generators",
-    "merge_classes_group",
     "negation_basis_from_generators",
-    "negation_basis_from_group",
     "project_components",
     "reduce_mod_lattice",
     "reduce_points",
@@ -120,6 +102,5 @@ __all__ = [
     "run_stage1",
     "stabilized_bfs_orbits",
     "translation_basis_from_generators",
-    "translation_basis_from_group",
     "validate_atomic",
 ]

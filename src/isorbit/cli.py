@@ -15,7 +15,9 @@ Domain file (JSON), either explicit points or an axis-aligned box:
 A box can also be given inline as --box "0..1,0..1" (one lo..hi range per
 axis). Output is JSON (partition plus stage-1 diagnostics) or TSV (one
 "point TAB label" line per point, coordinates comma-separated), identical
-byte for byte across reruns and thread counts.
+byte for byte across reruns. --mode and --threads are still accepted and
+validated, so older command lines keep working, but they have no effect:
+there is one algorithm and it runs on one thread.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
@@ -62,8 +64,6 @@ class RunConfig:
     gens_path: str
     domain_path: str | None = None
     box: str | None = None
-    mode: str = "group"
-    threads: int = 1
     output_path: str | None = None
     format: str = "json"
     oracle_check: bool = False
@@ -221,7 +221,7 @@ def _gens_doc(gens: GeneratingSet) -> list[dict]:
 
 def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
     if not config.stage1_cache:
-        return run_stage1(gens, config.mode, config.max_dimension)
+        return run_stage1(gens, config.max_dimension)
     path = Path(config.stage1_cache)
     if path.exists():
         try:
@@ -239,7 +239,7 @@ def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
             basis,
             build_pseudoinverse(basis),
         )
-    stage1 = run_stage1(gens, config.mode, config.max_dimension)
+    stage1 = run_stage1(gens, config.max_dimension)
     cache_doc = {
         "n": gens.n,
         "generators": _gens_doc(gens),
@@ -273,8 +273,7 @@ def run(config: RunConfig) -> int:
                 raise DimensionMismatchError(
                     f"domain point {idx} has dimension {len(p)}, expected {gens.n}")
         stage1 = _stage1_with_cache(config, gens)
-        labeling = compute_labeling(
-            stage1, points, config.mode, config.threads, config.closure_cap)
+        labeling = compute_labeling(stage1, points, config.closure_cap)
         text = render_json(stage1, labeling) if config.format == "json" else render_tsv(labeling)
         if config.output_path:
             Path(config.output_path).write_text(text, encoding="utf-8")
@@ -328,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     domain.add_argument("--box", metavar="SPEC",
                         help='inline box, one lo..hi per axis, e.g. "0..1,0..1"')
     parser.add_argument("--mode", choices=("group", "generators"), default="group",
-                        help="algorithm variant (default: group)")
+                        help="accepted, no effect (one algorithm remains)")
     parser.add_argument("--threads", type=_threads_arg, default=1, metavar="N",
-                        help="worker threads, or 'auto' (default: 1)")
+                        help="positive integer or 'auto'; accepted, no effect")
     parser.add_argument("--output", metavar="FILE",
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N", help="permutation-closure dimension cap "
                         f"(default: {DEFAULT_MAX_DIMENSION})")
     parser.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP,
-                        metavar="N", help="class-closure size cap in generators mode "
+                        metavar="N", help="class-closure size cap "
                         f"(default: {DEFAULT_CLOSURE_CAP})")
     parser.add_argument("--box-cap", type=int, default=DEFAULT_BOX_CAP,
                         metavar="N", help="point-count cap for boxes "
@@ -359,8 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         gens_path=args.gens,
         domain_path=args.domain,
         box=args.box,
-        mode=args.mode,
-        threads=args.threads,
         output_path=args.output,
         format=args.format,
         oracle_check=args.oracle_check,

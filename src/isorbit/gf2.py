@@ -24,11 +24,6 @@ def mask_of(neg: SignedPermutation) -> int:
     return mask
 
 
-def negation_of(mask: int, n: int) -> SignedPermutation:
-    return SignedPermutation.negation(
-        tuple(-1 if mask >> i & 1 else 1 for i in range(n)))
-
-
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """Transport a flip mask along a coordinate permutation (conjugation).
 
@@ -84,29 +79,17 @@ def rref(masks: Iterable[int], n: int) -> Gf2Basis:
     return Gf2Basis(n, tuple(rows))
 
 
-def negation_basis_from_group(
-    negations: Sequence[SignedPermutation],
-    perms: Iterable[Sequence[int]],
-    n: int,
-) -> Gf2Basis:
-    """Basis of the subgroup generated by the negations together with their
-    conjugates under every permutation of the given (full) permutation group."""
-    perm_list = [tuple(p) for p in perms]
-    masks = [permute_mask(mask_of(g), p) for g in negations for p in perm_list]
-    return rref(masks, n)
-
-
 def negation_basis_from_generators(
     negations: Sequence[SignedPermutation],
     perm_gens: Iterable[Sequence[int]],
     n: int,
 ) -> Gf2Basis:
-    """Same subspace as :func:`negation_basis_from_group`, touching only the
-    permutation generators.
+    """Basis of the subgroup generated by the negations together with all
+    their conjugates under the group the permutation generators generate.
 
-    Conjugates the current basis rows by each generator, re-reduces, and
-    repeats until the basis stops changing. Every update strictly raises the
-    dimension, so at most n updates can happen.
+    Touches only the generators: conjugates the current basis rows by each
+    generator, re-reduces, and repeats until the basis stops changing. Every
+    update strictly raises the dimension, so at most n updates can happen.
     """
     perm_list = [tuple(p) for p in perm_gens]
     basis = rref([mask_of(g) for g in negations], n)
@@ -118,20 +101,3 @@ def negation_basis_from_generators(
             return basis
         basis = updated
     raise AssertionError("negation basis failed to stabilize")  # unreachable
-
-
-def enumerate_negations(basis: Gf2Basis) -> list[SignedPermutation]:
-    """All 2^dim negations spanned by the basis.
-
-    Ordered lexicographically by the coefficient tuple over the basis rows
-    (the identity, coefficient zero, always comes first).
-    """
-    d = basis.dim
-    out = []
-    for bits in range(1 << d):
-        mask = 0
-        for j in range(d):
-            if bits >> (d - 1 - j) & 1:
-                mask ^= basis.rows[j]
-        out.append(negation_of(mask, basis.n))
-    return out

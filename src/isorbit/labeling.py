@@ -9,7 +9,6 @@ and write out the final labeling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -35,53 +34,6 @@ def rotate_mod_lattice(
     return reduce_mod_lattice(pinv, basis, r.apply(w))
 
 
-def merge_classes_group(
-    reps: Iterable[Point],
-    rotations: Sequence[SignedPermutation],
-    pinv: PseudoInverse,
-    basis: LatticeBasis,
-    threads: int = 1,
-) -> dict[Point, Point]:
-    """Partition the representatives by sweeping whole rotation image sets.
-
-    Repeatedly picks the lexicographically smallest unlabeled representative
-    w, computes its image under every rotation (projected back into the
-    cell), labels the images found among the remaining representatives by w
-    and removes them. The image computation is embarrassingly parallel over
-    the rotation list, so a thread count > 1 splits it into chunks; the
-    result does not depend on the chunking.
-    """
-    rot_list = list(rotations)
-    remaining = set(map(tuple, reps))
-    witness: dict[Point, Point] = {}
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while remaining:
-            w = min(remaining)
-            if pool is not None and len(rot_list) >= 256:
-                chunks = _split(rot_list, threads * 4)
-                images: set[Point] = set()
-                for part in pool.map(
-                        lambda rs: {rotate_mod_lattice(pinv, basis, r, w) for r in rs},
-                        chunks):
-                    images |= part
-            else:
-                images = {rotate_mod_lattice(pinv, basis, r, w) for r in rot_list}
-            cls = (images & remaining) | {w}
-            for p in cls:
-                witness[p] = w
-            remaining -= cls
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return witness
-
-
-def _split(items: list, parts: int) -> list[list]:
-    size = max(1, (len(items) + parts - 1) // parts)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def merge_classes_generators(
     reps: Iterable[Point],
     rotation_gens: Sequence[SignedPermutation],
@@ -89,20 +41,24 @@ def merge_classes_generators(
     basis: LatticeBasis,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> dict[Point, Point]:
-    """Same partition as :func:`merge_classes_group`, expanding each class by
-    the rotation generators only.
+    """Partition the representatives into rotation orbits, expanding each
+    class by the rotation generators only.
 
-    For each witness w the image closure is grown over the whole
-    representative cell until it stops changing, and only then intersected
-    with the representatives at hand. The cell is infinite when the lattice
-    rank is below n, so a configurable cap guards the closure; the closure
-    itself is always finite (it is contained in one rotation-subgroup orbit).
+    Witnesses are taken in lexicographic order, each the smallest
+    representative not yet labeled. For each witness w the image closure is
+    grown over the whole representative cell until it stops changing, and
+    only then intersected with the representatives at hand. The closure is
+    the whole orbit of w, so it never meets an earlier class. The cell is
+    infinite when the lattice rank is below n, so a configurable cap guards
+    the closure; the closure itself is always finite (it is contained in one
+    rotation-subgroup orbit).
     """
     gens = list(rotation_gens)
-    remaining = set(map(tuple, reps))
+    rep_set = set(map(tuple, reps))
     witness: dict[Point, Point] = {}
-    while remaining:
-        w = min(remaining)
+    for w in sorted(rep_set):
+        if w in witness:
+            continue
         closure = {w}
         frontier = [w]
         while frontier:
@@ -117,10 +73,8 @@ def merge_classes_generators(
                 raise ClosureCapExceededError(
                     f"class closure around {w} exceeded {closure_cap} elements")
             frontier = fresh
-        cls = (closure & remaining) | {w}
-        for p in cls:
+        for p in closure & rep_set:
             witness[p] = w
-        remaining -= cls
     return witness
 
 

@@ -113,31 +113,20 @@ def hnf_reduce(rows: Iterable[Sequence[int]], n: int) -> LatticeBasis:
     return LatticeBasis(n, tuple(tuple(r) for r in reduced))
 
 
-def translation_basis_from_group(
-    vectors: Iterable[Sequence[int]],
-    rotations: Iterable[SignedPermutation],
-    n: int,
-) -> LatticeBasis:
-    """Lattice generated by the vectors and all their images under the given
-    (full, identity-containing) rotation group."""
-    images = {r.apply(v) for v in vectors for r in rotations}
-    return hnf_reduce(sorted(images), n)
-
-
 def translation_basis_from_generators(
     vectors: Iterable[Sequence[int]],
     rotation_gens: Iterable[SignedPermutation],
     n: int,
     max_iterations: int | None = None,
 ) -> LatticeBasis:
-    """Same lattice as :func:`translation_basis_from_group`, touching only
-    the rotation generators.
+    """Lattice generated by the vectors and all their images under the
+    rotation group the generators generate.
 
-    Conjugates the current basis rows by each generator, re-reduces, and
-    repeats until the Hermite form stops changing. Unlike the boolean case
-    there is no rank-increase guarantee per update, hence no a-priori
-    iteration bound; the cap (default 64*n) turns a would-be hang into an
-    error and is far above anything observed.
+    Touches only the generators: conjugates the current basis rows by each
+    generator, re-reduces, and repeats until the Hermite form stops changing.
+    Unlike the boolean case there is no rank-increase guarantee per update,
+    hence no a-priori iteration bound; the cap (default 64*n) turns a
+    would-be hang into an error and is far above anything observed.
     """
     gens = list(rotation_gens)
     cap = max_iterations if max_iterations is not None else 64 * max(n, 1)

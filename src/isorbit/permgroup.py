@@ -40,13 +40,15 @@ def generate_perm_group(
     """Breadth-first closure of the generators into the whole subgroup.
 
     Every element of a finite group is a product of generators (inverses are
-    positive powers), so the frontier walk below reaches everything.
+    positive powers), so the frontier walk below reaches everything. The
+    dimension cap applies only when there is a generator to close: the
+    closure of none is the identity alone.
     """
-    if n > max_dimension:
+    gen_list = sorted({tuple(int(i) for i in g) for g in gens})
+    if gen_list and n > max_dimension:
         raise DimensionTooLargeError(
             f"dimension {n} exceeds the closure cap {max_dimension} "
             f"(the subgroup can hold up to {math.factorial(n)} elements)")
-    gen_list = sorted({tuple(int(i) for i in g) for g in gens})
     for g in gen_list:
         if sorted(g) != list(range(n)):
             raise InvalidRotationError(f"not a permutation of 0..{n - 1}: {g}")

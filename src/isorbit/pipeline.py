@@ -2,41 +2,26 @@
 
 Stage 1 depends only on the generating set and is reusable across point
 sets; stage 2 projects the points and merges translation classes under the
-rotation action. Both stages come in two variants: "group" enumerates the
-relevant subgroups explicitly (parallel friendly), "generators" iterates
-fixed-point loops over the generators instead. They produce identical
-results.
+rotation action. Both stages run fixed-point loops over the generators and
+never enumerate the rotation subgroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .gf2 import (
-    Gf2Basis,
-    enumerate_negations,
-    negation_basis_from_generators,
-    negation_basis_from_group,
-)
-from .isometry import GeneratingSet, Point
+from .gf2 import Gf2Basis, negation_basis_from_generators
+from .isometry import GeneratingSet
 from .labeling import (
     DEFAULT_CLOSURE_CAP,
     OrbitLabeling,
     finalize_labels,
     merge_classes_generators,
-    merge_classes_group,
 )
-from .lattice import (
-    LatticeBasis,
-    translation_basis_from_generators,
-    translation_basis_from_group,
-)
+from .lattice import LatticeBasis, translation_basis_from_generators
 from .permgroup import DEFAULT_MAX_DIMENSION, PermGroup, generate_perm_group
 from .quotient import PseudoInverse, build_pseudoinverse, reduce_points
-from .rotation import RotationGroup, assemble_rotation_group
-
-MODES = ("group", "generators")
 
 
 @dataclass
@@ -48,76 +33,45 @@ class Stage1:
     perm_group: PermGroup
     basis: LatticeBasis
     pinv: PseudoInverse
-    _rotations: Optional[RotationGroup] = field(default=None, repr=False)
 
     @property
     def rotation_order(self) -> int:
         return self.neg_basis.span_size * self.perm_group.order
 
-    def rotation_group(self) -> RotationGroup:
-        """Explicit rotation subgroup; assembled on first use and cached."""
-        if self._rotations is None:
-            self._rotations = assemble_rotation_group(
-                enumerate_negations(self.neg_basis), self.perm_group)
-        return self._rotations
-
 
 def run_stage1(
     gens: GeneratingSet,
-    mode: str = "group",
     max_dimension: int = DEFAULT_MAX_DIMENSION,
     max_basis_iterations: int | None = None,
 ) -> Stage1:
     """Compute the negation basis, permutation subgroup, translation-lattice
     basis and its exact pseudoinverse for the generating set."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     n = gens.n
     perm_tuples = [g.r.perm for g in gens.permutations]
     perm_group = generate_perm_group(perm_tuples, n, max_dimension)
-    negs = gens.negation_rotations()
-    tvecs = gens.translation_vectors()
-    rotations = None
-    if mode == "group":
-        neg_basis = negation_basis_from_group(negs, perm_group.elements, n)
-        rotations = assemble_rotation_group(enumerate_negations(neg_basis), perm_group)
-        basis = translation_basis_from_group(tvecs, rotations.elements, n)
-    else:
-        neg_basis = negation_basis_from_generators(negs, perm_tuples, n)
-        basis = translation_basis_from_generators(
-            tvecs, gens.rotation_generators(), n, max_basis_iterations)
-    return Stage1(gens, neg_basis, perm_group, basis, build_pseudoinverse(basis), rotations)
+    neg_basis = negation_basis_from_generators(gens.negation_rotations(), perm_tuples, n)
+    basis = translation_basis_from_generators(
+        gens.translation_vectors(), gens.rotation_generators(), n, max_basis_iterations)
+    return Stage1(gens, neg_basis, perm_group, basis, build_pseudoinverse(basis))
 
 
 def compute_labeling(
     stage1: Stage1,
     points: Iterable[Sequence[int]],
-    mode: str = "group",
-    threads: int = 1,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> OrbitLabeling:
     """Stage 2: project the points and merge classes under the rotations."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    reps, assignment = reduce_points(stage1.pinv, stage1.basis, points, threads)
-    if mode == "group":
-        witness = merge_classes_group(
-            reps, stage1.rotation_group().elements, stage1.pinv, stage1.basis, threads)
-    else:
-        witness = merge_classes_generators(
-            reps, stage1.gens.rotation_generators(), stage1.pinv, stage1.basis,
-            closure_cap)
+    reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
+    witness = merge_classes_generators(
+        reps, stage1.gens.rotation_generators(), stage1.pinv, stage1.basis, closure_cap)
     return finalize_labels(assignment, witness)
 
 
 def compute_orbits(
     gens: GeneratingSet,
     points: Iterable[Sequence[int]],
-    mode: str = "group",
-    threads: int = 1,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> OrbitLabeling:
     """One-call convenience: stage 1 followed by stage 2."""
-    stage1 = run_stage1(gens, mode, max_dimension)
-    return compute_labeling(stage1, points, mode, threads, closure_cap)
+    return compute_labeling(run_stage1(gens, max_dimension), points, closure_cap)

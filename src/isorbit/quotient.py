@@ -13,7 +13,6 @@ point pseudoinverse would not guarantee.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,20 +125,9 @@ def reduce_points(
     pinv: PseudoInverse,
     basis: LatticeBasis,
     points: Iterable[Sequence[int]],
-    threads: int = 1,
 ) -> tuple[set[Point], dict[Point, Point]]:
-    """Project every point; returns the representative set and the point map.
-
-    Each point is independent of every other, so the work may be split
-    across threads without changing the result.
-    """
+    """Project every point; returns the representative set and the point map."""
     pts = sorted({tuple(int(c) for c in p) for p in points})
-    if threads > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(pts) // (threads * 4))
-            reps_list = list(
-                pool.map(lambda p: reduce_mod_lattice(pinv, basis, p), pts, chunksize=chunk))
-    else:
-        reps_list = [reduce_mod_lattice(pinv, basis, p) for p in pts]
+    reps_list = [reduce_mod_lattice(pinv, basis, p) for p in pts]
     assignment = dict(zip(pts, reps_list))
     return set(reps_list), assignment

@@ -31,6 +31,7 @@ from isorbit import (
 )
 from isorbit.cli import main
 from isorbit.oracle import Partition
+from reference import reference_labeling, reference_stage1, rotation_group
 
 
 class criterion:
@@ -103,7 +104,7 @@ def test_criterion_3_rotation_group_orders():
         orders = {}
         for n in (2, 3, 4):
             stage1 = run_stage1(flip_and_adjacent_transpositions(n))
-            assert stage1.rotation_group().order == stage1.rotation_order
+            assert rotation_group(stage1).order == stage1.rotation_order
             orders[n] = stage1.rotation_order
         elapsed = time.perf_counter() - t0
         assert orders == {2: 8, 3: 48, 4: 384}
@@ -117,8 +118,8 @@ class SweepRecord:
     points: list
     neg_equal: bool
     basis_equal: bool
-    lab_group: OrbitLabeling
-    lab_gens: OrbitLabeling
+    lab_reference: OrbitLabeling
+    lab_pipeline: OrbitLabeling
     oracle: Partition
     stabilized: bool
     adjudicated: bool
@@ -131,17 +132,17 @@ def sweep():
     records = []
     for _ in range(200):
         gens, points = random_origin_window_instance(rng)
-        stage_group = run_stage1(gens, "group")
-        stage_gens = run_stage1(gens, "generators")
-        lab_group = compute_labeling(stage_group, points, "group")
-        lab_gens = compute_labeling(stage_gens, points, "generators")
+        stage_ref = reference_stage1(gens)
+        stage1 = run_stage1(gens)
+        lab_reference = reference_labeling(stage_ref, points)
+        lab_pipeline = compute_labeling(stage1, points)
         try:
             oracle_part, _pad = stabilized_bfs_orbits(gens, points, 6)
             stabilized = True
         except NotStabilizedError as e:
             oracle_part, stabilized = e.partition, False
         adjudicated = False
-        if stabilized and oracle_part != lab_group.partition():
+        if stabilized and oracle_part != lab_pipeline.partition():
             # two agreeing paddings can stop the reference walk before a
             # merge that needs a larger box; adjudicate with a much deeper
             # box before judging the pipeline
@@ -149,9 +150,9 @@ def sweep():
             adjudicated = True
         records.append(SweepRecord(
             gens, points,
-            stage_group.neg_basis == stage_gens.neg_basis,
-            stage_group.basis == stage_gens.basis,
-            lab_group, lab_gens, oracle_part, stabilized, adjudicated))
+            stage_ref.neg_basis == stage1.neg_basis,
+            stage_ref.basis == stage1.basis,
+            lab_reference, lab_pipeline, oracle_part, stabilized, adjudicated))
     return records, time.perf_counter() - t0
 
 
@@ -166,17 +167,18 @@ def test_criterion_4_oracle_equivalence_sweep(sweep):
         assert len(stabilized) >= 190  # at least 95 percent
         assert adjudicated <= 10  # early stops must stay the rare exception
         for r in stabilized:
-            assert r.lab_group.partition() == r.oracle
+            assert r.lab_pipeline.partition() == r.oracle
         assert elapsed < 60.0
 
 
 def test_criterion_5_variant_agreement(sweep):
     records, _elapsed = sweep
-    with criterion(5, "negation, lattice and merge variants agree on all 200"):
+    with criterion(5, "negation, lattice and merge agree with the explicit-group "
+                      "reference on all 200"):
         for r in records:
             assert r.neg_equal
             assert r.basis_equal
-            assert r.lab_group == r.lab_gens
+            assert r.lab_reference == r.lab_pipeline
 
 
 def test_criterion_6_projection_property_suite():

@@ -275,7 +275,8 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
 
 def test_dimension_cap_flag(tmp_path, capsys):
     # n = 11 exceeds the default closure cap; raising the cap unblocks it
-    gens_doc = {"n": 11, "generators": []}
+    gens_doc = {"n": 11, "generators": [
+        {"type": "permutation", "perm": [1, 0] + list(range(2, 11))}]}
     box11 = ",".join(["0..0"] * 11)
     code, _ = run_main(tmp_path, ["--box", box11], gens_doc=gens_doc, name="capped")
     assert code == 1
@@ -285,6 +286,24 @@ def test_dimension_cap_flag(tmp_path, capsys):
         gens_doc=gens_doc, name="uncapped")
     assert code == 0
     assert len(json.loads(out.read_text())["classes"]) == 1
+
+
+def test_dimension_cap_only_where_a_closure_is_built(tmp_path, capsys):
+    # without a permutation generator there is nothing to close in Z^11
+    e1 = [1] + [0] * 10
+    flip0 = [-1] + [1] * 10
+    gens_doc = {"n": 11, "generators": [
+        {"type": "translation", "v": e1}, {"type": "negation", "signs": flip0}]}
+    box = ",".join(["0..1"] + ["0..0"] * 10)
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=gens_doc, name="free")
+    assert code == 0
+    assert json.loads(out.read_text())["classes"] == [
+        {"label": [0] * 11, "members": [[0] * 11, e1]}]
+    swap_doc = {"n": 11, "generators": [
+        {"type": "permutation", "perm": [1, 0] + list(range(2, 11))}]}
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=swap_doc, name="swap")
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionTooLarge"
 
 
 def test_usage_error_for_conflicting_domains(tmp_path):

@@ -7,13 +7,12 @@ from conftest import bits, gf2_span, random_signed_permutation
 from isorbit import (
     DimensionMismatchError,
     SignedPermutation,
-    enumerate_negations,
     generate_perm_group,
     negation_basis_from_generators,
-    negation_basis_from_group,
     rref,
 )
-from isorbit.gf2 import mask_of, negation_of, permute_mask
+from isorbit.gf2 import mask_of, permute_mask
+from reference import enumerate_negations, negation_basis_from_group, negation_of
 
 
 def neg(*signs):

@@ -11,13 +11,13 @@ from isorbit import (
     finalize_labels,
     hnf_reduce,
     merge_classes_generators,
-    merge_classes_group,
     reduce_points,
     rotate_mod_lattice,
     run_stage1,
     validate_atomic,
     Isometry,
 )
+from reference import merge_classes_group, rotation_group
 
 POINT_REFLECTION = SignedPermutation.negation((-1, -1))
 SWAP = SignedPermutation.permutation((1, 0))
@@ -79,12 +79,22 @@ def test_merge_group_single_representative():
 
 
 def test_merge_generators_matches_group_mode():
+    # same witness for every representative as the explicit-group sweep
     pinv, basis = diagonal_cell()
     reps = {(0, 0), (1, 0), (0, 1)}
     group_witness = merge_classes_group(
         reps, [SignedPermutation.identity(2), POINT_REFLECTION], pinv, basis)
     gen_witness = merge_classes_generators(reps, [POINT_REFLECTION], pinv, basis)
-    assert _witness_partition(group_witness) == _witness_partition(gen_witness)
+    assert gen_witness == group_witness
+    rng = Random(703)
+    for _ in range(25):
+        gens, points = random_sweep_instance(rng)
+        stage1 = run_stage1(gens)
+        reps, _assignment = reduce_points(stage1.pinv, stage1.basis, points)
+        assert merge_classes_generators(
+            reps, gens.rotation_generators(), stage1.pinv, stage1.basis) == \
+            merge_classes_group(
+                reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
 
 
 def test_merge_generators_no_generators():
@@ -161,7 +171,7 @@ def test_generator_invariance_of_labels():
         stage1 = run_stage1(gens)
         reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
         witness = merge_classes_group(
-            reps, stage1.rotation_group().elements, stage1.pinv, stage1.basis)
+            reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
         labeling = finalize_labels(assignment, witness)
         pts = set(labeling.labels)
         for g in gens.members():
@@ -190,7 +200,7 @@ def test_pick_order_does_not_change_the_partition():
         gens, points = random_sweep_instance(rng)
         stage1 = run_stage1(gens)
         reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
-        rotations = stage1.rotation_group().elements
+        rotations = rotation_group(stage1).elements
         lex = merge_classes_group(reps, rotations, stage1.pinv, stage1.basis)
         rnd = merge_random_pick(reps, rotations, stage1.pinv, stage1.basis, rng)
         assert finalize_labels(assignment, lex) == finalize_labels(assignment, rnd)
@@ -204,7 +214,7 @@ def test_classes_merge_even_when_paths_leave_the_window():
     stage1 = run_stage1(gens)
     reps, assignment = reduce_points(stage1.pinv, stage1.basis, UNIT_SQUARE)
     witness = merge_classes_group(
-        reps, stage1.rotation_group().elements, stage1.pinv, stage1.basis)
+        reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
     labeling = finalize_labels(assignment, witness)
     assert labeling.labels[(1, 0)] == labeling.labels[(0, 1)]
     # a window-bound walk cannot see it

@@ -8,12 +8,14 @@ from isorbit import (
     DimensionMismatchError,
     IterationCapExceededError,
     SignedPermutation,
-    assemble_rotation_group,
-    enumerate_negations,
     generate_perm_group,
     hnf_reduce,
-    negation_basis_from_group,
     translation_basis_from_generators,
+)
+from reference import (
+    assemble_rotation_group,
+    enumerate_negations,
+    negation_basis_from_group,
     translation_basis_from_group,
 )
 

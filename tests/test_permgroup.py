@@ -55,13 +55,16 @@ def test_deterministic_across_runs():
 
 
 def test_dimension_cap():
+    swap11 = (1, 0) + tuple(range(2, 11))
     with pytest.raises(DimensionTooLargeError):
-        generate_perm_group([], 11)
+        generate_perm_group([swap11], 11)
     # the cap is a knob, not a constant
-    group = generate_perm_group([], 11, max_dimension=11)
-    assert group.order == 1
+    group = generate_perm_group([swap11], 11, max_dimension=11)
+    assert group.order == 2
     with pytest.raises(DimensionTooLargeError):
-        generate_perm_group([], 3, max_dimension=2)
+        generate_perm_group([(1, 0, 2)], 3, max_dimension=2)
+    # no generator, nothing to close: the cap does not apply
+    assert generate_perm_group([], 11).elements == (tuple(range(11)),)
 
 
 def test_rejects_non_permutations():

@@ -1,7 +1,5 @@
 from random import Random
 
-import pytest
-
 from conftest import random_sweep_instance
 from isorbit import (
     Isometry,
@@ -12,6 +10,7 @@ from isorbit import (
     run_stage1,
     validate_atomic,
 )
+from reference import reference_labeling, reference_stage1, rotation_group
 
 UNIT_SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -48,32 +47,32 @@ def test_stage1_diagnostics():
          Isometry.rotation(SignedPermutation.permutation((1, 0)))], 2)
     stage1 = run_stage1(gens)
     assert stage1.rotation_order == 8
-    assert stage1.rotation_group().order == 8
+    assert rotation_group(stage1).order == 8
     assert stage1.basis.m == 0
     assert stage1.perm_group.order == 2
     assert stage1.neg_basis.dim == 2
 
 
 def test_stage1_modes_agree():
+    # the production stage 1 against the explicit-group reference
     rng = Random(901)
     for _ in range(20):
         gens, _points = random_sweep_instance(rng)
-        group_stage = run_stage1(gens, "group")
-        gen_stage = run_stage1(gens, "generators")
-        assert group_stage.neg_basis == gen_stage.neg_basis
-        assert group_stage.basis == gen_stage.basis
-        assert group_stage.rotation_order == gen_stage.rotation_order
-        assert group_stage.rotation_group() == gen_stage.rotation_group()
+        ref = reference_stage1(gens)
+        stage1 = run_stage1(gens)
+        assert stage1.neg_basis == ref.neg_basis
+        assert stage1.basis == ref.basis
+        assert stage1.rotation_order == ref.rotations.order
+        assert rotation_group(stage1) == ref.rotations
 
 
 def test_modes_and_threads_give_identical_labelings():
+    # the production labeling against the explicit-group reference
     rng = Random(902)
     for _ in range(10):
         gens, points = random_sweep_instance(rng)
-        stage1 = run_stage1(gens)
-        base = compute_labeling(stage1, points, "group", threads=1)
-        assert compute_labeling(stage1, points, "group", threads=4) == base
-        assert compute_labeling(stage1, points, "generators") == base
+        labeling = compute_labeling(run_stage1(gens), points)
+        assert labeling == reference_labeling(reference_stage1(gens), points)
 
 
 def test_lattice_shifted_window_has_same_class_sizes():
@@ -85,12 +84,3 @@ def test_lattice_shifted_window_has_same_class_sizes():
     labeling_shifted = compute_orbits(gens, shifted)
     assert sorted(len(c) for c in labeling.partition()) == \
         sorted(len(c) for c in labeling_shifted.partition())
-
-
-def test_unknown_mode_rejected():
-    gens = validate_atomic([], 2)
-    with pytest.raises(ValueError):
-        compute_orbits(gens, UNIT_SQUARE, mode="fast")
-    stage1 = run_stage1(gens)
-    with pytest.raises(ValueError):
-        compute_labeling(stage1, UNIT_SQUARE, mode="fast")

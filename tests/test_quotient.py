@@ -154,13 +154,3 @@ def test_reduce_points_empty_and_duplicates():
     assert reps == set() and assignment == {}
     reps2, assignment2 = reduce_points(pinv, basis, [(5, 5), (5, 5)])
     assert len(assignment2) == 1 and reps2 == {(0, 0)}
-
-
-def test_reduce_points_thread_count_does_not_matter():
-    rng = Random(604)
-    basis = hnf_reduce([(3, 1, 0), (0, 2, 2)], 3)
-    pinv = build_pseudoinverse(basis)
-    pts = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(200)]
-    seq = reduce_points(pinv, basis, pts, threads=1)
-    par = reduce_points(pinv, basis, pts, threads=4)
-    assert seq == par

