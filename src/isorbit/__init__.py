@@ -48,14 +48,7 @@ from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
 from .permgroup import PermGroup, generate_perm_group
 from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1
-from .quotient import (
-    PseudoInverse,
-    build_pseudoinverse,
-    coefficient_numerators,
-    floor_ratio,
-    reduce_mod_lattice,
-    reduce_points,
-)
+from .quotient import reduce_mod_lattice, reduce_points
 
 __version__ = "0.1.0"
 
@@ -78,18 +71,14 @@ __all__ = [
     "OrbitLabeling",
     "PermGroup",
     "Point",
-    "PseudoInverse",
     "SignedPermutation",
     "Stage1",
     "StageCacheMismatchError",
     "bfs_orbits",
-    "build_pseudoinverse",
-    "coefficient_numerators",
     "compute_labeling",
     "compute_orbits",
     "conjugate",
     "finalize_labels",
-    "floor_ratio",
     "generate_perm_group",
     "hnf_reduce",
     "merge_classes_generators",

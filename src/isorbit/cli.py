@@ -45,14 +45,11 @@ from .errors import (
     NotAtomicError,
     StageCacheMismatchError,
 )
-from .gf2 import Gf2Basis
 from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validate_atomic
 from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling
-from .lattice import LatticeBasis
 from .oracle import DEFAULT_BOX_CAP, stabilized_bfs_orbits
-from .permgroup import DEFAULT_MAX_DIMENSION, PermGroup
+from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, compute_labeling, run_stage1
-from .quotient import build_pseudoinverse
 
 DEFAULT_MAX_PADDING = 6
 
@@ -184,19 +181,49 @@ def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
     return expand_box(lo, hi, box_cap)
 
 
+def _point_template(n: int, depth: int) -> str:
+    """A point as json.dumps(indent=2) lays it out at the given depth, with
+    a "{}" slot per coordinate."""
+    if n == 0:
+        return "[]"
+    inner = "  " * (depth + 1)
+    return "[\n" + ",\n".join([inner + "{}"] * n) + "\n" + "  " * depth + "]"
+
+
 def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
-    classes = [
-        {"label": list(label), "members": [list(p) for p in labeling.classes[label]]}
-        for label in sorted(labeling.classes)
-    ]
-    doc = {
+    """The diagnostics and the classes, byte for byte as json.dumps(doc,
+    indent=2) + "\\n" would write them.
+
+    With indent set, the json module falls back to its pure-Python encoder,
+    so only the small header goes through it. The whole document is then
+    one format string, built from per-depth point templates and filled in
+    one call.
+    """
+    head = json.dumps({
         "n": stage1.gens.n,
         "rank_m": stage1.basis.m,
         "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
         "rotation_order": stage1.rotation_order,
-        "classes": classes,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "classes": [],
+    }, indent=2)
+    labels = sorted(labeling.classes)
+    if not labels:
+        return head + "\n"
+    n = stage1.gens.n
+    label_t = _point_template(n, 3)
+    member_t = "        " + _point_template(n, 4)
+    opening = '    {{\n      "label": ' + label_t + ',\n      "members": [\n'
+    closing = "\n      ]\n    }}"
+    template = "".join([
+        head[:-len("[]\n}")].replace("{", "{{").replace("}", "}}"),
+        "[\n",
+        ",\n".join(
+            opening + ",\n".join([member_t] * len(labeling.classes[label])) + closing
+            for label in labels),
+        "\n  ]\n}}\n",
+    ])
+    coords = [c for label in labels for p in (label, *labeling.classes[label]) for c in p]
+    return template.format(*coords)
 
 
 def render_tsv(labeling: OrbitLabeling) -> str:
@@ -219,35 +246,39 @@ def _gens_doc(gens: GeneratingSet) -> list[dict]:
     return doc
 
 
-def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
-    if not config.stage1_cache:
-        return run_stage1(gens, config.max_dimension)
-    path = Path(config.stage1_cache)
-    if path.exists():
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise InputError(f"stage-1 cache: {e.msg} at line {e.lineno}") from e
-        if doc.get("generators") != _gens_doc(gens) or doc.get("n") != gens.n:
-            raise StageCacheMismatchError(
-                f"stage-1 cache {path} was built for a different generating set")
-        basis = LatticeBasis(gens.n, tuple(tuple(r) for r in doc["basis_rows"]))
-        return Stage1(
-            gens,
-            Gf2Basis(gens.n, tuple(doc["negation_basis"])),
-            PermGroup(gens.n, tuple(tuple(p) for p in doc["perm_elements"])),
-            basis,
-            build_pseudoinverse(basis),
-        )
-    stage1 = run_stage1(gens, config.max_dimension)
-    cache_doc = {
-        "n": gens.n,
-        "generators": _gens_doc(gens),
+def _stage1_cache_doc(stage1: Stage1) -> dict:
+    return {
+        "n": stage1.gens.n,
+        "generators": _gens_doc(stage1.gens),
         "negation_basis": list(stage1.neg_basis.rows),
         "perm_elements": [list(p) for p in stage1.perm_group.elements],
         "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
     }
-    path.write_text(json.dumps(cache_doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
+    """Stage 1 for the generators, written to the cache or checked against it.
+
+    The cache is never trusted: stage 1 is re-derived from the generators
+    (milliseconds on every benchmark workload) and a cache file that is not
+    exactly its document is rejected, so an edited cache cannot change the
+    output.
+    """
+    stage1 = run_stage1(gens, config.max_dimension)
+    if not config.stage1_cache:
+        return stage1
+    path = Path(config.stage1_cache)
+    expected = _stage1_cache_doc(stage1)
+    if not path.exists():
+        path.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
+        return stage1
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise InputError(f"stage-1 cache: {e.msg} at line {e.lineno}") from e
+    if doc != expected:
+        raise StageCacheMismatchError(
+            f"stage-1 cache {path} does not match this generating set")
     return stage1
 
 
@@ -339,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="K", help="padding limit for --oracle-check "
                         f"(default: {DEFAULT_MAX_PADDING})")
     parser.add_argument("--stage1-cache", metavar="FILE",
-                        help="reuse (or create) a stage-1 cache for this generating set")
+                        help="write stage 1 to FILE, or check that FILE matches "
+                        "it (stage 1 is re-derived either way)")
     parser.add_argument("--max-dimension", type=int, default=DEFAULT_MAX_DIMENSION,
                         metavar="N", help="permutation-closure dimension cap "
                         f"(default: {DEFAULT_MAX_DIMENSION})")

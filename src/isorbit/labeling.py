@@ -15,29 +15,23 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ClosureCapExceededError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
-from .quotient import PseudoInverse, reduce_mod_lattice
+from .quotient import reduce_mod_lattice
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 
 
-def rotate_mod_lattice(
-    pinv: PseudoInverse,
-    basis: LatticeBasis,
-    r: SignedPermutation,
-    w: Sequence[int],
-) -> Point:
+def rotate_mod_lattice(basis: LatticeBasis, r: SignedPermutation, w: Sequence[int]) -> Point:
     """Apply the rotation, then project back into the representative cell.
 
     For w already in the cell this is the induced action of the rotation on
     translation classes; with an empty basis it is the plain rotation.
     """
-    return reduce_mod_lattice(pinv, basis, r.apply(w))
+    return reduce_mod_lattice(basis, r.apply(w))
 
 
 def merge_classes_generators(
     reps: Iterable[Point],
     rotation_gens: Sequence[SignedPermutation],
-    pinv: PseudoInverse,
     basis: LatticeBasis,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> dict[Point, Point]:
@@ -65,7 +59,7 @@ def merge_classes_generators(
             fresh = []
             for p in frontier:
                 for r in gens:
-                    q = rotate_mod_lattice(pinv, basis, r, p)
+                    q = rotate_mod_lattice(basis, r, p)
                     if q not in closure:
                         closure.add(q)
                         fresh.append(q)

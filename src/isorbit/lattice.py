@@ -9,6 +9,7 @@ integer arithmetic; no floating point is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, IterationCapExceededError
@@ -41,19 +42,28 @@ class LatticeBasis:
         """The n x m basis matrix with the basis vectors as columns."""
         return [[row[i] for row in self.hnf_rows] for i in range(self.n)]
 
+    @cached_property
+    def echelon(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """Per row: pivot column c, pivot p and the row's nonzero (index, entry)
+        pairs, found once per basis for the row walks below and in quotient."""
+        out = []
+        for row in self.hnf_rows:
+            c = _pivot_col(row)
+            out.append((c, row[c], tuple((i, b) for i, b in enumerate(row) if b)))
+        return tuple(out)
+
     def contains(self, v: Sequence[int]) -> bool:
         """Exact membership of v in the integer span of the basis vectors."""
         if len(v) != self.n:
             raise DimensionMismatchError(
                 f"membership test: vector of length {len(v)}, lattice in Z^{self.n}")
         w = list(v)
-        for row in self.hnf_rows:
-            c = _pivot_col(row)
-            q, rem = divmod(w[c], row[c])
+        for c, p, entries in self.echelon:
+            q, rem = divmod(w[c], p)
             if rem:
                 return False
-            if q:
-                w = [a - q * b for a, b in zip(w, row)]
+            for i, b in entries:
+                w[i] -= q * b
         return not any(w)
 
 

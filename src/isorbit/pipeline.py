@@ -21,7 +21,7 @@ from .labeling import (
 )
 from .lattice import LatticeBasis, translation_basis_from_generators
 from .permgroup import DEFAULT_MAX_DIMENSION, PermGroup, generate_perm_group
-from .quotient import PseudoInverse, build_pseudoinverse, reduce_points
+from .quotient import reduce_points
 
 
 @dataclass
@@ -32,7 +32,6 @@ class Stage1:
     neg_basis: Gf2Basis
     perm_group: PermGroup
     basis: LatticeBasis
-    pinv: PseudoInverse
 
     @property
     def rotation_order(self) -> int:
@@ -44,15 +43,15 @@ def run_stage1(
     max_dimension: int = DEFAULT_MAX_DIMENSION,
     max_basis_iterations: int | None = None,
 ) -> Stage1:
-    """Compute the negation basis, permutation subgroup, translation-lattice
-    basis and its exact pseudoinverse for the generating set."""
+    """Compute the negation basis, permutation subgroup and translation-lattice
+    basis for the generating set."""
     n = gens.n
     perm_tuples = [g.r.perm for g in gens.permutations]
     perm_group = generate_perm_group(perm_tuples, n, max_dimension)
     neg_basis = negation_basis_from_generators(gens.negation_rotations(), perm_tuples, n)
     basis = translation_basis_from_generators(
         gens.translation_vectors(), gens.rotation_generators(), n, max_basis_iterations)
-    return Stage1(gens, neg_basis, perm_group, basis, build_pseudoinverse(basis))
+    return Stage1(gens, neg_basis, perm_group, basis)
 
 
 def compute_labeling(
@@ -61,9 +60,9 @@ def compute_labeling(
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> OrbitLabeling:
     """Stage 2: project the points and merge classes under the rotations."""
-    reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
+    reps, assignment = reduce_points(stage1.basis, points)
     witness = merge_classes_generators(
-        reps, stage1.gens.rotation_generators(), stage1.pinv, stage1.basis, closure_cap)
+        reps, stage1.gens.rotation_generators(), stage1.basis, closure_cap)
     return finalize_labels(assignment, witness)
 
 

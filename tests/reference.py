@@ -1,4 +1,4 @@
-"""Explicit-group reference for the generator fixed-point pipeline.
+"""Explicit-group and pseudoinverse references for the production pipeline.
 
 The production path in ``isorbit`` never enumerates a group: it runs
 fixed-point loops over the generators. The functions here do the same jobs
@@ -6,24 +6,30 @@ the direct way, by listing the whole rotation subgroup and sweeping it.
 They are slower, but they depend on nothing the production loops do, so
 tests compare the two: negation basis, translation lattice, rotation order
 and the merge witnesses must all agree.
+
+The production reduction walks the Hermite-normal-form echelon. The
+pseudoinverse reduction below gets its representatives another way, from
+the exact rational coefficients x over the basis, x - B*floor(coeff(x)); its
+representatives differ, but both must split any point set into the same
+translation classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from isorbit import (
+    DimensionMismatchError,
     GeneratingSet,
     Gf2Basis,
     LatticeBasis,
     OrbitLabeling,
     PermGroup,
     Point,
-    PseudoInverse,
     SignedPermutation,
     Stage1,
-    build_pseudoinverse,
     finalize_labels,
     generate_perm_group,
     hnf_reduce,
@@ -120,7 +126,6 @@ def translation_basis_from_group(
 def merge_classes_group(
     reps: Iterable[Point],
     rotations: Sequence[SignedPermutation],
-    pinv: PseudoInverse,
     basis: LatticeBasis,
 ) -> dict[Point, Point]:
     """Partition the representatives by sweeping whole rotation image sets.
@@ -135,7 +140,7 @@ def merge_classes_group(
     witness: dict[Point, Point] = {}
     while remaining:
         w = min(remaining)
-        images = {rotate_mod_lattice(pinv, basis, r, w) for r in rot_list}
+        images = {rotate_mod_lattice(basis, r, w) for r in rot_list}
         cls = (images & remaining) | {w}
         for p in cls:
             witness[p] = w
@@ -150,7 +155,6 @@ class ReferenceStage:
     neg_basis: Gf2Basis
     rotations: RotationGroup
     basis: LatticeBasis
-    pinv: PseudoInverse
 
 
 def reference_stage1(gens: GeneratingSet) -> ReferenceStage:
@@ -160,11 +164,122 @@ def reference_stage1(gens: GeneratingSet) -> ReferenceStage:
     neg_basis = negation_basis_from_group(gens.negation_rotations(), perm_group.elements, n)
     rotations = assemble_rotation_group(enumerate_negations(neg_basis), perm_group)
     basis = translation_basis_from_group(gens.translation_vectors(), rotations.elements, n)
-    return ReferenceStage(neg_basis, rotations, basis, build_pseudoinverse(basis))
+    return ReferenceStage(neg_basis, rotations, basis)
 
 
 def reference_labeling(ref: ReferenceStage, points: Iterable[Sequence[int]]) -> OrbitLabeling:
     """Reduce the points and merge classes by sweeping every rotation."""
-    reps, assignment = reduce_points(ref.pinv, ref.basis, points)
-    witness = merge_classes_group(reps, ref.rotations.elements, ref.pinv, ref.basis)
+    reps, assignment = reduce_points(ref.basis, points)
+    witness = merge_classes_group(reps, ref.rotations.elements, ref.basis)
     return finalize_labels(assignment, witness)
+
+
+@dataclass(frozen=True)
+class PseudoInverse:
+    """Left inverse of the basis matrix B as an exact integer pair.
+
+    gram_det is det(B^T B) > 0 and adjugate_product is adj(B^T B) * B^T
+    (an m x n integer matrix), so the coefficient vector of x over the
+    basis is (adjugate_product @ x) / gram_det, exactly.
+    """
+
+    n: int
+    m: int
+    gram_det: int
+    adjugate_product: tuple[tuple[int, ...], ...]
+
+
+def floor_ratio(num: int, den: int) -> int:
+    """Mathematical floor of num/den for den > 0, valid for negative num."""
+    return num // den
+
+
+def _fraction_inverse(g: list[list[int]]) -> tuple[int, list[list[Fraction]]]:
+    """Exact determinant and inverse of a square integer matrix."""
+    m = len(g)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
+        for i, row in enumerate(g)
+    ]
+    det = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col]), None)
+        if piv is None:
+            raise ArithmeticError("gram matrix of a lattice basis is singular")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    assert det.denominator == 1
+    return int(det), [row[m:] for row in aug]
+
+
+def build_pseudoinverse(basis: LatticeBasis) -> PseudoInverse:
+    """Exact (gram_det, adjugate_product) pair for the basis; empty for rank 0."""
+    n, m = basis.n, basis.m
+    if m == 0:
+        return PseudoInverse(n, 0, 1, ())
+    gram = [
+        [sum(a * b for a, b in zip(bi, bj)) for bj in basis.hnf_rows]
+        for bi in basis.hnf_rows
+    ]
+    det, inv = _fraction_inverse(gram)
+    if det <= 0:
+        raise ArithmeticError(f"gram determinant must be positive, got {det}")
+    adj = [[_as_int(det * x) for x in row] for row in inv]
+    product = tuple(
+        tuple(sum(adj[i][j] * basis.hnf_rows[j][k] for j in range(m)) for k in range(n))
+        for i in range(m)
+    )
+    return PseudoInverse(n, m, det, product)
+
+
+def _as_int(x: Fraction) -> int:
+    assert x.denominator == 1
+    return int(x)
+
+
+def coefficient_numerators(pinv: PseudoInverse, x: Sequence[int]) -> tuple[int, ...]:
+    """Numerators of the coefficient vector over gram_det."""
+    if len(x) != pinv.n:
+        raise DimensionMismatchError(
+            f"point of length {len(x)}, pseudoinverse over Z^{pinv.n}")
+    return tuple(sum(r * c for r, c in zip(row, x)) for row in pinv.adjugate_product)
+
+
+def pinv_reduce_mod_lattice(pinv: PseudoInverse, basis: LatticeBasis, x: Sequence[int]) -> Point:
+    """Canonical representative of x modulo the basis lattice.
+
+    The result is the unique lattice translate of x whose coefficients over
+    the basis all lie in [0, 1); with an empty basis it is x itself.
+    """
+    if len(x) != pinv.n:
+        raise DimensionMismatchError(
+            f"point of length {len(x)}, lattice in Z^{pinv.n}")
+    if pinv.m == 0:
+        return tuple(int(c) for c in x)
+    d = pinv.gram_det
+    out = list(x)
+    for row, bvec in zip(pinv.adjugate_product, basis.hnf_rows):
+        q = floor_ratio(sum(r * c for r, c in zip(row, x)), d)
+        if q:
+            out = [a - q * b for a, b in zip(out, bvec)]
+    return tuple(out)
+
+
+def pinv_reduce_points(
+    pinv: PseudoInverse,
+    basis: LatticeBasis,
+    points: Iterable[Sequence[int]],
+) -> tuple[set[Point], dict[Point, Point]]:
+    """Project every point; returns the representative set and the point map."""
+    pts = sorted({tuple(int(c) for c in p) for p in points})
+    reps_list = [pinv_reduce_mod_lattice(pinv, basis, p) for p in pts]
+    assignment = dict(zip(pts, reps_list))
+    return set(reps_list), assignment

@@ -20,7 +20,6 @@ from isorbit import (
     OrbitLabeling,
     SignedPermutation,
     bfs_orbits,
-    build_pseudoinverse,
     compute_labeling,
     compute_orbits,
     hnf_reduce,
@@ -191,17 +190,19 @@ def test_criterion_6_projection_property_suite():
             rows = [tuple(rng.randint(-4, 4) for _ in range(n))
                     for _ in range(rng.randint(0, n))]
             basis = hnf_reduce(rows, n)
-            pinv = build_pseudoinverse(basis)
+            pivots = [(c, row[c]) for row in basis.hnf_rows
+                      for c in [next(i for i, b in enumerate(row) if b)]]
             for _ in range(25):
                 x = tuple(rng.randint(-20, 20) for _ in range(n))
-                rep = reduce_mod_lattice(pinv, basis, x)
-                assert reduce_mod_lattice(pinv, basis, rep) == rep
+                rep = reduce_mod_lattice(basis, x)
+                assert reduce_mod_lattice(basis, rep) == rep
                 assert basis.contains(tuple(a - b for a, b in zip(x, rep)))
                 mu = [rng.randint(-3, 3) for _ in range(basis.m)]
                 shifted = tuple(
                     xi + sum(m * row[k] for m, row in zip(mu, basis.hnf_rows))
                     for k, xi in enumerate(x))
-                assert reduce_mod_lattice(pinv, basis, shifted) == rep
+                assert reduce_mod_lattice(basis, shifted) == rep
+                assert all(0 <= rep[c] < p for c, p in pivots)
                 pairs += 1
         elapsed = time.perf_counter() - t0
         assert pairs >= 10_000

@@ -267,6 +267,76 @@ def test_stage1_cache_rejects_different_generators(tmp_path, capsys):
     assert err["error"] == "StageCacheMismatch"
 
 
+CACHE_GENS = {"n": 4, "generators": [
+    {"type": "translation", "v": [2, 0, 0, 0]},
+    {"type": "negation", "signs": [-1, 1, 1, 1]},
+    {"type": "permutation", "perm": [1, 2, 3, 0]}]}
+CACHE_BOX = ["--box", "0..1,0..1,0..1,0..1", "--format", "tsv"]
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("basis_rows", [[0, 0, 0, 0]]),
+    _drop("perm_elements"),
+    lambda doc: [doc],
+    # a valid Hermite normal form, but of a coarser lattice than 2Z^4
+    _set("basis_rows", [[1, 0, 0, 0], [0, 1, 0, 0]]),
+    _set("basis_rows", [["2", 0, 0, 0]]),
+    _set("perm_elements", [[0, 1, 2, 3]]),
+    _set("negation_basis", []),
+    _set("n", "4"),
+], ids=["zero-basis-row", "missing-perm-elements", "top-level-list", "wrong-lattice",
+        "string-entry", "perm-elements-cut", "negation-basis-emptied", "n-not-integer"])
+def test_stage1_cache_edited_is_rejected(tmp_path, capsys, edit):
+    cache = tmp_path / "stage1.json"
+    code, first = run_main(
+        tmp_path, CACHE_BOX + ["--stage1-cache", str(cache)], gens_doc=CACHE_GENS, name="a")
+    assert code == 0
+    cache.write_text(json.dumps(edit(json.loads(cache.read_text()))), encoding="utf-8")
+    capsys.readouterr()
+    code, second = run_main(
+        tmp_path, CACHE_BOX + ["--stage1-cache", str(cache)], gens_doc=CACHE_GENS, name="b")
+    assert code == 1
+    assert not second.exists()
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert isinstance(err, dict) and err["error"] == "StageCacheMismatch"
+
+
+def test_stage1_cache_not_json_is_rejected(tmp_path, capsys):
+    cache = tmp_path / "stage1.json"
+    cache.write_text('{"n": 4,', encoding="utf-8")
+    code, out = run_main(
+        tmp_path, CACHE_BOX + ["--stage1-cache", str(cache)], gens_doc=CACHE_GENS)
+    assert code == 1
+    assert not out.exists()
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and json.loads(err_lines[0])["error"] == "ParseError"
+
+
+def test_stage1_cache_reused_verbatim_gives_identical_bytes(tmp_path):
+    cache = tmp_path / "stage1.json"
+    args = CACHE_BOX + ["--stage1-cache", str(cache)]
+    assert run_main(tmp_path, args, gens_doc=CACHE_GENS, name="a")[0] == 0
+    code, again = run_main(tmp_path, args, gens_doc=CACHE_GENS, name="b")
+    assert code == 0
+    assert again.read_bytes() == (tmp_path / "a").read_bytes()
+
+
 def test_stdout_when_no_output_path(tmp_path, capsys):
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     assert main(["--gens", gens, "--box", "0..0,0..0", "--format", "tsv"]) == 0

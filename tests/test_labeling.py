@@ -7,7 +7,6 @@ from isorbit import (
     ClosureCapExceededError,
     SignedPermutation,
     bfs_orbits,
-    build_pseudoinverse,
     finalize_labels,
     hnf_reduce,
     merge_classes_generators,
@@ -25,25 +24,28 @@ UNIT_SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def diagonal_cell():
-    basis = hnf_reduce([(1, 1)], 2)
-    return build_pseudoinverse(basis), basis
+    return hnf_reduce([(1, 1)], 2)
+
+
+# the canonical representatives of the unit square's classes mod Z(1,1):
+# (0,0) and (1,1) -> (0,0), (1,0) -> (0,-1), (0,1) -> (0,1)
+DIAGONAL_REPS = ((0, 0), (0, -1), (0, 1))
 
 
 def test_rotate_mod_lattice_reflection():
-    pinv, basis = diagonal_cell()
-    assert rotate_mod_lattice(pinv, basis, POINT_REFLECTION, (1, 0)) == (0, 1)
+    basis = diagonal_cell()
+    assert rotate_mod_lattice(basis, POINT_REFLECTION, (1, 0)) == (0, 1)
 
 
 def test_rotate_mod_lattice_identity():
-    pinv, basis = diagonal_cell()
-    for w in [(0, 0), (1, 0), (0, 1)]:
-        assert rotate_mod_lattice(pinv, basis, SignedPermutation.identity(2), w) == w
+    basis = diagonal_cell()
+    for w in DIAGONAL_REPS:
+        assert rotate_mod_lattice(basis, SignedPermutation.identity(2), w) == w
 
 
 def test_rotate_mod_lattice_trivial_lattice_is_plain_rotation():
     basis = hnf_reduce([], 2)
-    pinv = build_pseudoinverse(basis)
-    assert rotate_mod_lattice(pinv, basis, POINT_REFLECTION, (2, 3)) == (-2, -3)
+    assert rotate_mod_lattice(basis, POINT_REFLECTION, (2, 3)) == (-2, -3)
 
 
 def _witness_partition(witness):
@@ -54,60 +56,59 @@ def _witness_partition(witness):
 
 
 def test_merge_group_reflection_classes():
-    pinv, basis = diagonal_cell()
-    reps = {(0, 0), (1, 0), (0, 1)}
+    basis = diagonal_cell()
+    reps = set(DIAGONAL_REPS)
     rotations = [SignedPermutation.identity(2), POINT_REFLECTION]
-    witness = merge_classes_group(reps, rotations, pinv, basis)
+    witness = merge_classes_group(reps, rotations, basis)
     assert _witness_partition(witness) == {
-        frozenset({(0, 0)}), frozenset({(1, 0), (0, 1)})}
+        frozenset({(0, 0)}), frozenset({(0, -1), (0, 1)})}
     # lexicographically smallest representative wins the witness role
-    assert witness[(1, 0)] == (0, 1)
+    assert witness[(0, 1)] == (0, -1)
     assert witness[(0, 0)] == (0, 0)
 
 
 def test_merge_group_identity_only_keeps_everything_apart():
-    pinv, basis = diagonal_cell()
-    reps = {(0, 0), (1, 0), (0, 1)}
-    witness = merge_classes_group(reps, [SignedPermutation.identity(2)], pinv, basis)
+    basis = diagonal_cell()
+    reps = set(DIAGONAL_REPS)
+    witness = merge_classes_group(reps, [SignedPermutation.identity(2)], basis)
     assert witness == {p: p for p in reps}
 
 
 def test_merge_group_single_representative():
-    pinv, basis = diagonal_cell()
-    witness = merge_classes_group({(1, 0)}, [SignedPermutation.identity(2)], pinv, basis)
+    basis = diagonal_cell()
+    witness = merge_classes_group({(1, 0)}, [SignedPermutation.identity(2)], basis)
     assert witness == {(1, 0): (1, 0)}
 
 
 def test_merge_generators_matches_group_mode():
     # same witness for every representative as the explicit-group sweep
-    pinv, basis = diagonal_cell()
-    reps = {(0, 0), (1, 0), (0, 1)}
+    basis = diagonal_cell()
+    reps = set(DIAGONAL_REPS)
     group_witness = merge_classes_group(
-        reps, [SignedPermutation.identity(2), POINT_REFLECTION], pinv, basis)
-    gen_witness = merge_classes_generators(reps, [POINT_REFLECTION], pinv, basis)
+        reps, [SignedPermutation.identity(2), POINT_REFLECTION], basis)
+    gen_witness = merge_classes_generators(reps, [POINT_REFLECTION], basis)
     assert gen_witness == group_witness
     rng = Random(703)
     for _ in range(25):
         gens, points = random_sweep_instance(rng)
         stage1 = run_stage1(gens)
-        reps, _assignment = reduce_points(stage1.pinv, stage1.basis, points)
+        reps, _assignment = reduce_points(stage1.basis, points)
         assert merge_classes_generators(
-            reps, gens.rotation_generators(), stage1.pinv, stage1.basis) == \
+            reps, gens.rotation_generators(), stage1.basis) == \
             merge_classes_group(
-                reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
+                reps, rotation_group(stage1).elements, stage1.basis)
 
 
 def test_merge_generators_no_generators():
-    pinv, basis = diagonal_cell()
+    basis = diagonal_cell()
     reps = {(0, 0), (1, 0)}
-    assert merge_classes_generators(reps, [], pinv, basis) == {p: p for p in reps}
+    assert merge_classes_generators(reps, [], basis) == {p: p for p in reps}
 
 
 def test_merge_generators_even_grid_with_swap():
     basis = hnf_reduce([(2, 0), (0, 2)], 2)
-    pinv = build_pseudoinverse(basis)
-    reps, assignment = reduce_points(pinv, basis, UNIT_SQUARE)
-    witness = merge_classes_generators(reps, [SWAP], pinv, basis)
+    reps, assignment = reduce_points(basis, UNIT_SQUARE)
+    witness = merge_classes_generators(reps, [SWAP], basis)
     labeling = finalize_labels(assignment, witness)
     assert labeling.partition() == {
         frozenset({(0, 0)}),
@@ -117,17 +118,17 @@ def test_merge_generators_even_grid_with_swap():
 
 
 def test_merge_generators_closure_cap():
-    pinv, basis = diagonal_cell()
+    basis = diagonal_cell()
     reps = {(0, 1), (1, 0)}
     with pytest.raises(ClosureCapExceededError):
-        merge_classes_generators(reps, [POINT_REFLECTION], pinv, basis, closure_cap=1)
+        merge_classes_generators(reps, [POINT_REFLECTION], basis, closure_cap=1)
 
 
 def test_finalize_diagonal_reflection_classes():
-    pinv, basis = diagonal_cell()
-    reps, assignment = reduce_points(pinv, basis, UNIT_SQUARE)
+    basis = diagonal_cell()
+    reps, assignment = reduce_points(basis, UNIT_SQUARE)
     witness = merge_classes_group(
-        reps, [SignedPermutation.identity(2), POINT_REFLECTION], pinv, basis)
+        reps, [SignedPermutation.identity(2), POINT_REFLECTION], basis)
     labeling = finalize_labels(assignment, witness)
     assert labeling.partition() == {
         frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})}
@@ -137,9 +138,8 @@ def test_finalize_diagonal_reflection_classes():
 
 def test_finalize_translations_only_keeps_singletons():
     basis = hnf_reduce([(2, 0), (0, 2)], 2)
-    pinv = build_pseudoinverse(basis)
-    reps, assignment = reduce_points(pinv, basis, UNIT_SQUARE)
-    witness = merge_classes_group(reps, [SignedPermutation.identity(2)], pinv, basis)
+    reps, assignment = reduce_points(basis, UNIT_SQUARE)
+    witness = merge_classes_group(reps, [SignedPermutation.identity(2)], basis)
     labeling = finalize_labels(assignment, witness)
     assert len(labeling.classes) == 4
     assert labeling.labels[(0, 0)] != labeling.labels[(1, 1)]
@@ -169,9 +169,9 @@ def test_generator_invariance_of_labels():
     for _ in range(25):
         gens, points = random_sweep_instance(rng)
         stage1 = run_stage1(gens)
-        reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
+        reps, assignment = reduce_points(stage1.basis, points)
         witness = merge_classes_group(
-            reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
+            reps, rotation_group(stage1).elements, stage1.basis)
         labeling = finalize_labels(assignment, witness)
         pts = set(labeling.labels)
         for g in gens.members():
@@ -183,12 +183,12 @@ def test_generator_invariance_of_labels():
 
 def test_pick_order_does_not_change_the_partition():
     # random-pick reimplementation of the group-mode sweep
-    def merge_random_pick(reps, rotations, pinv, basis, rng):
+    def merge_random_pick(reps, rotations, basis, rng):
         remaining = set(reps)
         witness = {}
         while remaining:
             w = rng.choice(sorted(remaining))
-            images = {rotate_mod_lattice(pinv, basis, r, w) for r in rotations}
+            images = {rotate_mod_lattice(basis, r, w) for r in rotations}
             cls = (images & remaining) | {w}
             for p in cls:
                 witness[p] = w
@@ -199,10 +199,10 @@ def test_pick_order_does_not_change_the_partition():
     for _ in range(15):
         gens, points = random_sweep_instance(rng)
         stage1 = run_stage1(gens)
-        reps, assignment = reduce_points(stage1.pinv, stage1.basis, points)
+        reps, assignment = reduce_points(stage1.basis, points)
         rotations = rotation_group(stage1).elements
-        lex = merge_classes_group(reps, rotations, stage1.pinv, stage1.basis)
-        rnd = merge_random_pick(reps, rotations, stage1.pinv, stage1.basis, rng)
+        lex = merge_classes_group(reps, rotations, stage1.basis)
+        rnd = merge_random_pick(reps, rotations, stage1.basis, rng)
         assert finalize_labels(assignment, lex) == finalize_labels(assignment, rnd)
 
 
@@ -212,9 +212,9 @@ def test_classes_merge_even_when_paths_leave_the_window():
     gens = validate_atomic(
         [Isometry.translation((1, 1)), Isometry.rotation(POINT_REFLECTION)], 2)
     stage1 = run_stage1(gens)
-    reps, assignment = reduce_points(stage1.pinv, stage1.basis, UNIT_SQUARE)
+    reps, assignment = reduce_points(stage1.basis, UNIT_SQUARE)
     witness = merge_classes_group(
-        reps, rotation_group(stage1).elements, stage1.pinv, stage1.basis)
+        reps, rotation_group(stage1).elements, stage1.basis)
     labeling = finalize_labels(assignment, witness)
     assert labeling.labels[(1, 0)] == labeling.labels[(0, 1)]
     # a window-bound walk cannot see it

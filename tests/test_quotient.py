@@ -6,12 +6,15 @@ import pytest
 from conftest import _solve_fractions
 from isorbit import (
     DimensionMismatchError,
-    build_pseudoinverse,
-    coefficient_numerators,
-    floor_ratio,
     hnf_reduce,
     reduce_mod_lattice,
     reduce_points,
+)
+from reference import (
+    build_pseudoinverse,
+    coefficient_numerators,
+    floor_ratio,
+    pinv_reduce_mod_lattice,
 )
 
 
@@ -20,6 +23,15 @@ def coefficients_oracle(rows, x):
     gram = [[Fraction(sum(a * b for a, b in zip(ri, rj))) for rj in rows] for ri in rows]
     rhs = [Fraction(sum(a * b for a, b in zip(ri, x))) for ri in rows]
     return _solve_fractions(gram, rhs)
+
+
+def pivots(basis):
+    """(column, pivot) of each Hermite row, read off the rows directly."""
+    out = []
+    for row in basis.hnf_rows:
+        c = next(i for i, b in enumerate(row) if b)
+        out.append((c, row[c]))
+    return out
 
 
 def test_floor_ratio():
@@ -49,7 +61,7 @@ def test_pseudoinverse_empty_basis():
     basis = hnf_reduce([], 2)
     pinv = build_pseudoinverse(basis)
     assert pinv.m == 0 and pinv.gram_det == 1 and pinv.adjugate_product == ()
-    assert reduce_mod_lattice(pinv, basis, (7, -3)) == (7, -3)
+    assert pinv_reduce_mod_lattice(pinv, basis, (7, -3)) == (7, -3)
 
 
 def test_pseudoinverse_rectangular_coefficients_exact():
@@ -77,23 +89,35 @@ def test_pseudoinverse_left_inverse_on_random_bases():
                 assert got == pinv.gram_det * int(i == j)
 
 
+def test_reduce_empty_basis_is_identity():
+    basis = hnf_reduce([], 2)
+    assert basis.echelon == ()
+    assert reduce_mod_lattice(basis, (7, -3)) == (7, -3)
+
+
 def test_reduce_scaled_identity():
     basis = hnf_reduce([(2, 0), (0, 2)], 2)
-    pinv = build_pseudoinverse(basis)
-    assert reduce_mod_lattice(pinv, basis, (3, -1)) == (1, 1)
+    assert reduce_mod_lattice(basis, (3, -1)) == (1, 1)
 
 
 def test_reduce_skew_basis():
     basis = hnf_reduce([(1, 1), (0, 2)], 2)
-    pinv = build_pseudoinverse(basis)
-    assert reduce_mod_lattice(pinv, basis, (2, 3)) == (0, 1)
+    assert reduce_mod_lattice(basis, (2, 3)) == (0, 1)
+
+
+def test_reduce_rank_deficient_zeroes_the_pivot():
+    # Z(2, 1) in Z^2: pivot 2 in column 0, so the first coordinate lands in [0, 2)
+    basis = hnf_reduce([(2, 1)], 2)
+    assert reduce_mod_lattice(basis, (5, 0)) == (1, -2)
+    assert reduce_mod_lattice(basis, (-1, 4)) == (1, 5)
 
 
 def test_reduce_dimension_mismatch():
     basis = hnf_reduce([(1, 1)], 2)
-    pinv = build_pseudoinverse(basis)
     with pytest.raises(DimensionMismatchError):
-        reduce_mod_lattice(pinv, basis, (1, 2, 3))
+        reduce_mod_lattice(basis, (1, 2, 3))
+    with pytest.raises(DimensionMismatchError):
+        reduce_points(basis, [(0, 0), (1, 2, 3)])
 
 
 def test_reduce_properties_on_random_instances():
@@ -103,34 +127,31 @@ def test_reduce_properties_on_random_instances():
         rows = [tuple(rng.randint(-4, 4) for _ in range(n))
                 for _ in range(rng.randint(0, n))]
         basis = hnf_reduce(rows, n)
-        pinv = build_pseudoinverse(basis)
         for _ in range(10):
             x = tuple(rng.randint(-20, 20) for _ in range(n))
-            rep = reduce_mod_lattice(pinv, basis, x)
+            rep = reduce_mod_lattice(basis, x)
             # idempotent
-            assert reduce_mod_lattice(pinv, basis, rep) == rep
+            assert reduce_mod_lattice(basis, rep) == rep
             # difference is a lattice member
             assert basis.contains(tuple(a - b for a, b in zip(x, rep)))
-            # representative coefficients lie in [0, 1)
-            d = pinv.gram_det
-            for num in coefficient_numerators(pinv, rep):
-                assert 0 <= num < d
+            # representative pivot coordinates lie in [0, pivot)
+            for c, p in pivots(basis):
+                assert 0 <= rep[c] < p
             # shifting by any lattice vector does not change the representative
             mu = [rng.randint(-3, 3) for _ in range(basis.m)]
             shifted = tuple(
                 xi + sum(m * row[k] for m, row in zip(mu, basis.hnf_rows))
                 for k, xi in enumerate(x))
-            assert reduce_mod_lattice(pinv, basis, shifted) == rep
+            assert reduce_mod_lattice(basis, shifted) == rep
 
 
 def test_equal_representatives_imply_lattice_difference():
     rng = Random(603)
     basis = hnf_reduce([(2, 1), (0, 3)], 2)
-    pinv = build_pseudoinverse(basis)
     buckets = {}
     for _ in range(300):
         x = (rng.randint(-15, 15), rng.randint(-15, 15))
-        buckets.setdefault(reduce_mod_lattice(pinv, basis, x), []).append(x)
+        buckets.setdefault(reduce_mod_lattice(basis, x), []).append(x)
     for rep, members in buckets.items():
         for x in members:
             assert basis.contains(tuple(a - b for a, b in zip(x, rep)))
@@ -139,18 +160,16 @@ def test_equal_representatives_imply_lattice_difference():
 
 def test_reduce_points_example():
     basis = hnf_reduce([(1, 1)], 2)
-    pinv = build_pseudoinverse(basis)
-    reps, assignment = reduce_points(
-        pinv, basis, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert reps == {(0, 0), (1, 0), (0, 1)}
+    reps, assignment = reduce_points(basis, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert reps == {(0, 0), (0, -1), (0, 1)}
     assert assignment[(1, 1)] == (0, 0)
     assert assignment[(0, 0)] == (0, 0)
+    assert assignment[(1, 0)] == (0, -1)
 
 
 def test_reduce_points_empty_and_duplicates():
     basis = hnf_reduce([(1, 1)], 2)
-    pinv = build_pseudoinverse(basis)
-    reps, assignment = reduce_points(pinv, basis, [])
+    reps, assignment = reduce_points(basis, [])
     assert reps == set() and assignment == {}
-    reps2, assignment2 = reduce_points(pinv, basis, [(5, 5), (5, 5)])
+    reps2, assignment2 = reduce_points(basis, [(5, 5), (5, 5)])
     assert len(assignment2) == 1 and reps2 == {(0, 0)}
