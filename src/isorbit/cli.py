@@ -78,13 +78,29 @@ def _int_vector(value, where: str, name: str) -> list[int]:
     return value
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's text; bytes that are not UTF-8 are an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{what}: not UTF-8 ({e.reason} at byte {e.start})") from e
+
+
+def _loads(text: str, what: str):
+    """json.loads, with every way it can fail on a document as an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what}: {e.msg} at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise InputError(f"{what}: nested too deeply") from e
+    except ValueError as e:  # e.g. an integer beyond the int-conversion digit limit
+        raise InputError(f"{what}: {e}") from e
+
+
 def parse_generators(text: str) -> GeneratingSet:
     """Parse and validate a generator document into a GeneratingSet."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(
-            f"generator file: {e.msg} at line {e.lineno} column {e.colno}") from e
+    doc = _loads(text, "generator file")
     if not isinstance(doc, dict) or "n" not in doc or "generators" not in doc:
         raise InputError('generator file must be {"n": ..., "generators": [...]}')
     n = doc["n"]
@@ -143,11 +159,7 @@ def expand_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> list[Point
 
 def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
     """Parse a domain document into a deduplicated, sorted point list."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(
-            f"domain file: {e.msg} at line {e.lineno} column {e.colno}") from e
+    doc = _loads(text, "domain file")
     if not isinstance(doc, dict) or ("points" in doc) == ("box" in doc):
         raise InputError('domain file must contain exactly one of "points" or "box"')
     if "points" in doc:
@@ -272,10 +284,7 @@ def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
     if not path.exists():
         path.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
         return stage1
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise InputError(f"stage-1 cache: {e.msg} at line {e.lineno}") from e
+    doc = _loads(_read_text(config.stage1_cache, "stage-1 cache"), "stage-1 cache")
     if doc != expected:
         raise StageCacheMismatchError(
             f"stage-1 cache {path} does not match this generating set")
@@ -291,18 +300,18 @@ def _emit_error(code: str, message: str, **extra) -> None:
 def run(config: RunConfig) -> int:
     """Execute one batch run; returns the process exit status."""
     try:
-        gens = parse_generators(Path(config.gens_path).read_text(encoding="utf-8"))
+        gens = parse_generators(_read_text(config.gens_path, "generator file"))
         if (config.domain_path is None) == (config.box is None):
             raise InputError("exactly one of a domain file or a box spec is required")
         if config.domain_path is not None:
             points = parse_domain(
-                Path(config.domain_path).read_text(encoding="utf-8"), config.box_cap)
+                _read_text(config.domain_path, "domain file"), config.box_cap)
         else:
             points = parse_box_spec(config.box, config.box_cap)
-        for idx, p in enumerate(points):
-            if len(p) != gens.n:
-                raise DimensionMismatchError(
-                    f"domain point {idx} has dimension {len(p)}, expected {gens.n}")
+        if set(map(len, points)) - {gens.n}:
+            idx, p = next((i, p) for i, p in enumerate(points) if len(p) != gens.n)
+            raise DimensionMismatchError(
+                f"domain point {idx} has dimension {len(p)}, expected {gens.n}")
         stage1 = _stage1_with_cache(config, gens)
         labeling = compute_labeling(stage1, points, config.closure_cap)
         text = render_json(stage1, labeling) if config.format == "json" else render_tsv(labeling)

@@ -13,13 +13,20 @@ of x whose pivot coordinates all lie in [0, p_k), whatever the rank: two
 such translates differ by a lattice vector whose first nonzero coefficient
 a_k would put |a_k| * p_k >= p_k between their c_k coordinates. Every step
 is an integer floor division, so no point can misround at a cell boundary.
+
+The same steps apply to every point, so reduce_points runs them over whole
+coordinate columns: per Hermite row it computes the column of quotients
+floor(w[c_k] / p_k) once, then makes one list pass per nonzero entry of
+b_k. The per-point form, reduce_mod_lattice, serves the few points at a
+time that the class merge projects.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InputError
 from .isometry import Point
 from .lattice import LatticeBasis
 
@@ -48,14 +55,37 @@ def reduce_points(
 ) -> tuple[set[Point], dict[Point, Point]]:
     """Project every point; returns the representative set and the point map.
 
-    Equal representatives are stored as one tuple, so the map holds one
-    object per translation class rather than one per point.
+    The map lists the distinct points in first-seen order. Equal
+    representatives are stored as one tuple, so the map holds one object
+    per translation class rather than one per point. Every coordinate must
+    be of type int: bool and float are rejected, not truncated.
     """
-    assignment: dict[Point, Point] = {}
+    n = basis.n
+    try:
+        pts = list(map(tuple, points))
+    except TypeError as e:
+        raise InputError(f"points must be sequences of integers: {e}") from e
+    if not pts:
+        return set(), {}
+    if set(map(len, pts)) - {n}:
+        x = next(x for x in pts if len(x) != n)
+        raise DimensionMismatchError(f"point of length {len(x)}, lattice in Z^{n}")
+    cols: list[list[int]] = [list(map(itemgetter(j), pts)) for j in range(n)]
+    for j, col in enumerate(cols):
+        if set(map(type, col)) - {int}:
+            v = next(v for v in col if type(v) is not int)
+            raise InputError(f"coordinate {j} of a point is {v!r}, expected an integer")
+    for c, p, entries in basis.echelon:
+        pivot = cols[c]
+        if len(entries) > 1:
+            q = pivot if p == 1 else [v // p for v in pivot]
+            for i, b in entries[1:]:
+                if b == 1:
+                    cols[i] = [a - k for a, k in zip(cols[i], q)]
+                else:
+                    cols[i] = [a - k * b for a, k in zip(cols[i], q)]
+        cols[c] = [v % p for v in pivot] if p != 1 else [0] * len(pivot)
+    rows = list(zip(*cols)) if cols else [()] * len(pts)
     reps: dict[Point, Point] = {}
-    for p in points:
-        x = tuple(map(int, p))
-        if x not in assignment:
-            rep = reduce_mod_lattice(basis, x)
-            assignment[x] = reps.setdefault(rep, rep)
+    assignment = dict(zip(pts, map(reps.setdefault, rows, rows)))
     return set(reps), assignment

@@ -390,3 +390,58 @@ def test_threads_accepts_auto_and_rejects_garbage():
         build_parser().parse_args(["--gens", "g", "--box", "0..0", "--threads", "zero"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--gens", "g", "--box", "0..0", "--threads", "0"])
+
+
+def _single_json_error(capsys):
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert isinstance(err, dict)
+    return err
+
+
+def _run_with_file(tmp_path, kind, path):
+    """Run the CLI with path as its generator, domain or stage-1 cache file."""
+    out = ["--output", str(tmp_path / "out")]
+    if kind == "gens":
+        return main(["--gens", str(path), "--box", "0..1,0..1"] + out)
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    if kind == "domain":
+        return main(["--gens", gens, "--domain", str(path)] + out)
+    return main(["--gens", gens, "--box", "0..1,0..1", "--stage1-cache", str(path)] + out)
+
+
+@pytest.mark.parametrize("kind", ["gens", "domain", "stage1-cache"])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert _run_with_file(tmp_path, kind, bad) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "ParseError" and "UTF-8" in err["message"]
+
+
+@pytest.mark.parametrize("kind", ["gens", "domain", "stage1-cache"])
+def test_deeply_nested_file_is_a_parse_error(tmp_path, capsys, kind):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert _run_with_file(tmp_path, kind, deep) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "ParseError" and "nested" in err["message"]
+
+
+def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
+    gens = tmp_path / "big.json"
+    gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 0]}]}'
+                    % ("1" * 5000), encoding="utf-8")
+    assert _run_with_file(tmp_path, "gens", gens) == 1
+    assert _single_json_error(capsys)["error"] == "ParseError"
+
+
+def test_domain_dimension_error_names_the_first_bad_point(tmp_path, capsys):
+    domain = write(tmp_path / "domain.json", {"points": [[0, 0], [1, 1], [0, 0, 1], [5]]})
+    code, _ = run_main(tmp_path, ["--domain", domain])
+    assert code == 1
+    err = _single_json_error(capsys)
+    # points are sorted before the check: [0, 0], [0, 0, 1], [1, 1], [5]
+    assert err == {"error": "DimensionMismatch",
+                   "message": "domain point 1 has dimension 3, expected 2"}

@@ -6,9 +6,13 @@ import pytest
 from conftest import _solve_fractions
 from isorbit import (
     DimensionMismatchError,
+    InputError,
+    Isometry,
+    compute_orbits,
     hnf_reduce,
     reduce_mod_lattice,
     reduce_points,
+    validate_atomic,
 )
 from reference import (
     build_pseudoinverse,
@@ -93,6 +97,8 @@ def test_reduce_empty_basis_is_identity():
     basis = hnf_reduce([], 2)
     assert basis.echelon == ()
     assert reduce_mod_lattice(basis, (7, -3)) == (7, -3)
+    # Z^0 has no coordinate columns, and its one point is its own representative
+    assert reduce_points(hnf_reduce([], 0), [(), ()]) == ({()}, {(): ()})
 
 
 def test_reduce_scaled_identity():
@@ -173,3 +179,42 @@ def test_reduce_points_empty_and_duplicates():
     assert reps == set() and assignment == {}
     reps2, assignment2 = reduce_points(basis, [(5, 5), (5, 5)])
     assert len(assignment2) == 1 and reps2 == {(0, 0)}
+
+
+def test_reduce_points_ragged_input_is_rejected_not_truncated():
+    # zip over the points would stop at the shortest one; the dimension check
+    # runs first, on every point
+    basis = hnf_reduce([(1, 1)], 2)
+    with pytest.raises(DimensionMismatchError, match="point of length 3"):
+        reduce_points(basis, [(0, 0), (1, 2, 3), (4, 5)])
+    with pytest.raises(DimensionMismatchError, match="point of length 1"):
+        reduce_points(basis, [(0, 0), (1,)])
+
+
+def test_reduce_points_first_seen_order_and_shared_representatives():
+    basis = hnf_reduce([(3, 0), (0, 3)], 2)
+    points = [(4, 4), (1, 1), (-2, 7), (4, 4), (0, 0), (1, 1), [7, 1]]
+    reps, assignment = reduce_points(basis, points)
+    assert list(assignment) == [(4, 4), (1, 1), (-2, 7), (0, 0), (7, 1)]
+    assert reps == {(1, 1), (0, 0)}
+    assert assignment[(4, 4)] is assignment[(1, 1)] is assignment[(-2, 7)]
+    assert assignment[(4, 4)] is assignment[(7, 1)]
+
+
+def test_library_rejects_float_coordinates():
+    # int() used to truncate these into one class {(0, 0), (2, 0)}
+    gens = validate_atomic([Isometry.translation((1, 0))], 2)
+    with pytest.raises(InputError, match="0.5"):
+        compute_orbits(gens, [(0.5, 0), (2.7, 0)])
+    with pytest.raises(InputError, match="2.0"):
+        compute_orbits(gens, [(0, 1), (2.0, 0)])
+
+
+def test_reduce_points_rejects_bool_and_non_integer_coordinates():
+    basis = hnf_reduce([(2, 0)], 2)
+    with pytest.raises(InputError, match="True"):
+        reduce_points(basis, [(0, 0), (1, True)])
+    with pytest.raises(InputError):
+        reduce_points(basis, [(0, "1")])
+    with pytest.raises(InputError):
+        reduce_points(basis, [(0, 0), 5])
