@@ -42,7 +42,6 @@ from .labeling import (
     OrbitLabeling,
     finalize_labels,
     merge_classes_generators,
-    rotate_mod_lattice,
 )
 from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
@@ -86,7 +85,6 @@ __all__ = [
     "project_components",
     "reduce_mod_lattice",
     "reduce_points",
-    "rotate_mod_lattice",
     "rref",
     "run_stage1",
     "stabilized_bfs_orbits",

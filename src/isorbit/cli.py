@@ -343,16 +343,20 @@ def _partition_doc(partition) -> list[list[list[int]]]:
     return sorted([list(p) for p in sorted(cls)] for cls in partition)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {number}")
+    return number
+
+
 def _threads_arg(value: str) -> int:
     if value == "auto":
         return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"threads must be a positive integer or 'auto', got {value!r}")
-    if threads < 1:
-        raise argparse.ArgumentTypeError("threads must be positive")
-    return threads
+    return _positive_int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-dimension", type=int, default=DEFAULT_MAX_DIMENSION,
                         metavar="N", help="permutation-closure dimension cap "
                         f"(default: {DEFAULT_MAX_DIMENSION})")
-    parser.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP,
-                        metavar="N", help="class-closure size cap "
+    parser.add_argument("--closure-cap", type=_positive_int, default=DEFAULT_CLOSURE_CAP,
+                        metavar="N", help="size cap of one orbit's closure, positive "
                         f"(default: {DEFAULT_CLOSURE_CAP})")
-    parser.add_argument("--box-cap", type=int, default=DEFAULT_BOX_CAP,
-                        metavar="N", help="point-count cap for boxes "
+    parser.add_argument("--box-cap", type=_positive_int, default=DEFAULT_BOX_CAP,
+                        metavar="N", help="point-count cap for boxes, positive "
                         f"(default: {DEFAULT_BOX_CAP})")
     return parser
 

@@ -5,28 +5,32 @@ the translation lattice. Two representatives belong to the same orbit of
 the full subgroup exactly when some rotation, projected back into the cell,
 maps one to the other; the functions here compute that coarser partition
 and write out the final labeling.
+
+The merge closes every orbit at once. The frontier starts as all the
+representatives and then holds the cell points first seen in the previous
+round. Each round applies every rotation generator to the whole frontier
+over coordinate columns (a signed permutation only reorders and negates
+columns) and projects the images back into the cell with the column walk
+of quotient.reduce_columns. A union-find joins each point with its images,
+always keeping the smaller index as the root. The representatives hold
+the indices 0..R-1 in sorted order and cell points found later get larger
+ones, so the root of every orbit is its smallest representative: the
+witness. The closure cap bounds the cell points of one union-find
+component, hence of one orbit; memory holds all visited orbits together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, neg
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ClosureCapExceededError
+from .errors import ClosureCapExceededError, DimensionMismatchError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
-from .quotient import reduce_mod_lattice
+from .quotient import reduce_columns
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-
-
-def rotate_mod_lattice(basis: LatticeBasis, r: SignedPermutation, w: Sequence[int]) -> Point:
-    """Apply the rotation, then project back into the representative cell.
-
-    For w already in the cell this is the induced action of the rotation on
-    translation classes; with an empty basis it is the plain rotation.
-    """
-    return reduce_mod_lattice(basis, r.apply(w))
 
 
 def merge_classes_generators(
@@ -35,41 +39,85 @@ def merge_classes_generators(
     basis: LatticeBasis,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> dict[Point, Point]:
-    """Partition the representatives into rotation orbits, expanding each
-    class by the rotation generators only.
+    """Partition the representatives into rotation orbits, expanding all
+    classes together by the rotation generators only.
 
-    Witnesses are taken in lexicographic order, each the smallest
-    representative not yet labeled. For each witness w the image closure is
-    grown over the whole representative cell until it stops changing, and
-    only then intersected with the representatives at hand. The closure is
-    the whole orbit of w, so it never meets an earlier class. The cell is
-    infinite when the lattice rank is below n, so a configurable cap guards
-    the closure; the closure itself is always finite (it is contained in one
-    rotation-subgroup orbit).
+    Returns the witness of every representative: the lexicographically
+    smallest representative in its orbit. The frontier starts as the
+    sorted representatives and then holds the cell points first seen in
+    the previous round, so each cell point is rotated once per generator.
+    A point seen for the first time joins its source's component; an image
+    already seen joins the two components, the smaller root winning.
+
+    Every component lies inside one orbit, and when the frontier is empty
+    each component is a whole orbit. The cell is infinite when the lattice
+    rank is below n, so closure_cap (a positive bound) guards the size of
+    one orbit: ClosureCapExceededError is raised as soon as one component
+    holds more than closure_cap cell points. Orbits are finite (each lies
+    in one rotation-subgroup orbit), and many small ones never trip the
+    cap. Memory grows with the union of the orbits visited, all of them
+    held at once, not with one orbit at a time.
     """
+    n = basis.n
     gens = list(rotation_gens)
-    rep_set = set(map(tuple, reps))
-    witness: dict[Point, Point] = {}
-    for w in sorted(rep_set):
-        if w in witness:
-            continue
-        closure = {w}
-        frontier = [w]
-        while frontier:
-            fresh = []
-            for p in frontier:
-                for r in gens:
-                    q = rotate_mod_lattice(basis, r, p)
-                    if q not in closure:
-                        closure.add(q)
-                        fresh.append(q)
-            if len(closure) > closure_cap:
-                raise ClosureCapExceededError(
-                    f"class closure around {w} exceeded {closure_cap} elements")
-            frontier = fresh
-        for p in closure & rep_set:
-            witness[p] = w
-    return witness
+    order = sorted(set(map(tuple, reps)))
+    for k in set(map(len, order)) | {r.n for r in gens}:
+        if k != n:
+            raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
+    index = {p: i for i, p in enumerate(order)}
+    parent = list(range(len(order)))
+    size = [1] * len(order)  # by root; every root is a representative
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def too_big(root: int) -> ClosureCapExceededError:
+        return ClosureCapExceededError(
+            f"class closure around {order[root]} exceeded {closure_cap} elements")
+
+    if gens and order and closure_cap < 1:
+        raise too_big(0)
+    frontier, ids = order, range(len(order))
+    while frontier and gens:
+        cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
+        fresh: list[Point] = []
+        fresh_ids: list[int] = []
+        for r in gens:
+            images = [cols[p] if s == 1 else list(map(neg, cols[p]))
+                      for s, p in zip(r.signs, r.perm)]
+            reduce_columns(basis, images)
+            for i, q in zip(ids, zip(*images)):
+                # after path compression one hop finds most roots
+                a = parent[i]
+                if parent[a] != a:
+                    a = find(i)
+                j = index.get(q)
+                if j is None:
+                    index[q] = j = len(parent)
+                    parent.append(a)
+                    size[a] += 1
+                    if size[a] > closure_cap:
+                        raise too_big(a)
+                    fresh.append(q)
+                    fresh_ids.append(j)
+                    continue
+                b = parent[j]
+                if parent[b] != b:
+                    b = find(j)
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    if size[a] > closure_cap:
+                        raise too_big(a)
+        frontier, ids = fresh, fresh_ids
+    return {p: order[find(i)] for i, p in enumerate(order)}
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ is an integer floor division, so no point can misround at a cell boundary.
 The same steps apply to every point, so reduce_points runs them over whole
 coordinate columns: per Hermite row it computes the column of quotients
 floor(w[c_k] / p_k) once, then makes one list pass per nonzero entry of
-b_k. The per-point form, reduce_mod_lattice, serves the few points at a
-time that the class merge projects.
+b_k. That column walk is reduce_columns; the class merge runs it over
+the rotated images of a whole frontier at once. The per-point form,
+reduce_mod_lattice, is the single-point statement of the same steps.
 """
 
 from __future__ import annotations
@@ -49,6 +50,26 @@ def reduce_mod_lattice(basis: LatticeBasis, x: Sequence[int]) -> Point:
     return tuple(w)
 
 
+def reduce_columns(basis: LatticeBasis, cols: list[list[int]]) -> None:
+    """Reduce every point held as coordinate columns, in place.
+
+    cols[j] lists coordinate j of all points, equal lengths, int entries.
+    Each entry of cols is replaced by the reduced column; the column lists
+    themselves are never mutated, so a caller may pass one list in several
+    slots or keep using it afterwards.
+    """
+    for c, p, entries in basis.echelon:
+        pivot = cols[c]
+        if len(entries) > 1:
+            q = pivot if p == 1 else [v // p for v in pivot]
+            for i, b in entries[1:]:
+                if b == 1:
+                    cols[i] = [a - k for a, k in zip(cols[i], q)]
+                else:
+                    cols[i] = [a - k * b for a, k in zip(cols[i], q)]
+        cols[c] = [v % p for v in pivot] if p != 1 else [0] * len(pivot)
+
+
 def reduce_points(
     basis: LatticeBasis,
     points: Iterable[Sequence[int]],
@@ -75,16 +96,7 @@ def reduce_points(
         if set(map(type, col)) - {int}:
             v = next(v for v in col if type(v) is not int)
             raise InputError(f"coordinate {j} of a point is {v!r}, expected an integer")
-    for c, p, entries in basis.echelon:
-        pivot = cols[c]
-        if len(entries) > 1:
-            q = pivot if p == 1 else [v // p for v in pivot]
-            for i, b in entries[1:]:
-                if b == 1:
-                    cols[i] = [a - k for a, k in zip(cols[i], q)]
-                else:
-                    cols[i] = [a - k * b for a, k in zip(cols[i], q)]
-        cols[c] = [v % p for v in pivot] if p != 1 else [0] * len(pivot)
+    reduce_columns(basis, cols)
     rows = list(zip(*cols)) if cols else [()] * len(pts)
     reps: dict[Point, Point] = {}
     assignment = dict(zip(pts, map(reps.setdefault, rows, rows)))

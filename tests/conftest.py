@@ -8,10 +8,25 @@ is independent evidence, not a tautology.
 from __future__ import annotations
 
 import itertools
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from isorbit import GeneratingSet, Isometry, SignedPermutation, validate_atomic
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:
+    pass
+else:
+    # the same examples on every run and no example database; hypothesis
+    # still caches the constants it mines from source files, so that cache
+    # goes to the temp dir rather than a .hypothesis/ in the checkout
+    settings.register_profile("isorbit", derandomize=True, database=None, deadline=None)
+    settings.load_profile("isorbit")
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "isorbit-hypothesis")
 
 Matrix = list[list[int]]
 

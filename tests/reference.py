@@ -5,7 +5,10 @@ fixed-point loops over the generators. The functions here do the same jobs
 the direct way, by listing the whole rotation subgroup and sweeping it.
 They are slower, but they depend on nothing the production loops do, so
 tests compare the two: negation basis, translation lattice, rotation order
-and the merge witnesses must all agree.
+and the merge witnesses must all agree. The production merge closes every
+orbit at once with a union-find over coordinate columns; closure_merge_classes
+below is the earlier form of it, one witness's closure at a time, one point
+at a time, kept as a second oracle.
 
 The production reduction walks the Hermite-normal-form echelon. The
 pseudoinverse reduction below gets its representatives another way, from
@@ -26,6 +29,7 @@ from isorbit import (
     Gf2Basis,
     LatticeBasis,
     OrbitLabeling,
+    ClosureCapExceededError,
     PermGroup,
     Point,
     SignedPermutation,
@@ -33,11 +37,12 @@ from isorbit import (
     finalize_labels,
     generate_perm_group,
     hnf_reduce,
+    reduce_mod_lattice,
     reduce_points,
-    rotate_mod_lattice,
     rref,
 )
 from isorbit.gf2 import mask_of, permute_mask
+from isorbit.labeling import DEFAULT_CLOSURE_CAP
 
 
 def negation_of(mask: int, n: int) -> SignedPermutation:
@@ -121,6 +126,58 @@ def translation_basis_from_group(
     (full, identity-containing) rotation group."""
     images = {r.apply(v) for v in vectors for r in rotations}
     return hnf_reduce(sorted(images), n)
+
+
+def rotate_mod_lattice(basis: LatticeBasis, r: SignedPermutation, w: Sequence[int]) -> Point:
+    """Apply the rotation, then project back into the representative cell.
+
+    For w already in the cell this is the induced action of the rotation on
+    translation classes; with an empty basis it is the plain rotation.
+    """
+    return reduce_mod_lattice(basis, r.apply(w))
+
+
+def closure_merge_classes(
+    reps: Iterable[Point],
+    rotation_gens: Sequence[SignedPermutation],
+    basis: LatticeBasis,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> dict[Point, Point]:
+    """Partition the representatives into rotation orbits, expanding each
+    class by the rotation generators only.
+
+    Witnesses are taken in lexicographic order, each the smallest
+    representative not yet labeled. For each witness w the image closure is
+    grown over the whole representative cell until it stops changing, and
+    only then intersected with the representatives at hand. The closure is
+    the whole orbit of w, so it never meets an earlier class. The cell is
+    infinite when the lattice rank is below n, so a configurable cap guards
+    the closure; the closure itself is always finite (it is contained in one
+    rotation-subgroup orbit).
+    """
+    gens = list(rotation_gens)
+    rep_set = set(map(tuple, reps))
+    witness: dict[Point, Point] = {}
+    for w in sorted(rep_set):
+        if w in witness:
+            continue
+        closure = {w}
+        frontier = [w]
+        while frontier:
+            fresh = []
+            for p in frontier:
+                for r in gens:
+                    q = rotate_mod_lattice(basis, r, p)
+                    if q not in closure:
+                        closure.add(q)
+                        fresh.append(q)
+            if len(closure) > closure_cap:
+                raise ClosureCapExceededError(
+                    f"class closure around {w} exceeded {closure_cap} elements")
+            frontier = fresh
+        for p in closure & rep_set:
+            witness[p] = w
+    return witness
 
 
 def merge_classes_group(

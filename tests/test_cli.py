@@ -392,6 +392,41 @@ def test_threads_accepts_auto_and_rejects_garbage():
         build_parser().parse_args(["--gens", "g", "--box", "0..0", "--threads", "0"])
 
 
+@pytest.mark.parametrize("flag", ["--closure-cap", "--box-cap"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_caps_must_be_positive(tmp_path, flag, value):
+    gens = write(tmp_path / "gens.json", {"n": 2, "generators": [
+        {"type": "translation", "v": [1, 0]}]})
+    with pytest.raises(SystemExit) as info:
+        main(["--gens", gens, "--box", "0..1,0..1", flag, value])
+    assert info.value.code == 2
+
+
+def test_closure_cap_of_one_needs_no_closure_without_rotations(tmp_path):
+    gens_doc = {"n": 2, "generators": [{"type": "translation", "v": [1, 0]}]}
+    code, out = run_main(
+        tmp_path, ["--box", "0..2,0..1", "--closure-cap", "1", "--format", "tsv"],
+        gens_doc=gens_doc)
+    assert code == 0
+    assert out.read_text().splitlines() == [
+        "0,0\t0,0", "0,1\t0,1", "1,0\t0,0", "1,1\t0,1", "2,0\t0,0", "2,1\t0,1"]
+
+
+def test_closure_cap_exceeded_is_one_json_error(tmp_path, capsys):
+    # rank 0: the orbit of (1, 2) under the signed swaps has 8 cell points,
+    # 7 of them outside the one-point domain
+    gens_doc = {"n": 2, "generators": [
+        {"type": "negation", "signs": [-1, 1]},
+        {"type": "permutation", "perm": [1, 0]}]}
+    box = ["--box", "1..1,2..2"]
+    code, _ = run_main(tmp_path, box + ["--closure-cap", "7"], gens_doc=gens_doc)
+    assert code == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "ClosureCapExceeded"
+    code, _ = run_main(tmp_path, box + ["--closure-cap", "8"], gens_doc=gens_doc)
+    assert code == 0
+
+
 def _single_json_error(capsys):
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1

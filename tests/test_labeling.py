@@ -11,12 +11,16 @@ from isorbit import (
     hnf_reduce,
     merge_classes_generators,
     reduce_points,
-    rotate_mod_lattice,
     run_stage1,
     validate_atomic,
     Isometry,
 )
-from reference import merge_classes_group, rotation_group
+from reference import (
+    closure_merge_classes,
+    merge_classes_group,
+    rotate_mod_lattice,
+    rotation_group,
+)
 
 POINT_REFLECTION = SignedPermutation.negation((-1, -1))
 SWAP = SignedPermutation.permutation((1, 0))
@@ -122,6 +126,40 @@ def test_merge_generators_closure_cap():
     reps = {(0, 1), (1, 0)}
     with pytest.raises(ClosureCapExceededError):
         merge_classes_generators(reps, [POINT_REFLECTION], basis, closure_cap=1)
+
+
+# Z^3 with lattice Z(1,0,0), rotated by the signed swaps of coordinates 1
+# and 2: the cell is the plane x0 = 0, and the orbit of (0, a, b) with
+# 0 < a < b holds 8 cell points
+SIGNED_SWAP_GENS = [SignedPermutation.negation((1, -1, 1)),
+                    SignedPermutation.permutation((0, 2, 1))]
+
+
+def test_merge_generators_closure_cap_boundary():
+    basis = hnf_reduce([(1, 0, 0)], 3)
+    reps = {(0, 1, 2)}
+    assert merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+        {(0, 1, 2): (0, 1, 2)}
+    with pytest.raises(ClosureCapExceededError) as info:
+        merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=7)
+    assert str(info.value) == "class closure around (0, 1, 2) exceeded 7 elements"
+    # below 1 every representative alone exceeds the cap, a fixed point too;
+    # without rotations there is no closure to cap
+    with pytest.raises(ClosureCapExceededError):
+        merge_classes_generators({(0, 0, 0)}, SIGNED_SWAP_GENS, basis, closure_cap=0)
+    assert merge_classes_generators(reps, [], basis, closure_cap=0) == {(0, 1, 2): (0, 1, 2)}
+
+
+def test_merge_generators_cap_bounds_one_orbit_not_their_union():
+    basis = hnf_reduce([(1, 0, 0)], 3)
+    reps = {(0, a, b) for a in range(1, 30) for b in range(a + 1, 30)}
+    witness = merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=8)
+    # 406 orbits of 8 cell points each: 3,248 visited under a cap of 8
+    assert len(reps) == 406
+    assert witness == {p: p for p in reps}
+    mixed = reps | {(0, b, a) for (_, a, b) in reps} | {(0, -a, b) for (_, a, b) in reps}
+    assert merge_classes_generators(mixed, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+        closure_merge_classes(mixed, SIGNED_SWAP_GENS, basis)
 
 
 def test_finalize_diagonal_reflection_classes():
