@@ -26,7 +26,6 @@ from .errors import (
     IterationCapExceededError,
     NotAtomicError,
     NotStabilizedError,
-    StageCacheMismatchError,
 )
 from .gf2 import Gf2Basis, negation_basis_from_generators, rref
 from .isometry import (
@@ -72,7 +71,6 @@ __all__ = [
     "Point",
     "SignedPermutation",
     "Stage1",
-    "StageCacheMismatchError",
     "bfs_orbits",
     "compute_labeling",
     "compute_orbits",

@@ -15,9 +15,7 @@ Domain file (JSON), either explicit points or an axis-aligned box:
 A box can also be given inline as --box "0..1,0..1" (one lo..hi range per
 axis). Output is JSON (partition plus stage-1 diagnostics) or TSV (one
 "point TAB label" line per point, coordinates comma-separated), identical
-byte for byte across reruns. --mode and --threads are still accepted and
-validated, so older command lines keep working, but they have no effect:
-there is one algorithm and it runs on one thread.
+byte for byte across reruns.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
@@ -29,9 +27,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +39,6 @@ from .errors import (
     InvalidRotationError,
     IsorbitError,
     NotAtomicError,
-    StageCacheMismatchError,
 )
 from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validate_atomic
 from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling
@@ -52,23 +47,6 @@ from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, compute_labeling, run_stage1
 
 DEFAULT_MAX_PADDING = 6
-
-
-@dataclass
-class RunConfig:
-    """Everything one batch invocation needs; mirrors the CLI flags."""
-
-    gens_path: str
-    domain_path: str | None = None
-    box: str | None = None
-    output_path: str | None = None
-    format: str = "json"
-    oracle_check: bool = False
-    max_padding: int = DEFAULT_MAX_PADDING
-    stage1_cache: str | None = None
-    max_dimension: int = DEFAULT_MAX_DIMENSION
-    closure_cap: int = DEFAULT_CLOSURE_CAP
-    box_cap: int = DEFAULT_BOX_CAP
 
 
 def _int_vector(value, where: str, name: str) -> list[int]:
@@ -246,82 +224,38 @@ def render_tsv(labeling: OrbitLabeling) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _gens_doc(gens: GeneratingSet) -> list[dict]:
-    """Canonical JSON encoding of a generating set, for cache fingerprints."""
-    doc = []
-    for g in gens.translations:
-        doc.append({"type": "translation", "v": list(g.v)})
-    for g in gens.negations:
-        doc.append({"type": "negation", "signs": list(g.r.signs)})
-    for g in gens.permutations:
-        doc.append({"type": "permutation", "perm": list(g.r.perm)})
-    return doc
-
-
-def _stage1_cache_doc(stage1: Stage1) -> dict:
-    return {
-        "n": stage1.gens.n,
-        "generators": _gens_doc(stage1.gens),
-        "negation_basis": list(stage1.neg_basis.rows),
-        "perm_elements": [list(p) for p in stage1.perm_group.elements],
-        "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
-    }
-
-
-def _stage1_with_cache(config: RunConfig, gens: GeneratingSet) -> Stage1:
-    """Stage 1 for the generators, written to the cache or checked against it.
-
-    The cache is never trusted: stage 1 is re-derived from the generators
-    (milliseconds on every benchmark workload) and a cache file that is not
-    exactly its document is rejected, so an edited cache cannot change the
-    output.
-    """
-    stage1 = run_stage1(gens, config.max_dimension)
-    if not config.stage1_cache:
-        return stage1
-    path = Path(config.stage1_cache)
-    expected = _stage1_cache_doc(stage1)
-    if not path.exists():
-        path.write_text(json.dumps(expected, indent=2) + "\n", encoding="utf-8")
-        return stage1
-    doc = _loads(_read_text(config.stage1_cache, "stage-1 cache"), "stage-1 cache")
-    if doc != expected:
-        raise StageCacheMismatchError(
-            f"stage-1 cache {path} does not match this generating set")
-    return stage1
-
-
 def _emit_error(code: str, message: str, **extra) -> None:
     obj = {"error": code, "message": message}
     obj.update(extra)
     print(json.dumps(obj), file=sys.stderr)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one batch run; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one batch run for the parsed command line; returns the
+    process exit status."""
     try:
-        gens = parse_generators(_read_text(config.gens_path, "generator file"))
-        if (config.domain_path is None) == (config.box is None):
+        gens = parse_generators(_read_text(args.gens, "generator file"))
+        if (args.domain is None) == (args.box is None):
             raise InputError("exactly one of a domain file or a box spec is required")
-        if config.domain_path is not None:
+        if args.domain is not None:
             points = parse_domain(
-                _read_text(config.domain_path, "domain file"), config.box_cap)
+                _read_text(args.domain, "domain file"), args.box_cap)
         else:
-            points = parse_box_spec(config.box, config.box_cap)
+            points = parse_box_spec(args.box, args.box_cap)
         if set(map(len, points)) - {gens.n}:
             idx, p = next((i, p) for i, p in enumerate(points) if len(p) != gens.n)
             raise DimensionMismatchError(
                 f"domain point {idx} has dimension {len(p)}, expected {gens.n}")
-        stage1 = _stage1_with_cache(config, gens)
-        labeling = compute_labeling(stage1, points, config.closure_cap)
-        text = render_json(stage1, labeling) if config.format == "json" else render_tsv(labeling)
-        if config.output_path:
-            Path(config.output_path).write_text(text, encoding="utf-8")
+        stage1 = run_stage1(gens, args.max_dimension)
+        labeling = compute_labeling(stage1, points, args.closure_cap)
+        text = render_json(stage1, labeling) if args.format == "json" else render_tsv(labeling)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-        if config.oracle_check:
+        if args.oracle_check:
             reference, _pad = stabilized_bfs_orbits(
-                gens, points, config.max_padding, config.box_cap)
+                gens, points, args.max_padding, args.box_cap)
             if reference != labeling.partition():
                 _emit_error(
                     "OracleMismatch",
@@ -353,12 +287,6 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _threads_arg(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    return _positive_int(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isorbit",
@@ -370,23 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     domain.add_argument("--domain", metavar="FILE", help="domain file (JSON)")
     domain.add_argument("--box", metavar="SPEC",
                         help='inline box, one lo..hi per axis, e.g. "0..1,0..1"')
-    parser.add_argument("--mode", choices=("group", "generators"), default="group",
-                        help="accepted, no effect (one algorithm remains)")
-    parser.add_argument("--threads", type=_threads_arg, default=1, metavar="N",
-                        help="positive integer or 'auto'; accepted, no effect")
     parser.add_argument("--output", metavar="FILE",
                         help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--oracle-check", action="store_true",
                         help="cross-check against the padded-box reference")
-    parser.add_argument("--max-padding", type=int, default=DEFAULT_MAX_PADDING,
-                        metavar="K", help="padding limit for --oracle-check "
+    parser.add_argument("--max-padding", type=_positive_int, default=DEFAULT_MAX_PADDING,
+                        metavar="K", help="padding limit for --oracle-check, positive "
                         f"(default: {DEFAULT_MAX_PADDING})")
-    parser.add_argument("--stage1-cache", metavar="FILE",
-                        help="write stage 1 to FILE, or check that FILE matches "
-                        "it (stage 1 is re-derived either way)")
-    parser.add_argument("--max-dimension", type=int, default=DEFAULT_MAX_DIMENSION,
-                        metavar="N", help="permutation-closure dimension cap "
+    parser.add_argument("--max-dimension", type=_positive_int,
+                        default=DEFAULT_MAX_DIMENSION, metavar="N",
+                        help="permutation-closure dimension cap, positive "
                         f"(default: {DEFAULT_MAX_DIMENSION})")
     parser.add_argument("--closure-cap", type=_positive_int, default=DEFAULT_CLOSURE_CAP,
                         metavar="N", help="size cap of one orbit's closure, positive "
@@ -398,21 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        gens_path=args.gens,
-        domain_path=args.domain,
-        box=args.box,
-        output_path=args.output,
-        format=args.format,
-        oracle_check=args.oracle_check,
-        max_padding=args.max_padding,
-        stage1_cache=args.stage1_cache,
-        max_dimension=args.max_dimension,
-        closure_cap=args.closure_cap,
-        box_cap=args.box_cap,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -58,10 +58,6 @@ class InvalidDomainError(IsorbitError):
     code = "InvalidDomain"
 
 
-class StageCacheMismatchError(IsorbitError):
-    code = "StageCacheMismatch"
-
-
 class InputError(IsorbitError):
     """Malformed input document (bad JSON, missing or ill-typed fields)."""
 

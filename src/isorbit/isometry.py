@@ -21,10 +21,6 @@ from .errors import DimensionMismatchError, InvalidRotationError, NotAtomicError
 Point = tuple[int, ...]
 
 
-def as_point(coords: Sequence[int]) -> Point:
-    return tuple(int(c) for c in coords)
-
-
 def _require_same_dim(a: int, b: int, what: str) -> None:
     if a != b:
         raise DimensionMismatchError(f"{what}: dimension {a} does not match {b}")
@@ -205,9 +201,6 @@ class GeneratingSet:
 
     def negation_rotations(self) -> list[SignedPermutation]:
         return [g.r for g in self.negations]
-
-    def permutation_rotations(self) -> list[SignedPermutation]:
-        return [g.r for g in self.permutations]
 
     def rotation_generators(self) -> list[SignedPermutation]:
         """All rotation generators (negations first, then permutations)."""

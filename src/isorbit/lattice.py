@@ -34,10 +34,6 @@ class LatticeBasis:
     def m(self) -> int:
         return len(self.hnf_rows)
 
-    @property
-    def basis_vectors(self) -> tuple[Point, ...]:
-        return self.hnf_rows
-
     def matrix(self) -> list[list[int]]:
         """The n x m basis matrix with the basis vectors as columns."""
         return [[row[i] for row in self.hnf_rows] for i in range(self.n)]
@@ -92,6 +88,8 @@ def hnf_reduce(rows: Iterable[Sequence[int]], n: int) -> LatticeBasis:
     pivots: list[int] = []
     top = 0
     for col in range(n):
+        if top == len(work):
+            break  # every row placed: the remaining columns hold no pivot
         live = [i for i in range(top, len(work)) if work[i][col]]
         while len(live) > 1:
             live.sort(key=lambda i: abs(work[i][col]))

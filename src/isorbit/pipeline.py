@@ -20,7 +20,7 @@ from .labeling import (
     merge_classes_generators,
 )
 from .lattice import LatticeBasis, translation_basis_from_generators
-from .permgroup import DEFAULT_MAX_DIMENSION, PermGroup, generate_perm_group
+from .permgroup import DEFAULT_MAX_DIMENSION, generate_perm_group
 from .quotient import reduce_points
 
 
@@ -30,28 +30,30 @@ class Stage1:
 
     gens: GeneratingSet
     neg_basis: Gf2Basis
-    perm_group: PermGroup
+    perm_order: int
     basis: LatticeBasis
 
     @property
     def rotation_order(self) -> int:
-        return self.neg_basis.span_size * self.perm_group.order
+        return self.neg_basis.span_size * self.perm_order
 
 
-def run_stage1(
-    gens: GeneratingSet,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-    max_basis_iterations: int | None = None,
-) -> Stage1:
-    """Compute the negation basis, permutation subgroup and translation-lattice
-    basis for the generating set."""
+def run_stage1(gens: GeneratingSet, max_dimension: int = DEFAULT_MAX_DIMENSION) -> Stage1:
+    """Compute the negation basis, permutation subgroup order and
+    translation-lattice basis for the generating set.
+
+    Without a permutation generator the subgroup is the identity alone and
+    nothing is closed, so the work does not grow with n.
+    """
     n = gens.n
     perm_tuples = [g.r.perm for g in gens.permutations]
-    perm_group = generate_perm_group(perm_tuples, n, max_dimension)
+    perm_order = 1
+    if perm_tuples:
+        perm_order = generate_perm_group(perm_tuples, n, max_dimension).order
     neg_basis = negation_basis_from_generators(gens.negation_rotations(), perm_tuples, n)
     basis = translation_basis_from_generators(
-        gens.translation_vectors(), gens.rotation_generators(), n, max_basis_iterations)
-    return Stage1(gens, neg_basis, perm_group, basis)
+        gens.translation_vectors(), gens.rotation_generators(), n)
+    return Stage1(gens, neg_basis, perm_order, basis)
 
 
 def compute_labeling(

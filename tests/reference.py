@@ -113,8 +113,11 @@ def assemble_rotation_group(
 
 
 def rotation_group(stage1: Stage1) -> RotationGroup:
-    """The explicit rotation subgroup behind a production stage 1."""
-    return assemble_rotation_group(enumerate_negations(stage1.neg_basis), stage1.perm_group)
+    """The explicit rotation subgroup behind a production stage 1, with the
+    permutation subgroup closed here from the generators."""
+    gens = stage1.gens
+    perms = generate_perm_group([g.r.perm for g in gens.permutations], gens.n)
+    return assemble_rotation_group(enumerate_negations(stage1.neg_basis), perms)
 
 
 def translation_basis_from_group(

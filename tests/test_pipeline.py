@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from random import Random
 
 from conftest import random_sweep_instance
@@ -49,8 +51,26 @@ def test_stage1_diagnostics():
     assert stage1.rotation_order == 8
     assert rotation_group(stage1).order == 8
     assert stage1.basis.m == 0
-    assert stage1.perm_group.order == 2
+    assert stage1.perm_order == 2
     assert stage1.neg_basis.dim == 2
+
+
+def test_stage1_without_generators_does_not_grow_with_n():
+    # nothing to close and no rows to reduce: no pass over the n columns and
+    # no identity permutation of length n
+    gens = validate_atomic([], 10**6)
+    t0 = time.perf_counter()
+    stage1 = run_stage1(gens)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5
+    assert stage1.rotation_order == 1 and stage1.basis.m == 0
+    tracemalloc.start()
+    try:
+        run_stage1(gens)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_stage1_modes_agree():
