@@ -46,7 +46,7 @@ from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
 from .permgroup import PermGroup, generate_perm_group
 from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1
-from .quotient import reduce_mod_lattice, reduce_points
+from .quotient import reduce_points
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "merge_classes_generators",
     "negation_basis_from_generators",
     "project_components",
-    "reduce_mod_lattice",
     "reduce_points",
     "rref",
     "run_stage1",

@@ -20,14 +20,20 @@ byte for byte across reruns.
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
 --oracle-check found a disagreement.
+
+A CLI run does not run the cyclic garbage collector: main turns it off
+around run and restores it after, since a run allocates one tuple per point
+and forms no reference cycles. Library calls leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -136,7 +142,13 @@ def expand_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> list[Point
 
 
 def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
-    """Parse a domain document into a deduplicated, sorted point list."""
+    """Parse a domain document into a deduplicated, sorted point list.
+
+    The types of the points and of their coordinates are checked in two
+    whole-list passes; only when one fails are the points walked, to name
+    the first bad one. Points of different lengths pass here: run checks
+    the dimension against the generators.
+    """
     doc = _loads(text, "domain file")
     if not isinstance(doc, dict) or ("points" in doc) == ("box" in doc):
         raise InputError('domain file must contain exactly one of "points" or "box"')
@@ -144,10 +156,13 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
         pts = doc["points"]
         if not isinstance(pts, list):
             raise InputError("points must be a list of integer vectors")
-        out = set()
-        for idx, p in enumerate(pts):
-            out.add(tuple(_int_vector(p, f"point {idx}", "coordinates")))
-        return sorted(out)
+        # The coordinate pass runs only once every point is a list, since
+        # flattening an int point raises TypeError.
+        if (set(map(type, pts)) - {list}
+                or set(map(type, itertools.chain.from_iterable(pts))) - {int}):
+            for idx, p in enumerate(pts):
+                _int_vector(p, f"point {idx}", "coordinates")
+        return sorted(set(map(tuple, pts)))
     box = doc["box"]
     if not isinstance(box, dict) or "min" not in box or "max" not in box:
         raise InputError('box must be {"min": [...], "max": [...]}')
@@ -217,11 +232,24 @@ def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
 
 
 def render_tsv(labeling: OrbitLabeling) -> str:
-    lines = [
-        ",".join(map(str, x)) + "\t" + ",".join(map(str, labeling.labels[x]))
-        for x in sorted(labeling.labels)
-    ]
-    return "".join(line + "\n" for line in lines)
+    """One "point TAB label" line per point, in sorted point order.
+
+    Every line is one format call, fed from the coordinate columns of the
+    points and of their labels.
+    """
+    points = sorted(labeling.labels)
+    if not points:
+        return ""
+    n = len(points[0])
+    half = ",".join(["{}"] * n)
+    line = half + "\t" + half + "\n"
+    if n == 0:
+        return line * len(points)
+    labels = list(map(labeling.labels.__getitem__, points))
+    return "".join(map(
+        line.format,
+        *[map(itemgetter(j), points) for j in range(n)],
+        *[map(itemgetter(j), labels) for j in range(n)]))
 
 
 def _emit_error(code: str, message: str, **extra) -> None:
@@ -320,7 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    """Parse the command line and run it with the cyclic collector off; the
+    collector's state is restored on the way out."""
+    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

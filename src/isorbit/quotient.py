@@ -18,8 +18,7 @@ The same steps apply to every point, so reduce_points runs them over whole
 coordinate columns: per Hermite row it computes the column of quotients
 floor(w[c_k] / p_k) once, then makes one list pass per nonzero entry of
 b_k. That column walk is reduce_columns; the class merge runs it over
-the rotated images of a whole frontier at once. The per-point form,
-reduce_mod_lattice, is the single-point statement of the same steps.
+the rotated images of a whole frontier at once.
 """
 
 from __future__ import annotations
@@ -30,24 +29,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError, InputError
 from .isometry import Point
 from .lattice import LatticeBasis
-
-
-def reduce_mod_lattice(basis: LatticeBasis, x: Sequence[int]) -> Point:
-    """Canonical representative of x modulo the basis lattice.
-
-    The result is the unique lattice translate of x whose pivot
-    coordinates lie in [0, p_k); with an empty basis it is x itself.
-    """
-    if len(x) != basis.n:
-        raise DimensionMismatchError(
-            f"point of length {len(x)}, lattice in Z^{basis.n}")
-    w = list(x)
-    for c, p, entries in basis.echelon:
-        q = w[c] // p
-        if q:
-            for i, b in entries:
-                w[i] -= q * b
-    return tuple(w)
 
 
 def reduce_columns(basis: LatticeBasis, cols: list[list[int]]) -> None:

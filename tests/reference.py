@@ -10,15 +10,22 @@ orbit at once with a union-find over coordinate columns; closure_merge_classes
 below is the earlier form of it, one witness's closure at a time, one point
 at a time, kept as a second oracle.
 
-The production reduction walks the Hermite-normal-form echelon. The
-pseudoinverse reduction below gets its representatives another way, from
-the exact rational coefficients x over the basis, x - B*floor(coeff(x)); its
-representatives differ, but both must split any point set into the same
-translation classes.
+The production reduction walks the Hermite-normal-form echelon over whole
+coordinate columns; reduce_mod_lattice below takes the same steps one point
+at a time. The pseudoinverse reduction below gets its representatives
+another way, from the exact rational coefficients x over the basis,
+x - B*floor(coeff(x)); its representatives differ, but both must split any
+point set into the same translation classes.
+
+The CLI checks a points file and writes TSV over whole columns; the
+per-point parser and the line-by-line TSV writer at the end of this file
+are the earlier forms, and must give the same points, error messages and
+bytes.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,6 +34,7 @@ from isorbit import (
     DimensionMismatchError,
     GeneratingSet,
     Gf2Basis,
+    InputError,
     LatticeBasis,
     OrbitLabeling,
     ClosureCapExceededError,
@@ -37,7 +45,6 @@ from isorbit import (
     finalize_labels,
     generate_perm_group,
     hnf_reduce,
-    reduce_mod_lattice,
     reduce_points,
     rref,
 )
@@ -129,6 +136,25 @@ def translation_basis_from_group(
     (full, identity-containing) rotation group."""
     images = {r.apply(v) for v in vectors for r in rotations}
     return hnf_reduce(sorted(images), n)
+
+
+def reduce_mod_lattice(basis: LatticeBasis, x: Sequence[int]) -> Point:
+    """Canonical representative of x modulo the basis lattice, one point at
+    a time: the single-point form of isorbit.quotient.reduce_columns.
+
+    The result is the unique lattice translate of x whose pivot
+    coordinates lie in [0, p_k); with an empty basis it is x itself.
+    """
+    if len(x) != basis.n:
+        raise DimensionMismatchError(
+            f"point of length {len(x)}, lattice in Z^{basis.n}")
+    w = list(x)
+    for c, p, entries in basis.echelon:
+        q = w[c] // p
+        if q:
+            for i, b in entries:
+                w[i] -= q * b
+    return tuple(w)
 
 
 def rotate_mod_lattice(basis: LatticeBasis, r: SignedPermutation, w: Sequence[int]) -> Point:
@@ -343,3 +369,26 @@ def pinv_reduce_points(
     reps_list = [pinv_reduce_mod_lattice(pinv, basis, p) for p in pts]
     assignment = dict(zip(pts, reps_list))
     return set(reps_list), assignment
+
+
+def per_point_parse_points(text: str) -> list[Point]:
+    """The points list of a {"points": [...]} document, deduplicated and
+    sorted, checked one point at a time; a bad point raises the CLI's
+    InputError naming its index."""
+    out = set()
+    for idx, p in enumerate(json.loads(text)["points"]):
+        if not isinstance(p, list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in p):
+            raise InputError(f"point {idx}: coordinates must be a list of integers")
+        out.add(tuple(p))
+    return sorted(out)
+
+
+def line_by_line_render_tsv(labeling: OrbitLabeling) -> str:
+    """One "point TAB label" line per point in sorted order, each line
+    joined on its own."""
+    lines = [
+        ",".join(map(str, x)) + "\t" + ",".join(map(str, labeling.labels[x]))
+        for x in sorted(labeling.labels)
+    ]
+    return "".join(line + "\n" for line in lines)

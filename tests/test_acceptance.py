@@ -23,14 +23,18 @@ from isorbit import (
     compute_labeling,
     compute_orbits,
     hnf_reduce,
-    reduce_mod_lattice,
     run_stage1,
     stabilized_bfs_orbits,
     validate_atomic,
 )
 from isorbit.cli import main
 from isorbit.oracle import Partition
-from reference import reference_labeling, reference_stage1, rotation_group
+from reference import (
+    reduce_mod_lattice,
+    reference_labeling,
+    reference_stage1,
+    rotation_group,
+)
 
 
 class criterion:

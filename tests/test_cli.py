@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from isorbit import (
     NotAtomicError,
     SignedPermutation,
 )
+import isorbit.cli
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
 
 DIAGONAL_DOC = {
@@ -85,6 +87,22 @@ def test_parse_domain_points_dedupe():
 
 def test_parse_domain_empty_points():
     assert parse_domain('{"points": []}') == []
+
+
+# (bad point as JSON text, test id)
+BAD_POINTS = [("[0, true]", "bool"), ("[0, 1.5]", "float"), ('[0, "x"]', "str"),
+              ("[0, null]", "null"), ("[NaN, 0]", "nan"), ("[0, [1]]", "nested"),
+              ("3", "non-list")]
+
+
+@pytest.mark.parametrize("good", [1, 4])
+@pytest.mark.parametrize("bad", [b for b, _ in BAD_POINTS], ids=[i for _, i in BAD_POINTS])
+def test_parse_domain_names_the_first_bad_point(good, bad):
+    # a second bad point after the first, and good points around both
+    points = ["[%d, %d]" % (i, -i) for i in range(good)] + [bad, "[7, 7]", bad, "[0, 0]"]
+    with pytest.raises(InputError) as info:
+        parse_domain('{"points": [%s]}' % ", ".join(points))
+    assert str(info.value) == f"point {good}: coordinates must be a list of integers"
 
 
 def test_parse_domain_rejects_inverted_box():
@@ -394,3 +412,51 @@ def test_domain_dimension_error_names_the_first_bad_point(tmp_path, capsys):
     # points are sorted before the check: [0, 0], [0, 0, 1], [1, 1], [5]
     assert err == {"error": "DimensionMismatch",
                    "message": "domain point 1 has dimension 3, expected 2"}
+
+
+def _gc_states(tmp_path):
+    """main's exit status and the collector's state after it, for an
+    exit 0, an exit 1 (a float coordinate) and an exit 2 (argparse)."""
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    bad = write(tmp_path / "bad.json", {"points": [[0, 0], [0, 1.5]]})
+    out = ["--output", str(tmp_path / "out")]
+    states = [(main(["--gens", gens, "--box", "0..1,0..1"] + out), gc.isenabled()),
+              (main(["--gens", gens, "--domain", bad] + out), gc.isenabled())]
+    with pytest.raises(SystemExit) as info:
+        main(["--gens", gens, "--box", "0..1,0..1", "--domain", bad])
+    return states + [(info.value.code, gc.isenabled())]
+
+
+@pytest.fixture
+def keep_gc_state():
+    """Give the collector back in the state the test found it in."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_hands_back_the_gc_state(tmp_path, capsys, keep_gc_state, enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert _gc_states(tmp_path) == [(0, enabled), (1, enabled), (2, enabled)]
+
+
+def test_run_goes_without_the_cyclic_gc(tmp_path, monkeypatch, keep_gc_state):
+    seen = []
+
+    def failing_run(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(isorbit.cli, "run", failing_run)
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    gc.enable()
+    with pytest.raises(RuntimeError):
+        main(["--gens", gens, "--box", "0..1,0..1"])
+    assert seen == [False] and gc.isenabled()

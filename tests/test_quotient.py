@@ -10,7 +10,6 @@ from isorbit import (
     Isometry,
     compute_orbits,
     hnf_reduce,
-    reduce_mod_lattice,
     reduce_points,
     validate_atomic,
 )
@@ -19,6 +18,7 @@ from reference import (
     coefficient_numerators,
     floor_ratio,
     pinv_reduce_mod_lattice,
+    reduce_mod_lattice,
 )
 
 

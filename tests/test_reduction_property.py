@@ -1,7 +1,7 @@
 """Property tests of the batched point reduction and the batched class
 merge. The reduction gives the same translation classes as the
 pseudoinverse oracle in tests/reference.py, and point for point the same
-representatives as the single-point reduce_mod_lattice, with the map in
+representatives as the single-point reduce_mod_lattice there, with the map in
 first-seen order and equal representatives shared as one tuple. The merge
 gives the same witness dict as the per-witness closure merge and the
 explicit-group sweep of tests/reference.py.
@@ -20,7 +20,6 @@ from isorbit import (  # noqa: E402
     SignedPermutation,
     hnf_reduce,
     merge_classes_generators,
-    reduce_mod_lattice,
     reduce_points,
     run_stage1,
     validate_atomic,
@@ -30,6 +29,7 @@ from reference import (  # noqa: E402
     closure_merge_classes,
     merge_classes_group,
     pinv_reduce_points,
+    reduce_mod_lattice,
     rotation_group,
 )
 

@@ -1,5 +1,6 @@
-"""Output bytes: the direct JSON writer against json.dumps, and golden hashes
-of whole CLI runs on small inputs shaped like the benchmark workloads."""
+"""Output bytes: the direct JSON writer against json.dumps, the column-fed
+TSV writer against the line-by-line one, and golden hashes of whole CLI
+runs on small inputs shaped like the benchmark workloads."""
 
 import hashlib
 import json
@@ -8,7 +9,8 @@ from random import Random
 import pytest
 
 from isorbit import OrbitLabeling, compute_labeling, run_stage1, validate_atomic
-from isorbit.cli import main, parse_generators, render_json
+from isorbit.cli import main, parse_generators, render_json, render_tsv
+from reference import line_by_line_render_tsv
 
 
 def dumps_reference(stage1, labeling) -> str:
@@ -46,22 +48,26 @@ def stage1_for(n, rng):
     return run_stage1(parse_generators(json.dumps({"n": n, "generators": gens})))
 
 
+def random_groups(rng, n, span):
+    """Random points in [-span, span]^n, cut into classes of 1 to 5."""
+    points = {tuple(rng.randint(-span, span) for _ in range(n))
+              for _ in range(rng.randint(1, 60))}
+    pts = sorted(points)
+    rng.shuffle(pts)
+    groups, i = [], 0
+    while i < len(pts):
+        k = rng.randint(1, 5)
+        groups.append(pts[i:i + k])
+        i += k
+    return groups
+
+
 def test_render_json_matches_json_dumps_on_random_labelings():
     rng = Random(4242)
     for trial in range(120):
         n = 1 + trial % 6
         stage1 = stage1_for(n, rng)
-        span = rng.choice((3, 40, 2500))
-        points = {tuple(rng.randint(-span, span) for _ in range(n))
-                  for _ in range(rng.randint(1, 60))}
-        pts = sorted(points)
-        rng.shuffle(pts)
-        groups, i = [], 0
-        while i < len(pts):
-            k = rng.randint(1, 5)
-            groups.append(pts[i:i + k])
-            i += k
-        labeling = labeling_of(groups)
+        labeling = labeling_of(random_groups(rng, n, rng.choice((3, 40, 2500))))
         assert render_json(stage1, labeling) == dumps_reference(stage1, labeling)
 
 
@@ -88,6 +94,32 @@ def test_render_json_single_class():
         labeling = labeling_of(groups)
         assert render_json(stage1, labeling) == dumps_reference(stage1, labeling)
 
+
+
+def test_render_tsv_matches_line_by_line_on_random_labelings():
+    rng = Random(4244)
+    for trial in range(120):
+        n = 1 + trial % 6
+        labeling = labeling_of(random_groups(rng, n, rng.choice((3, 40, 2500, 2 ** 70))))
+        assert render_tsv(labeling) == line_by_line_render_tsv(labeling)
+
+
+def test_render_tsv_matches_line_by_line_on_real_labelings():
+    rng = Random(4245)
+    for n in range(1, 7):
+        stage1 = stage1_for(n, rng)
+        points = {tuple(rng.randint(-12, 12) for _ in range(n)) for _ in range(80)}
+        labeling = compute_labeling(stage1, points)
+        assert render_tsv(labeling) == line_by_line_render_tsv(labeling)
+
+
+def test_render_tsv_empty_singletons_and_z0():
+    assert render_tsv(labeling_of([])) == ""
+    for groups in ([[(0, 0)]], [[(-10, 3)], [(4, -112)], [(0, 0)]],
+                   [[(-2 ** 70, 2 ** 70), (5, -1)]], [[()]]):
+        labeling = labeling_of(groups)
+        assert render_tsv(labeling) == line_by_line_render_tsv(labeling)
+    assert render_tsv(labeling_of([[()]])) == "\t\n"
 
 CRIT8_GENS = {"n": 6, "generators": [
     {"type": "translation", "v": [2, 0, 0, 0, 0, 0]},
