@@ -17,6 +17,7 @@ Typical use::
 from .errors import (
     BoxTooLargeError,
     ClosureCapExceededError,
+    DigitLimitExceededError,
     DimensionMismatchError,
     DimensionTooLargeError,
     InputError,
@@ -53,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxTooLargeError",
     "ClosureCapExceededError",
+    "DigitLimitExceededError",
     "DimensionMismatchError",
     "DimensionTooLargeError",
     "GeneratingSet",

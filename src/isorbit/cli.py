@@ -17,6 +17,10 @@ axis). Output is JSON (partition plus stage-1 diagnostics) or TSV (one
 "point TAB label" line per point, coordinates comma-separated), identical
 byte for byte across reruns.
 
+The CLI checks each document's JSON shape and the library the values: a
+points file goes to quotient.reduce_points as read, duplicates included,
+and it checks each point once, naming the first bad one by its index.
+
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
 --oracle-check found a disagreement.
@@ -39,7 +43,7 @@ from typing import Sequence
 
 from .errors import (
     BoxTooLargeError,
-    DimensionMismatchError,
+    DigitLimitExceededError,
     InputError,
     InvalidDomainError,
     InvalidRotationError,
@@ -94,10 +98,10 @@ def parse_generators(text: str) -> GeneratingSet:
     if not isinstance(entries, list):
         raise InputError("generators must be a list")
     return validate_atomic(
-        [_parse_generator(entry, idx, n) for idx, entry in enumerate(entries)], n)
+        [_parse_generator(entry, idx) for idx, entry in enumerate(entries)], n)
 
 
-def _parse_generator(entry, idx: int, n: int) -> Isometry:
+def _parse_generator(entry, idx: int) -> Isometry:
     where = f"generator {idx}"
     if not isinstance(entry, dict) or "type" not in entry:
         raise InputError(f"{where}: expected an object with a 'type' field")
@@ -105,21 +109,12 @@ def _parse_generator(entry, idx: int, n: int) -> Isometry:
     try:
         if kind == "translation":
             v = _int_vector(entry.get("v"), where, "v")
-            if len(v) != n:
-                raise DimensionMismatchError(
-                    f"{where}: v has length {len(v)}, expected {n}")
             return Isometry.translation(v)
         if kind == "negation":
             signs = _int_vector(entry.get("signs"), where, "signs")
-            if len(signs) != n:
-                raise DimensionMismatchError(
-                    f"{where}: signs has length {len(signs)}, expected {n}")
             return Isometry.rotation(SignedPermutation.negation(signs))
         if kind == "permutation":
             perm = _int_vector(entry.get("perm"), where, "perm")
-            if len(perm) != n:
-                raise DimensionMismatchError(
-                    f"{where}: perm has length {len(perm)}, expected {n}")
             return Isometry.rotation(SignedPermutation.permutation(perm))
     except InvalidRotationError as e:
         raise InvalidRotationError(f"{where}: {e}") from e
@@ -142,12 +137,12 @@ def expand_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> list[Point
 
 
 def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
-    """Parse a domain document into a deduplicated, sorted point list.
+    """Parse a domain document into its point list.
 
-    The types of the points and of their coordinates are checked in two
-    whole-list passes; only when one fails are the points walked, to name
-    the first bad one. Points of different lengths pass here: run checks
-    the dimension against the generators.
+    For a points document only the JSON shape is checked here: a list of
+    arrays, each made a tuple, in file order with any duplicates. Their
+    dimension and coordinate types are checked once, by reduce_points,
+    which names the first bad point by its index in the file.
     """
     doc = _loads(text, "domain file")
     if not isinstance(doc, dict) or ("points" in doc) == ("box" in doc):
@@ -156,13 +151,10 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
         pts = doc["points"]
         if not isinstance(pts, list):
             raise InputError("points must be a list of integer vectors")
-        # The coordinate pass runs only once every point is a list, since
-        # flattening an int point raises TypeError.
-        if (set(map(type, pts)) - {list}
-                or set(map(type, itertools.chain.from_iterable(pts))) - {int}):
-            for idx, p in enumerate(pts):
-                _int_vector(p, f"point {idx}", "coordinates")
-        return sorted(set(map(tuple, pts)))
+        if set(map(type, pts)) - {list}:
+            idx = next(i for i, p in enumerate(pts) if type(p) is not list)
+            raise InputError(f"point {idx}: coordinates must be a list of integers")
+        return list(map(tuple, pts))
     box = doc["box"]
     if not isinstance(box, dict) or "min" not in box or "max" not in box:
         raise InputError('box must be {"min": [...], "max": [...]}')
@@ -203,14 +195,23 @@ def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
     so only the small header goes through it. The whole document is then
     one format string, built from per-depth point templates and filled in
     one call.
+
+    The points come from the input, within Python's int-to-str digit
+    limit; a Hermite basis entry or the rotation order can exceed it.
     """
-    head = json.dumps({
-        "n": stage1.gens.n,
-        "rank_m": stage1.basis.m,
-        "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
-        "rotation_order": stage1.rotation_order,
-        "classes": [],
-    }, indent=2)
+    try:
+        head = json.dumps({
+            "n": stage1.gens.n,
+            "rank_m": stage1.basis.m,
+            "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
+            "rotation_order": stage1.rotation_order,
+            "classes": [],
+        }, indent=2)
+    except ValueError as e:
+        raise DigitLimitExceededError(
+            "a stage-1 diagnostic (a Hermite basis entry or the rotation order) "
+            "has more decimal digits than Python converts to text; "
+            "--format tsv writes only the points and their labels") from e
     labels = sorted(labeling.classes)
     if not labels:
         return head + "\n"
@@ -263,17 +264,11 @@ def run(args: argparse.Namespace) -> int:
     process exit status."""
     try:
         gens = parse_generators(_read_text(args.gens, "generator file"))
-        if (args.domain is None) == (args.box is None):
-            raise InputError("exactly one of a domain file or a box spec is required")
         if args.domain is not None:
             points = parse_domain(
                 _read_text(args.domain, "domain file"), args.box_cap)
         else:
             points = parse_box_spec(args.box, args.box_cap)
-        if set(map(len, points)) - {gens.n}:
-            idx, p = next((i, p) for i, p in enumerate(points) if len(p) != gens.n)
-            raise DimensionMismatchError(
-                f"domain point {idx} has dimension {len(p)}, expected {gens.n}")
         stage1 = run_stage1(gens, args.max_dimension)
         labeling = compute_labeling(stage1, points, args.closure_cap)
         text = render_json(stage1, labeling) if args.format == "json" else render_tsv(labeling)

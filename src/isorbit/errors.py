@@ -54,11 +54,20 @@ class NotStabilizedError(IsorbitError):
         self.padding = padding
 
 
+class DigitLimitExceededError(IsorbitError):
+    """An integer to be written has more decimal digits than Python converts
+    to text (sys.get_int_max_str_digits(); the limit guards against
+    quadratic int-to-str work)."""
+
+    code = "DigitLimitExceeded"
+
+
 class InvalidDomainError(IsorbitError):
     code = "InvalidDomain"
 
 
 class InputError(IsorbitError):
-    """Malformed input document (bad JSON, missing or ill-typed fields)."""
+    """Malformed input: bad JSON, missing or ill-typed fields, or a value
+    that is not an int where an integer is required."""
 
     code = "ParseError"

@@ -16,9 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, InvalidRotationError, NotAtomicError
+from .errors import DimensionMismatchError, InputError, InvalidRotationError, NotAtomicError
 
 Point = tuple[int, ...]
+
+
+def int_tuple(values: Iterable, what: str, error: type[Exception] = InputError) -> Point:
+    """The values as a tuple, each of type int; anything else (bool, float,
+    an int subclass) raises error rather than being truncated by int()."""
+    t = tuple(values)
+    if set(map(type, t)) - {int}:
+        bad = next(v for v in t if type(v) is not int)
+        raise error(f"{what}: {bad!r} is not an integer")
+    return t
 
 
 def _require_same_dim(a: int, b: int, what: str) -> None:
@@ -38,8 +48,8 @@ class SignedPermutation:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
+        object.__setattr__(self, "signs", int_tuple(self.signs, "signs", InvalidRotationError))
+        object.__setattr__(self, "perm", int_tuple(self.perm, "perm", InvalidRotationError))
         if len(self.signs) != len(self.perm):
             raise InvalidRotationError(
                 f"signs ({len(self.signs)}) and perm ({len(self.perm)}) lengths differ")
@@ -114,7 +124,7 @@ class Isometry:
     r: SignedPermutation
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(c) for c in self.v))
+        object.__setattr__(self, "v", int_tuple(self.v, "translation vector"))
         _require_same_dim(len(self.v), self.r.n, "isometry translation vs rotation")
 
     @property

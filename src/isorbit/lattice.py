@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, IterationCapExceededError
-from .isometry import Point, SignedPermutation
+from .isometry import Point, SignedPermutation, int_tuple
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,11 @@ def hnf_reduce(rows: Iterable[Sequence[int]], n: int) -> LatticeBasis:
     """
     work: list[list[int]] = []
     for row in rows:
+        row = int_tuple(row, "lattice row")
         if len(row) != n:
             raise DimensionMismatchError(f"row of length {len(row)}, expected {n}")
         if any(row):
-            work.append([int(x) for x in row])
+            work.append(list(row))
     pivots: list[int] = []
     top = 0
     for col in range(n):

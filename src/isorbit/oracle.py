@@ -15,7 +15,7 @@ import itertools
 from typing import Iterable
 
 from .errors import BoxTooLargeError, DimensionMismatchError, NotStabilizedError
-from .isometry import GeneratingSet, Point
+from .isometry import GeneratingSet, Point, int_tuple
 
 DEFAULT_BOX_CAP = 10_000_000
 
@@ -30,7 +30,7 @@ def bfs_orbits(
 ) -> Partition:
     """Partition of the points by connectivity through generator edges that
     stay inside the bounding box of the points, widened by ``padding``."""
-    pts = {tuple(int(c) for c in p) for p in points}
+    pts = {int_tuple(p, "point") for p in points}
     if not pts:
         return set()
     n = gens.n

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionTooLargeError, InvalidRotationError
+from .isometry import int_tuple
 
 Perm = tuple[int, ...]
 
@@ -44,7 +45,7 @@ def generate_perm_group(
     dimension cap applies only when there is a generator to close: the
     closure of none is the identity alone.
     """
-    gen_list = sorted({tuple(int(i) for i in g) for g in gens})
+    gen_list = sorted({int_tuple(g, "permutation", InvalidRotationError) for g in gens})
     if gen_list and n > max_dimension:
         raise DimensionTooLargeError(
             f"dimension {n} exceeds the closure cap {max_dimension} "

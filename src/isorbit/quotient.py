@@ -14,7 +14,9 @@ such translates differ by a lattice vector whose first nonzero coefficient
 a_k would put |a_k| * p_k >= p_k between their c_k coordinates. Every step
 is an integer floor division, so no point can misround at a cell boundary.
 
-The same steps apply to every point, so reduce_points runs them over whole
+reduce_points is the one place that checks the points of a run (their
+dimension and coordinate types), so a caller hands it the points unchecked.
+The same steps apply to every point, so it runs them over whole
 coordinate columns: per Hermite row it computes the column of quotients
 floor(w[c_k] / p_k) once, then makes one list pass per nonzero entry of
 b_k. That column walk is reduce_columns; the class merge runs it over
@@ -24,7 +26,7 @@ the rotated images of a whole frontier at once.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import DimensionMismatchError, InputError
 from .isometry import Point
@@ -59,8 +61,13 @@ def reduce_points(
 
     The map lists the distinct points in first-seen order. Equal
     representatives are stored as one tuple, so the map holds one object
-    per translation class rather than one per point. Every coordinate must
-    be of type int: bool and float are rejected, not truncated.
+    per translation class rather than one per point.
+
+    This is where the points of a run are checked, once: every point must
+    have n coordinates, each of type int (bool and float are rejected, not
+    truncated). The dimensions and then the column types are checked over
+    whole lists; only when a check fails are the points walked, to name
+    the first bad one by its position in the input.
     """
     n = basis.n
     try:
@@ -70,15 +77,26 @@ def reduce_points(
     if not pts:
         return set(), {}
     if set(map(len, pts)) - {n}:
-        x = next(x for x in pts if len(x) != n)
-        raise DimensionMismatchError(f"point of length {len(x)}, lattice in Z^{n}")
+        _reject_first_bad_point(pts, n)
     cols: list[list[int]] = [list(map(itemgetter(j), pts)) for j in range(n)]
-    for j, col in enumerate(cols):
+    for col in cols:
         if set(map(type, col)) - {int}:
-            v = next(v for v in col if type(v) is not int)
-            raise InputError(f"coordinate {j} of a point is {v!r}, expected an integer")
+            _reject_first_bad_point(pts, n)
     reduce_columns(basis, cols)
     rows = list(zip(*cols)) if cols else [()] * len(pts)
     reps: dict[Point, Point] = {}
     assignment = dict(zip(pts, map(reps.setdefault, rows, rows)))
     return set(reps), assignment
+
+
+def _reject_first_bad_point(pts: list[Point], n: int) -> NoReturn:
+    """Raise for the first point, in input order, that has the wrong
+    length (DimensionMismatchError) or a coordinate that is not an int
+    (InputError)."""
+    for i, x in enumerate(pts):
+        if len(x) != n:
+            raise DimensionMismatchError(
+                f"point {i}: {x!r} has dimension {len(x)}, expected {n}")
+        for j, v in enumerate(x):
+            if type(v) is not int:
+                raise InputError(f"point {i}: coordinate {j} is {v!r}, expected an integer")

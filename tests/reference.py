@@ -17,10 +17,11 @@ another way, from the exact rational coefficients x over the basis,
 x - B*floor(coeff(x)); its representatives differ, but both must split any
 point set into the same translation classes.
 
-The CLI checks a points file and writes TSV over whole columns; the
-per-point parser and the line-by-line TSV writer at the end of this file
-are the earlier forms, and must give the same points, error messages and
-bytes.
+The CLI checks a points file's shape and the library its points, over
+whole lists, and the CLI writes TSV over whole columns; the per-point
+parser and the line-by-line TSV writer at the end of this file check and
+write one point at a time, and must name the same first bad point, or
+give the same points and bytes.
 """
 
 from __future__ import annotations
@@ -371,17 +372,27 @@ def pinv_reduce_points(
     return set(reps_list), assignment
 
 
-def per_point_parse_points(text: str) -> list[Point]:
-    """The points list of a {"points": [...]} document, deduplicated and
-    sorted, checked one point at a time; a bad point raises the CLI's
-    InputError naming its index."""
-    out = set()
-    for idx, p in enumerate(json.loads(text)["points"]):
-        if not isinstance(p, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in p):
+def per_point_parse_points(text: str, n: int) -> list[Point]:
+    """The points list of a {"points": [...]} document in Z^n, deduplicated
+    and sorted, checked one point at a time.
+
+    A point that is not an array is reported first, since the CLI checks
+    the document's shape before the library checks any point. Otherwise
+    the first point, in file order, with other than n coordinates raises
+    DimensionMismatchError, or with a coordinate that is not an integer
+    raises InputError. Either error names the point by its index in the
+    file, as "point {idx}: ...".
+    """
+    pts = json.loads(text)["points"]
+    for idx, p in enumerate(pts):
+        if not isinstance(p, list):
             raise InputError(f"point {idx}: coordinates must be a list of integers")
-        out.add(tuple(p))
-    return sorted(out)
+    for idx, p in enumerate(pts):
+        if len(p) != n:
+            raise DimensionMismatchError(f"point {idx}: dimension {len(p)}, expected {n}")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in p):
+            raise InputError(f"point {idx}: coordinates must be integers")
+    return sorted(set(map(tuple, pts)))
 
 
 def line_by_line_render_tsv(labeling: OrbitLabeling) -> str:

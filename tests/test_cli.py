@@ -81,8 +81,26 @@ def test_parse_domain_box():
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_parse_domain_points_dedupe():
-    assert parse_domain('{"points": [[5], [5]]}') == [(5,)]
+def test_parse_domain_points_keep_file_order_and_duplicates():
+    # the library dedupes and the renderers sort, so the parser does neither
+    assert parse_domain('{"points": [[5], [2], [5]]}') == [(5,), (2,), (5,)]
+
+
+def _run_points_file(tmp_path, points_text, fmt="json"):
+    """main's exit status and output path for a points file given as the
+    JSON text of its list, under the generators of DIAGONAL_DOC (Z^2)."""
+    domain = tmp_path / "domain.json"
+    domain.write_text('{"points": %s}' % points_text, encoding="utf-8")
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    out = tmp_path / "out"
+    return main(["--gens", gens, "--domain", str(domain), "--format", fmt,
+                 "--output", str(out)]), out
+
+
+def test_parse_domain_points_dedupe(tmp_path):
+    code, out = _run_points_file(tmp_path, "[[5, 5], [5, 5]]", fmt="tsv")
+    assert code == 0
+    assert out.read_text() == "5,5\t5,5\n"
 
 
 def test_parse_domain_empty_points():
@@ -97,12 +115,19 @@ BAD_POINTS = [("[0, true]", "bool"), ("[0, 1.5]", "float"), ('[0, "x"]', "str"),
 
 @pytest.mark.parametrize("good", [1, 4])
 @pytest.mark.parametrize("bad", [b for b, _ in BAD_POINTS], ids=[i for _, i in BAD_POINTS])
-def test_parse_domain_names_the_first_bad_point(good, bad):
-    # a second bad point after the first, and good points around both
+def test_parse_domain_names_the_first_bad_point(tmp_path, capsys, good, bad):
+    # through main: parse_domain rejects a point that is not an array and
+    # reduce_points a bad coordinate. A second bad point after the first,
+    # and good points around both; the index is the point's place in the file.
     points = ["[%d, %d]" % (i, -i) for i in range(good)] + [bad, "[7, 7]", bad, "[0, 0]"]
-    with pytest.raises(InputError) as info:
-        parse_domain('{"points": [%s]}' % ", ".join(points))
-    assert str(info.value) == f"point {good}: coordinates must be a list of integers"
+    code, out = _run_points_file(tmp_path, "[%s]" % ", ".join(points))
+    assert code == 1 and not out.exists()
+    err = _single_json_error(capsys)
+    assert err["error"] == "ParseError"
+    if bad == "3":
+        assert err["message"] == f"point {good}: coordinates must be a list of integers"
+    else:
+        assert err["message"].startswith(f"point {good}: coordinate ")
 
 
 def test_parse_domain_rejects_inverted_box():
@@ -405,13 +430,35 @@ def test_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
 
 
 def test_domain_dimension_error_names_the_first_bad_point(tmp_path, capsys):
-    domain = write(tmp_path / "domain.json", {"points": [[0, 0], [1, 1], [0, 0, 1], [5]]})
-    code, _ = run_main(tmp_path, ["--domain", domain])
-    assert code == 1
+    # the index is the point's place in the file, before any sorting or
+    # dedupe, and the first bad point wins whichever rule it breaks
+    for points, message in [
+        ("[[0, 0], [1, 1], [0, 0, 1], [5]]", "point 2: (0, 0, 1) has dimension 3, expected 2"),
+        ("[[5, 5], [9, 9], [1]]", "point 2: (1,) has dimension 1, expected 2"),
+        ("[[5, 5], [9, 1.5], [1]]", "point 1: coordinate 1 is 1.5, expected an integer"),
+        ("[[5, 5], [9], [1.5, 0]]", "point 1: (9,) has dimension 1, expected 2"),
+    ]:
+        assert _run_points_file(tmp_path, points)[0] == 1
+        code = "ParseError" if "coordinate" in message else "DimensionMismatch"
+        assert _single_json_error(capsys) == {"error": code, "message": message}
+
+
+def test_output_integer_past_the_digit_limit_is_one_json_error(tmp_path, capsys):
+    # each literal is under the 4,300-digit parse limit, but a Hermite pivot
+    # of the two translations has about 8,000 digits
+    big = "1" + "0" * 4000
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 1]}, '
+                    '{"type": "translation", "v": [1, %s]}]}' % (big, big),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--gens", str(gens), "--box", "0..1,0..1", "--output", str(out)]
+    assert main(argv + ["--format", "json"]) == 1
+    assert not out.exists()
     err = _single_json_error(capsys)
-    # points are sorted before the check: [0, 0], [0, 0, 1], [1, 1], [5]
-    assert err == {"error": "DimensionMismatch",
-                   "message": "domain point 1 has dimension 3, expected 2"}
+    assert err["error"] == "DigitLimitExceeded"
+    assert main(argv + ["--format", "tsv"]) == 0
+    assert out.read_text().splitlines() == ["0,0\t0,0", "0,1\t0,1", "1,0\t1,0", "1,1\t1,1"]
 
 
 def _gc_states(tmp_path):

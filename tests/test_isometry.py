@@ -13,6 +13,7 @@ from conftest import (
 )
 from isorbit import (
     DimensionMismatchError,
+    InputError,
     InvalidRotationError,
     Isometry,
     NotAtomicError,
@@ -233,3 +234,14 @@ def test_invalid_rotation_constructions():
         SignedPermutation((1, 1), (0, 0))
     with pytest.raises(InvalidRotationError):
         SignedPermutation((1,), (0, 1))
+
+
+def test_non_integer_entries_are_rejected_not_truncated():
+    # int() used to make (0.5, 0) the identity translation and (0.9, 1) the
+    # identity permutation, so compute_orbits returned a wrong partition
+    with pytest.raises(InputError, match="0.5"):
+        validate_atomic([Isometry.translation((0.5, 0))], 2)
+    with pytest.raises(InvalidRotationError, match="0.9"):
+        SignedPermutation.permutation((0.9, 1))
+    with pytest.raises(InvalidRotationError, match="True"):
+        SignedPermutation.negation((True, -1))

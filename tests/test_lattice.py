@@ -6,6 +6,7 @@ import pytest
 from conftest import exact_lattice_member, random_signed_permutation
 from isorbit import (
     DimensionMismatchError,
+    InputError,
     IterationCapExceededError,
     SignedPermutation,
     generate_perm_group,
@@ -110,6 +111,15 @@ def test_membership_dimension_mismatch():
 def test_hnf_row_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         hnf_reduce([(1, 0, 0)], 2)
+
+
+def test_hnf_rejects_non_integer_entries():
+    # int() used to truncate 2.7 to 2, a different lattice; a float zero row
+    # is rejected too, not dropped as zero
+    with pytest.raises(InputError, match="2.7"):
+        hnf_reduce([(2.7, 0)], 2)
+    with pytest.raises(InputError, match="0.0"):
+        hnf_reduce([(1, 0), (0.0, 0)], 2)
 
 
 def test_group_variant_swap_doubles_the_lattice():

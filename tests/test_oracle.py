@@ -5,6 +5,7 @@ import pytest
 from conftest import random_sweep_instance, refines
 from isorbit import (
     BoxTooLargeError,
+    InputError,
     Isometry,
     NotStabilizedError,
     SignedPermutation,
@@ -39,6 +40,13 @@ def test_empty_generators_give_singletons():
     for padding in (0, 3):
         part = bfs_orbits(gens, UNIT_SQUARE, padding)
         assert part == {frozenset({p}) for p in UNIT_SQUARE}
+
+
+def test_non_integer_points_are_rejected_not_truncated():
+    # int() used to truncate (0.5, 0) to (0, 0), one step from (1, 0)
+    gens = validate_atomic([Isometry.translation((1, 0))], 2)
+    with pytest.raises(InputError, match="0.5"):
+        bfs_orbits(gens, [(0.5, 0), (1, 0)], 1)
 
 
 def test_empty_points():

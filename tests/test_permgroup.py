@@ -72,3 +72,5 @@ def test_rejects_non_permutations():
         generate_perm_group([(0, 0)], 2)
     with pytest.raises(InvalidRotationError):
         generate_perm_group([(0, 1)], 3)
+    with pytest.raises(InvalidRotationError, match="1.0"):
+        generate_perm_group([(1.0, 0)], 2)

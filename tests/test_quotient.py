@@ -183,12 +183,14 @@ def test_reduce_points_empty_and_duplicates():
 
 def test_reduce_points_ragged_input_is_rejected_not_truncated():
     # zip over the points would stop at the shortest one; the dimension check
-    # runs first, on every point
+    # runs first, on every point, and names the first bad one by its index
     basis = hnf_reduce([(1, 1)], 2)
-    with pytest.raises(DimensionMismatchError, match="point of length 3"):
-        reduce_points(basis, [(0, 0), (1, 2, 3), (4, 5)])
-    with pytest.raises(DimensionMismatchError, match="point of length 1"):
-        reduce_points(basis, [(0, 0), (1,)])
+    with pytest.raises(DimensionMismatchError) as info:
+        reduce_points(basis, [(0, 0), (1, 2, 3), (4, 5), (6,)])
+    assert str(info.value) == "point 1: (1, 2, 3) has dimension 3, expected 2"
+    with pytest.raises(DimensionMismatchError) as info:
+        reduce_points(basis, iter([[0, 0], [0, 0], [1]]))
+    assert str(info.value) == "point 2: (1,) has dimension 1, expected 2"
 
 
 def test_reduce_points_first_seen_order_and_shared_representatives():
@@ -212,8 +214,9 @@ def test_library_rejects_float_coordinates():
 
 def test_reduce_points_rejects_bool_and_non_integer_coordinates():
     basis = hnf_reduce([(2, 0)], 2)
-    with pytest.raises(InputError, match="True"):
+    with pytest.raises(InputError) as info:
         reduce_points(basis, [(0, 0), (1, True)])
+    assert str(info.value) == "point 1: coordinate 1 is True, expected an integer"
     with pytest.raises(InputError):
         reduce_points(basis, [(0, "1")])
     with pytest.raises(InputError):

@@ -172,3 +172,24 @@ def test_cli_output_matches_golden_hash(tmp_path, name, gens_doc, domain, fmt, d
     assert main(["--gens", str(gens), *domain, "--format", fmt,
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_shuffled_points_file_with_duplicates_gives_the_same_bytes(tmp_path, fmt):
+    # points go to the library in file order, duplicates included; the
+    # output must not depend on either
+    rng = Random(3)
+    points = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(1500)]
+    shuffled = points + rng.sample(points, 500)
+    rng.shuffle(shuffled)
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(SCATTER4_GENS), encoding="utf-8")
+    outputs = []
+    for name, pts in [("shuffled", shuffled), ("sorted", sorted(set(map(tuple, points))))]:
+        dom = tmp_path / f"{name}.json"
+        dom.write_text(json.dumps({"points": [list(p) for p in pts]}), encoding="utf-8")
+        out = tmp_path / f"{name}.out"
+        assert main(["--gens", str(gens), "--domain", str(dom), "--format", fmt,
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
