@@ -34,8 +34,6 @@ from .isometry import (
     Isometry,
     Point,
     SignedPermutation,
-    conjugate,
-    project_components,
     validate_atomic,
 )
 from .labeling import (
@@ -62,8 +60,8 @@ __all__ = [
     "InputError",
     "InvalidDomainError",
     "InvalidRotationError",
-    "IsorbitError",
     "Isometry",
+    "IsorbitError",
     "IterationCapExceededError",
     "LatticeBasis",
     "NotAtomicError",
@@ -76,13 +74,11 @@ __all__ = [
     "bfs_orbits",
     "compute_labeling",
     "compute_orbits",
-    "conjugate",
     "finalize_labels",
     "generate_perm_group",
     "hnf_reduce",
     "merge_classes_generators",
     "negation_basis_from_generators",
-    "project_components",
     "reduce_points",
     "rref",
     "run_stage1",

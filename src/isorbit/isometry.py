@@ -41,7 +41,7 @@ class SignedPermutation:
     """Rotation of Z^n stored compactly as a sign vector and a permutation.
 
     Applying it to x yields y with y[i] = signs[i] * x[perm[i]]; the dense
-    matrix (see :meth:`matrix`) is never built outside of tests.
+    matrix is never built.
     """
 
     signs: tuple[int, ...]
@@ -78,20 +78,6 @@ class SignedPermutation:
         _require_same_dim(len(x), self.n, "rotation applied to point")
         return tuple(s * x[p] for s, p in zip(self.signs, self.perm))
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Rotation acting as self after other: (self.compose(other))(x) = self(other(x))."""
-        _require_same_dim(self.n, other.n, "rotation composition")
-        return SignedPermutation(
-            tuple(s * other.signs[p] for s, p in zip(self.signs, self.perm)),
-            tuple(other.perm[p] for p in self.perm),
-        )
-
-    def inverse(self) -> "SignedPermutation":
-        inv_perm = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv_perm[p] = i
-        return SignedPermutation(tuple(self.signs[i] for i in inv_perm), tuple(inv_perm))
-
     def is_identity(self) -> bool:
         return self.is_negation() and all(s == 1 for s in self.signs)
 
@@ -100,20 +86,6 @@ class SignedPermutation:
 
     def is_permutation(self) -> bool:
         return all(s == 1 for s in self.signs)
-
-    def negation_part(self) -> "SignedPermutation":
-        """The diagonal factor of the unique negation-then-permutation split."""
-        return SignedPermutation.negation(self.signs)
-
-    def permutation_part(self) -> "SignedPermutation":
-        return SignedPermutation.permutation(self.perm)
-
-    def matrix(self) -> list[list[int]]:
-        """Dense n x n matrix; for tests and debugging only."""
-        out = [[0] * self.n for _ in range(self.n)]
-        for i, (s, p) in enumerate(zip(self.signs, self.perm)):
-            out[i][p] = s
-        return out
 
 
 @dataclass(frozen=True, order=True)
@@ -147,21 +119,6 @@ class Isometry:
         _require_same_dim(len(x), self.n, "isometry applied to point")
         return tuple(s * x[p] + c for s, p, c in zip(self.r.signs, self.r.perm, self.v))
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Isometry acting as self after other: factorization (v1 + R1*v2, R1*R2)."""
-        _require_same_dim(self.n, other.n, "isometry composition")
-        return Isometry(
-            tuple(a + b for a, b in zip(self.v, self.r.apply(other.v))),
-            self.r.compose(other.r),
-        )
-
-    def invert(self) -> "Isometry":
-        rinv = self.r.inverse()
-        return Isometry(tuple(-c for c in rinv.apply(self.v)), rinv)
-
-    def is_identity(self) -> bool:
-        return self.is_translation() and not any(self.v)
-
     def is_translation(self) -> bool:
         return self.r.is_identity()
 
@@ -173,25 +130,6 @@ class Isometry:
 
     def is_permutation(self) -> bool:
         return self.is_rotation() and self.r.is_permutation()
-
-
-def project_components(h: Isometry) -> tuple[Isometry, Isometry, Isometry, Isometry]:
-    """Split h into its pure translation, rotation, negation and permutation.
-
-    Composing translation o negation o permutation (in that order) gives
-    back h; each returned isometry is pure.
-    """
-    return (
-        Isometry.translation(h.v),
-        Isometry.rotation(h.r),
-        Isometry.rotation(h.r.negation_part()),
-        Isometry.rotation(h.r.permutation_part()),
-    )
-
-
-def conjugate(a: Isometry, b: Isometry) -> Isometry:
-    """Conjugate of a by b, i.e. b o a o b^-1."""
-    return b.compose(a).compose(b.invert())
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,12 @@ def merge_classes_generators(
         return root
 
     def too_big(root: int) -> ClosureCapExceededError:
+        try:
+            around = str(order[root])
+        except ValueError:  # a coordinate past the int-to-str digit limit
+            around = f"representative {root} in sorted order (too many digits to print)"
         return ClosureCapExceededError(
-            f"class closure around {order[root]} exceeded {closure_cap} elements")
+            f"class closure around {around} exceeded {closure_cap} elements")
 
     if gens and order and closure_cap < 1:
         raise too_big(0)

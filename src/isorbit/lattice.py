@@ -2,8 +2,8 @@
 
 The Hermite normal form identifies a lattice uniquely, so two generating
 sets span the same lattice exactly when their reduced forms are equal, and
-membership tests reduce to exact back-substitution. Everything here is
-integer arithmetic; no floating point is involved anywhere.
+a point reduces modulo the lattice by exact back-substitution. Everything
+here is integer arithmetic; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -34,33 +34,15 @@ class LatticeBasis:
     def m(self) -> int:
         return len(self.hnf_rows)
 
-    def matrix(self) -> list[list[int]]:
-        """The n x m basis matrix with the basis vectors as columns."""
-        return [[row[i] for row in self.hnf_rows] for i in range(self.n)]
-
     @cached_property
     def echelon(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
         """Per row: pivot column c, pivot p and the row's nonzero (index, entry)
-        pairs, found once per basis for the row walks below and in quotient."""
+        pairs, found once per basis for the row walks in quotient."""
         out = []
         for row in self.hnf_rows:
             c = _pivot_col(row)
             out.append((c, row[c], tuple((i, b) for i, b in enumerate(row) if b)))
         return tuple(out)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        """Exact membership of v in the integer span of the basis vectors."""
-        if len(v) != self.n:
-            raise DimensionMismatchError(
-                f"membership test: vector of length {len(v)}, lattice in Z^{self.n}")
-        w = list(v)
-        for c, p, entries in self.echelon:
-            q, rem = divmod(w[c], p)
-            if rem:
-                return False
-            for i, b in entries:
-                w[i] -= q * b
-        return not any(w)
 
 
 def _pivot_col(row: Sequence[int]) -> int:

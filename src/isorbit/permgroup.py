@@ -16,11 +16,6 @@ Perm = tuple[int, ...]
 DEFAULT_MAX_DIMENSION = 10
 
 
-def compose_perms(a: Perm, b: Perm) -> Perm:
-    """Permutation acting as a after b, matching SignedPermutation.compose."""
-    return tuple(b[i] for i in a)
-
-
 @dataclass(frozen=True)
 class PermGroup:
     """All elements of a permutation subgroup, sorted in one-line notation."""
@@ -60,7 +55,7 @@ def generate_perm_group(
         fresh = []
         for a in frontier:
             for g in gen_list:
-                b = compose_perms(a, g)
+                b = tuple(g[i] for i in a)  # the permutation acting as a after g
                 if b not in seen:
                     seen.add(b)
                     fresh.append(b)

@@ -48,6 +48,14 @@ def identity_matrix(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def signed_perm_matrix(r: SignedPermutation) -> Matrix:
+    """The dense n x n matrix of r: row i holds signs[i] in column perm[i]."""
+    out = [[0] * r.n for _ in range(r.n)]
+    for i, (s, p) in enumerate(zip(r.signs, r.perm)):
+        out[i][p] = s
+    return out
+
+
 def bits(s: str) -> int:
     """Parse a bit-vector string, leftmost char standing for coordinate 0."""
     mask = 0

@@ -12,10 +12,11 @@ at a time, kept as a second oracle.
 
 The production reduction walks the Hermite-normal-form echelon over whole
 coordinate columns; reduce_mod_lattice below takes the same steps one point
-at a time. The pseudoinverse reduction below gets its representatives
-another way, from the exact rational coefficients x over the basis,
-x - B*floor(coeff(x)); its representatives differ, but both must split any
-point set into the same translation classes.
+at a time, and lattice_contains walks them to test lattice membership.
+The pseudoinverse reduction below gets its representatives another way,
+from the exact rational coefficients x over the basis, x - B*floor(coeff(x));
+its representatives differ, but both must split any point set into the
+same translation classes.
 
 The CLI checks a points file's shape and the library its points, over
 whole lists, and the CLI writes TSV over whole columns; the per-point
@@ -156,6 +157,23 @@ def reduce_mod_lattice(basis: LatticeBasis, x: Sequence[int]) -> Point:
             for i, b in entries:
                 w[i] -= q * b
     return tuple(w)
+
+
+def lattice_contains(basis: LatticeBasis, v: Sequence[int]) -> bool:
+    """Exact membership of v in the integer span of the basis rows, by the
+    same back-substitution walk, stopping at the first pivot that does not
+    divide."""
+    if len(v) != basis.n:
+        raise DimensionMismatchError(
+            f"membership test: vector of length {len(v)}, lattice in Z^{basis.n}")
+    w = list(v)
+    for c, p, entries in basis.echelon:
+        q, rem = divmod(w[c], p)
+        if rem:
+            return False
+        for i, b in entries:
+            w[i] -= q * b
+    return not any(w)
 
 
 def rotate_mod_lattice(basis: LatticeBasis, r: SignedPermutation, w: Sequence[int]) -> Point:

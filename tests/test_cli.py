@@ -135,9 +135,18 @@ def test_parse_domain_rejects_inverted_box():
         parse_domain('{"box": {"min": [2], "max": [0]}}')
 
 
-def test_parse_domain_box_cap():
+def test_parse_domain_box_cap(tmp_path, capsys):
     with pytest.raises(BoxTooLargeError):
         parse_domain('{"box": {"min": [0, 0], "max": [99, 99]}}', box_cap=100)
+    # a box of exactly box_cap points parses, and one more point does not
+    assert len(parse_domain('{"box": {"min": [0, 0], "max": [9, 9]}}', box_cap=100)) == 100
+    with pytest.raises(BoxTooLargeError):
+        parse_domain('{"box": {"min": [0], "max": [100]}}', box_cap=100)
+    code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--box-cap", "4"])
+    assert code == 0
+    code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--box-cap", "3"])
+    assert code == 1
+    assert _single_json_error(capsys)["error"] == "BoxTooLarge"
 
 
 def test_parse_domain_requires_exactly_one_shape():
@@ -381,9 +390,28 @@ def test_closure_cap_exceeded_is_one_json_error(tmp_path, capsys):
     code, _ = run_main(tmp_path, box + ["--closure-cap", "7"], gens_doc=gens_doc)
     assert code == 1
     err = _single_json_error(capsys)
-    assert err["error"] == "ClosureCapExceeded"
+    assert err == {"error": "ClosureCapExceeded",
+                   "message": "class closure around (1, 2) exceeded 7 elements"}
     code, _ = run_main(tmp_path, box + ["--closure-cap", "8"], gens_doc=gens_doc)
     assert code == 0
+
+
+def test_closure_cap_past_the_digit_limit_is_one_json_error(tmp_path, capsys):
+    # each literal is under the 4,300-digit parse limit, but the representative
+    # whose orbit trips the cap has a coordinate of about 6,000 digits
+    big = "1" + "0" * 3000
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 1]}, '
+                    '{"type": "translation", "v": [1, %s]}, '
+                    '{"type": "negation", "signs": [-1, -1]}]}' % (big, big),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--gens", str(gens), "--box", "0..1,0..0", "--closure-cap", "1",
+                 "--format", "tsv", "--output", str(out)]) == 1
+    assert not out.exists()
+    err = _single_json_error(capsys)
+    assert err["error"] == "ClosureCapExceeded"
+    assert "too many digits to print" in err["message"]
 
 
 def _single_json_error(capsys):

@@ -3,7 +3,14 @@ from random import Random
 
 import pytest
 
-from conftest import bits, gf2_span, random_signed_permutation
+from conftest import (
+    bits,
+    gf2_span,
+    mat_mul,
+    mat_transpose,
+    random_signed_permutation,
+    signed_perm_matrix,
+)
 from isorbit import (
     DimensionMismatchError,
     SignedPermutation,
@@ -11,7 +18,7 @@ from isorbit import (
     negation_basis_from_generators,
     rref,
 )
-from isorbit.gf2 import mask_of, permute_mask
+from isorbit.gf2 import permute_mask
 from reference import enumerate_negations, negation_basis_from_group, negation_of
 
 
@@ -62,10 +69,11 @@ def test_permute_mask_matches_rotation_conjugation():
         mask = rng.randrange(1 << n)
         p = list(range(n))
         rng.shuffle(p)
-        rot = SignedPermutation.permutation(tuple(p))
-        conjugated = rot.compose(negation_of(mask, n)).compose(rot.inverse())
-        assert conjugated.is_negation()
-        assert mask_of(conjugated) == permute_mask(mask, p)
+        rot = signed_perm_matrix(SignedPermutation.permutation(tuple(p)))
+        # R N R^-1, with R^-1 = R^T for the orthogonal R
+        conjugated = mat_mul(mat_mul(rot, signed_perm_matrix(negation_of(mask, n))),
+                             mat_transpose(rot))
+        assert conjugated == signed_perm_matrix(negation_of(permute_mask(mask, p), n))
 
 
 def test_negation_basis_single_flip_with_full_symmetric_group():
@@ -105,7 +113,7 @@ def test_negation_basis_variants_agree():
     rng = Random(203)
     for _ in range(60):
         n = rng.randint(1, 6)
-        negs = [random_signed_permutation(rng, n).negation_part()
+        negs = [SignedPermutation.negation(random_signed_permutation(rng, n).signs)
                 for _ in range(rng.randint(0, 2))]
         perm_gens = []
         for _ in range(rng.randint(0, 2)):
@@ -149,10 +157,10 @@ def test_enumerate_negations_size_and_purity():
 def test_enumerated_negations_closed_and_normal():
     perms = list(itertools.permutations(range(3)))
     basis = negation_basis_from_group([neg(-1, 1, 1)], perms, 3)
-    members = set(enumerate_negations(basis))
+    members = [signed_perm_matrix(m) for m in enumerate_negations(basis)]
+    rots = [signed_perm_matrix(SignedPermutation.permutation(p)) for p in perms]
     for a in members:
         for b in members:
-            assert a.compose(b) in members
-        for p in perms:
-            rot = SignedPermutation.permutation(p)
-            assert rot.compose(a).compose(rot.inverse()) in members
+            assert mat_mul(a, b) in members
+        for rot in rots:
+            assert mat_mul(mat_mul(rot, a), mat_transpose(rot)) in members

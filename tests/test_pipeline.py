@@ -3,6 +3,7 @@ import tracemalloc
 from random import Random
 
 from conftest import random_sweep_instance
+import isorbit
 from isorbit import (
     Isometry,
     SignedPermutation,
@@ -104,3 +105,23 @@ def test_lattice_shifted_window_has_same_class_sizes():
     labeling_shifted = compute_orbits(gens, shifted)
     assert sorted(len(c) for c in labeling.partition()) == \
         sorted(len(c) for c in labeling_shifted.partition())
+
+
+def test_public_api_is_what_a_run_calls():
+    assert isorbit.__all__ == sorted(set(isorbit.__all__))
+    assert isorbit.__all__ == [
+        "BoxTooLargeError", "ClosureCapExceededError", "DigitLimitExceededError",
+        "DimensionMismatchError", "DimensionTooLargeError", "GeneratingSet", "Gf2Basis",
+        "InputError", "InvalidDomainError", "InvalidRotationError", "Isometry",
+        "IsorbitError", "IterationCapExceededError", "LatticeBasis", "NotAtomicError",
+        "NotStabilizedError", "OrbitLabeling", "PermGroup", "Point", "SignedPermutation",
+        "Stage1", "bfs_orbits", "compute_labeling", "compute_orbits", "finalize_labels",
+        "generate_perm_group", "hnf_reduce", "merge_classes_generators",
+        "negation_basis_from_generators", "reduce_points", "rref", "run_stage1",
+        "stabilized_bfs_orbits", "translation_basis_from_generators", "validate_atomic",
+    ]
+    for name in isorbit.__all__:
+        assert getattr(isorbit, name) is not None
+    # the isometry algebra no run calls is gone, not just unexported
+    assert not hasattr(isorbit, "conjugate")
+    assert not hasattr(isorbit, "project_components")

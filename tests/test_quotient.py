@@ -17,6 +17,7 @@ from reference import (
     build_pseudoinverse,
     coefficient_numerators,
     floor_ratio,
+    lattice_contains,
     pinv_reduce_mod_lattice,
     reduce_mod_lattice,
 )
@@ -50,11 +51,10 @@ def test_floor_ratio():
 def test_pseudoinverse_is_left_inverse_scaled():
     basis = hnf_reduce([(2, 0), (0, 2)], 2)
     pinv = build_pseudoinverse(basis)
-    # M * B == gram_det * identity
-    b_cols = basis.matrix()
+    # M * B == gram_det * identity, B's columns being the Hermite rows
     for i in range(pinv.m):
         for j in range(basis.m):
-            got = sum(pinv.adjugate_product[i][k] * b_cols[k][j] for k in range(2))
+            got = sum(pinv.adjugate_product[i][k] * basis.hnf_rows[j][k] for k in range(2))
             assert got == pinv.gram_det * int(i == j)
     # and the encoded map is halving: coefficients of x are x/2
     assert coefficient_numerators(pinv, (3, -1)) == \
@@ -86,10 +86,10 @@ def test_pseudoinverse_left_inverse_on_random_bases():
         basis = hnf_reduce(rows, n)
         pinv = build_pseudoinverse(basis)
         assert pinv.gram_det > 0
-        b_cols = basis.matrix()
         for i in range(pinv.m):
             for j in range(basis.m):
-                got = sum(pinv.adjugate_product[i][k] * b_cols[k][j] for k in range(n))
+                got = sum(pinv.adjugate_product[i][k] * basis.hnf_rows[j][k]
+                          for k in range(n))
                 assert got == pinv.gram_det * int(i == j)
 
 
@@ -139,7 +139,7 @@ def test_reduce_properties_on_random_instances():
             # idempotent
             assert reduce_mod_lattice(basis, rep) == rep
             # difference is a lattice member
-            assert basis.contains(tuple(a - b for a, b in zip(x, rep)))
+            assert lattice_contains(basis, tuple(a - b for a, b in zip(x, rep)))
             # representative pivot coordinates lie in [0, pivot)
             for c, p in pivots(basis):
                 assert 0 <= rep[c] < p
@@ -160,8 +160,8 @@ def test_equal_representatives_imply_lattice_difference():
         buckets.setdefault(reduce_mod_lattice(basis, x), []).append(x)
     for rep, members in buckets.items():
         for x in members:
-            assert basis.contains(tuple(a - b for a, b in zip(x, rep)))
-            assert basis.contains(tuple(a - b for a, b in zip(x, members[0])))
+            assert lattice_contains(basis, tuple(a - b for a, b in zip(x, rep)))
+            assert lattice_contains(basis, tuple(a - b for a, b in zip(x, members[0])))
 
 
 def test_reduce_points_example():
