@@ -37,7 +37,7 @@ import gc
 import itertools
 import json
 import sys
-from operator import itemgetter
+from operator import add
 from pathlib import Path
 from typing import Sequence
 
@@ -180,11 +180,11 @@ def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
 
 def _point_template(n: int, depth: int) -> str:
     """A point as json.dumps(indent=2) lays it out at the given depth, with
-    a "{}" slot per coordinate."""
+    a "%d" slot per coordinate."""
     if n == 0:
         return "[]"
     inner = "  " * (depth + 1)
-    return "[\n" + ",\n".join([inner + "{}"] * n) + "\n" + "  " * depth + "]"
+    return "[\n" + ",\n".join([inner + "%d"] * n) + "\n" + "  " * depth + "]"
 
 
 def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
@@ -193,7 +193,7 @@ def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
 
     With indent set, the json module falls back to its pure-Python encoder,
     so only the small header goes through it. The whole document is then
-    one format string, built from per-depth point templates and filled in
+    one %-template, built from per-depth point templates and filled in
     one call.
 
     The points come from the input, within Python's int-to-str digit
@@ -212,45 +212,35 @@ def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
             "a stage-1 diagnostic (a Hermite basis entry or the rotation order) "
             "has more decimal digits than Python converts to text; "
             "--format tsv writes only the points and their labels") from e
-    labels = sorted(labeling.classes)
-    if not labels:
+    classes = labeling.classes
+    if not classes:
         return head + "\n"
     n = stage1.gens.n
-    label_t = _point_template(n, 3)
     member_t = "        " + _point_template(n, 4)
-    opening = '    {{\n      "label": ' + label_t + ',\n      "members": [\n'
-    closing = "\n      ]\n    }}"
+    opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
+    closing = "\n      ]\n    }"
     template = "".join([
-        head[:-len("[]\n}")].replace("{", "{{").replace("}", "}}"),
+        head[:-len("[]\n}")].replace("%", "%%"),
         "[\n",
         ",\n".join(
-            opening + ",\n".join([member_t] * len(labeling.classes[label])) + closing
-            for label in labels),
-        "\n  ]\n}}\n",
+            opening + ",\n".join([member_t] * len(members)) + closing
+            for members in classes.values()),
+        "\n  ]\n}\n",
     ])
-    coords = [c for label in labels for p in (label, *labeling.classes[label]) for c in p]
-    return template.format(*coords)
+    points = itertools.chain.from_iterable(
+        (label, *members) for label, members in classes.items())
+    return template % tuple(itertools.chain.from_iterable(points))
 
 
 def render_tsv(labeling: OrbitLabeling) -> str:
-    """One "point TAB label" line per point, in sorted point order.
-
-    Every line is one format call, fed from the coordinate columns of the
-    points and of their labels.
-    """
-    points = sorted(labeling.labels)
+    """One "point TAB label" line per point, in sorted point order: a
+    %-template filled from each point joined to its label."""
+    points = labeling.points
     if not points:
         return ""
-    n = len(points[0])
-    half = ",".join(["{}"] * n)
+    half = ",".join(["%d"] * len(points[0]))
     line = half + "\t" + half + "\n"
-    if n == 0:
-        return line * len(points)
-    labels = list(map(labeling.labels.__getitem__, points))
-    return "".join(map(
-        line.format,
-        *[map(itemgetter(j), points) for j in range(n)],
-        *[map(itemgetter(j), labels) for j in range(n)]))
+    return "".join(map(line.__mod__, map(add, points, labeling.point_labels)))
 
 
 def _emit_error(code: str, message: str, **extra) -> None:
@@ -344,7 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse the command line and run it with the cyclic collector off; the
-    collector's state is restored on the way out."""
+    collector's state is restored on the way out. A spaced "--box SPEC" is
+    first glued into "--box=SPEC", or argparse would read a spec with a
+    negative first bound, such as -1..0,0..1, as an option."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--box":
+            argv[i:i + 2] = ["--box=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     enabled = gc.isenabled()
     gc.disable()

@@ -17,12 +17,17 @@ the indices 0..R-1 in sorted order and cell points found later get larger
 ones, so the root of every orbit is its smallest representative: the
 witness. The closure cap bounds the cell points of one union-find
 component, hence of one orbit; memory holds all visited orbits together.
+
+Final labels take one sort of the points: the first point seen with a given
+witness is its class minimum, and labels every point of the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter, neg
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ClosureCapExceededError, DimensionMismatchError
@@ -126,15 +131,33 @@ def merge_classes_generators(
 
 @dataclass(frozen=True)
 class OrbitLabeling:
-    """Final output: each input point mapped to its class label.
+    """Final output: the distinct input points, sorted, and their labels.
 
     Labels are canonicalized to the lexicographically smallest member of the
     class, so equal partitions give byte-identical output no matter how the
-    classes were discovered.
+    classes were discovered. labels and classes are read-only views of the
+    two columns, built on first use and cached.
     """
 
-    labels: Mapping[Point, Point]
-    classes: Mapping[Point, tuple[Point, ...]]
+    points: tuple[Point, ...]
+    point_labels: tuple[Point, ...]
+
+    @cached_property
+    def labels(self) -> Mapping[Point, Point]:
+        return MappingProxyType(dict(zip(self.points, self.point_labels)))
+
+    @cached_property
+    def classes(self) -> Mapping[Point, tuple[Point, ...]]:
+        """Each label's members. One pass over the sorted points fills it,
+        so the members and the labels come out sorted."""
+        members: dict[Point, list[Point]] = {
+            label: [] for label in dict.fromkeys(self.point_labels)}
+        for x, label in zip(self.points, self.point_labels):
+            members[label].append(x)
+        return MappingProxyType({label: tuple(m) for label, m in members.items()})
+
+    def __getstate__(self) -> dict:  # pickle the columns; the views are rebuilt
+        return {"points": self.points, "point_labels": self.point_labels}
 
     def partition(self) -> set[frozenset[Point]]:
         return {frozenset(members) for members in self.classes.values()}
@@ -144,15 +167,9 @@ def finalize_labels(
     assignment: Mapping[Point, Point],
     witness: Mapping[Point, Point],
 ) -> OrbitLabeling:
-    """Compose the two stages and canonicalize labels to class minima."""
-    groups: dict[Point, list[Point]] = {}
-    for x, rep in assignment.items():
-        groups.setdefault(witness[rep], []).append(x)
-    labels: dict[Point, Point] = {}
-    classes: dict[Point, tuple[Point, ...]] = {}
-    for members in sorted(sorted(g) for g in groups.values()):
-        label = members[0]
-        classes[label] = tuple(members)
-        for x in members:
-            labels[x] = label
-    return OrbitLabeling(labels, classes)
+    """Compose the two stages and canonicalize labels to class minima, in
+    one pass over the sorted points."""
+    points = sorted(assignment)
+    first: dict[Point, Point] = {}
+    roots = map(witness.__getitem__, map(assignment.__getitem__, points))
+    return OrbitLabeling(tuple(points), tuple(map(first.setdefault, roots, points)))

@@ -22,7 +22,10 @@ The CLI checks a points file's shape and the library its points, over
 whole lists, and the CLI writes TSV over whole columns; the per-point
 parser and the line-by-line TSV writer at the end of this file check and
 write one point at a time, and must name the same first bad point, or
-give the same points and bytes.
+give the same points and bytes. dumps_reference writes the JSON document
+through the json module. per_class_finalize_labels is the earlier label
+finalisation, which sorts each class and then the classes; the production
+one sorts the points once and must give the same labels and classes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from isorbit import (
     DimensionMismatchError,
@@ -421,3 +424,43 @@ def line_by_line_render_tsv(labeling: OrbitLabeling) -> str:
         for x in sorted(labeling.labels)
     ]
     return "".join(line + "\n" for line in lines)
+
+
+def dumps_reference(stage1, labeling) -> str:
+    """The document render_json must encode, through the json module, with
+    the classes grouped here from the labels mapping."""
+    classes = {}
+    for x in sorted(labeling.labels):
+        classes.setdefault(labeling.labels[x], []).append(x)
+    doc = {
+        "n": stage1.gens.n,
+        "rank_m": stage1.basis.m,
+        "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
+        "rotation_order": stage1.rotation_order,
+        "classes": [
+            {"label": list(label), "members": [list(p) for p in members]}
+            for label, members in sorted(classes.items())
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def per_class_finalize_labels(
+    assignment: Mapping[Point, Point],
+    witness: Mapping[Point, Point],
+) -> tuple[dict[Point, Point], dict[Point, tuple[Point, ...]]]:
+    """The labels and classes by grouping the points per witness, then
+    sorting each class and the classes: (labels, classes), the classes
+    keyed in sorted label order. A witness missing for a representative
+    is a KeyError."""
+    groups: dict[Point, list[Point]] = {}
+    for x, rep in assignment.items():
+        groups.setdefault(witness[rep], []).append(x)
+    labels: dict[Point, Point] = {}
+    classes: dict[Point, tuple[Point, ...]] = {}
+    for members in sorted(sorted(g) for g in groups.values()):
+        label = members[0]
+        classes[label] = tuple(members)
+        for x in members:
+            labels[x] = label
+    return labels, classes

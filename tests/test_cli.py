@@ -13,6 +13,7 @@ from isorbit import (
     InvalidRotationError,
     NotAtomicError,
     SignedPermutation,
+    compute_labeling,
 )
 import isorbit.cli
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
@@ -180,6 +181,41 @@ def test_run_json_output(tmp_path):
         {"label": [0, 0], "members": [[0, 0], [1, 1]]},
         {"label": [0, 1], "members": [[0, 1], [1, 0]]},
     ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_box_with_a_negative_first_bound_spaced_or_glued(tmp_path, fmt):
+    # on its own, argparse reads a spaced "-1..0,0..1" as an option
+    outputs = []
+    for name, box in [("spaced", ["--box", "-1..0,0..1"]), ("glued", ["--box=-1..0,0..1"])]:
+        code, out = run_main(tmp_path, box + ["--format", fmt], name=name)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if fmt == "tsv":
+        points = [line.split("\t")[0] for line in outputs[0].decode().splitlines()]
+        assert points == ["-1,0", "-1,1", "0,0", "0,1"]
+
+
+def test_box_without_its_spec_is_a_bad_command_line(tmp_path):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    with pytest.raises(SystemExit) as e:
+        main(["--gens", gens, "--box"])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("fmt,built", [("tsv", set()), ("json", {"classes"})])
+def test_run_builds_only_the_view_its_renderer_reads(tmp_path, monkeypatch, fmt, built):
+    labelings = []
+
+    def keep(*args):
+        labelings.append(compute_labeling(*args))
+        return labelings[-1]
+
+    monkeypatch.setattr(isorbit.cli, "compute_labeling", keep)
+    code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--format", fmt])
+    assert code == 0
+    assert {"labels", "classes"} & set(vars(labelings[0])) == built
 
 
 def test_run_tsv_encodes_the_same_partition(tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 from random import Random
 
 import pytest
@@ -191,6 +192,24 @@ def test_finalize_empty():
 def test_finalize_inconsistent_inputs_is_an_error():
     with pytest.raises(KeyError):
         finalize_labels({(0, 0): (0, 0)}, {})
+
+
+def test_views_are_cached_read_only_and_outside_equality():
+    assignment = {(5, 0): (5, 0), (1, 0): (1, 0), (3, 0): (3, 0), (2, 2): (2, 2)}
+    witness = {(5, 0): (5, 0), (1, 0): (5, 0), (3, 0): (5, 0), (2, 2): (2, 2)}
+    labeling = finalize_labels(assignment, witness)
+    assert labeling.points == ((1, 0), (2, 2), (3, 0), (5, 0))
+    assert labeling.point_labels == ((1, 0), (2, 2), (1, 0), (1, 0))
+    assert labeling.labels is labeling.labels
+    assert labeling.classes is labeling.classes
+    with pytest.raises(TypeError):
+        labeling.labels[(0, 0)] = (0, 0)
+    with pytest.raises(TypeError):
+        labeling.classes[(0, 0)] = ((0, 0),)
+    # equality is on the columns, whichever views were built
+    assert labeling == finalize_labels(assignment, witness)
+    copied = pickle.loads(pickle.dumps(labeling))
+    assert copied == labeling and copied.classes == labeling.classes
 
 
 def test_labels_canonical_to_class_minimum():

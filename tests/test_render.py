@@ -10,32 +10,14 @@ import pytest
 
 from isorbit import OrbitLabeling, compute_labeling, run_stage1, validate_atomic
 from isorbit.cli import main, parse_generators, render_json, render_tsv
-from reference import line_by_line_render_tsv
-
-
-def dumps_reference(stage1, labeling) -> str:
-    """The document render_json must encode, through the json module."""
-    doc = {
-        "n": stage1.gens.n,
-        "rank_m": stage1.basis.m,
-        "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
-        "rotation_order": stage1.rotation_order,
-        "classes": [
-            {"label": list(label), "members": [list(p) for p in labeling.classes[label]]}
-            for label in sorted(labeling.classes)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+from reference import dumps_reference, line_by_line_render_tsv
 
 
 def labeling_of(groups) -> OrbitLabeling:
     """An OrbitLabeling with the given classes, labelled by their minima."""
-    labels, classes = {}, {}
-    for members in sorted(sorted(set(g)) for g in groups if g):
-        classes[members[0]] = tuple(members)
-        for x in members:
-            labels[x] = members[0]
-    return OrbitLabeling(labels, classes)
+    labels = {x: min(g) for g in groups for x in g}
+    points = sorted(labels)
+    return OrbitLabeling(tuple(points), tuple(map(labels.__getitem__, points)))
 
 
 def stage1_for(n, rng):
