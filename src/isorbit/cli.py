@@ -164,17 +164,22 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
 
 
 def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
-    """Expand an inline box spec like "0..1,-2..3" into its points."""
+    """Expand an inline box spec like "0..1,-2..3" into its points. Bounds
+    are ASCII -?[0-9]+; int() alone would take " 1", "1_0" and other digits."""
     lo, hi = [], []
-    for axis in spec.split(","):
+    for i, axis in enumerate(spec.split(",")):
         parts = axis.split("..")
         if len(parts) != 2:
-            raise InputError(f"bad box axis {axis!r}; expected lo..hi")
+            raise InputError(f"bad box axis {i} {axis!r}; expected lo..hi")
+        for bound in parts:
+            digits = bound[1:] if bound[:1] == "-" else bound
+            if not (digits.isascii() and digits.isdigit()):
+                raise InputError(f"bad box axis {i} {axis!r}: {bound!r} is not an integer")
         try:
             lo.append(int(parts[0]))
             hi.append(int(parts[1]))
         except ValueError as e:
-            raise InputError(f"bad box axis {axis!r}: {e}") from e
+            raise InputError(f"bad box axis {i} {axis!r}: {e}") from e
     return expand_box(lo, hi, box_cap)
 
 

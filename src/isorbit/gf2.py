@@ -8,9 +8,9 @@ operations are single XORs on machine words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimensionMismatchError
 from .isometry import SignedPermutation
 
@@ -37,7 +37,7 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Gf2Basis:
     """Basis of a subspace of GF(2)^n in reduced row echelon form.
 

@@ -13,9 +13,9 @@ arbitrary precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimensionMismatchError, InputError, InvalidRotationError, NotAtomicError
 
 Point = tuple[int, ...]
@@ -36,7 +36,7 @@ def _require_same_dim(a: int, b: int, what: str) -> None:
         raise DimensionMismatchError(f"{what}: dimension {a} does not match {b}")
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class SignedPermutation:
     """Rotation of Z^n stored compactly as a sign vector and a permutation.
 
@@ -88,7 +88,7 @@ class SignedPermutation:
         return all(s == 1 for s in self.signs)
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class Isometry:
     """Isometry of Z^n in its unique translation/rotation factorization."""
 
@@ -132,7 +132,7 @@ class Isometry:
         return self.is_rotation() and self.r.is_permutation()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratingSet:
     """An atomic generating set, partitioned into its three pure kinds."""
 

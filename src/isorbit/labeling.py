@@ -24,12 +24,12 @@ witness is its class minimum, and labels every point of the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record
 from .errors import ClosureCapExceededError, DimensionMismatchError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
@@ -129,7 +129,7 @@ def merge_classes_generators(
     return {p: order[find(i)] for i, p in enumerate(order)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrbitLabeling:
     """Final output: the distinct input points, sorted, and their labels.
 

@@ -8,15 +8,15 @@ here is integer arithmetic; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimensionMismatchError, IterationCapExceededError
 from .isometry import Point, SignedPermutation, int_tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatticeBasis:
     """Basis of a sublattice of Z^n in canonical row-style Hermite normal form.
 

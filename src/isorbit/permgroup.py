@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimensionTooLargeError, InvalidRotationError
 from .isometry import int_tuple
 
@@ -16,7 +16,7 @@ Perm = tuple[int, ...]
 DEFAULT_MAX_DIMENSION = 10
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PermGroup:
     """All elements of a permutation subgroup, sorted in one-line notation."""
 

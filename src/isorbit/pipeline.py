@@ -8,9 +8,9 @@ never enumerate the rotation subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import record
 from .gf2 import Gf2Basis, negation_basis_from_generators
 from .isometry import GeneratingSet
 from .labeling import (
@@ -24,7 +24,7 @@ from .permgroup import DEFAULT_MAX_DIMENSION, generate_perm_group
 from .quotient import reduce_points
 
 
-@dataclass
+@record
 class Stage1:
     """Precomputation that depends only on the generating set."""
 

@@ -204,6 +204,25 @@ def test_box_without_its_spec_is_a_bad_command_line(tmp_path):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("glued", [False, True])
+@pytest.mark.parametrize("spec,axis", [
+    ("0..1_0,0..0", "0 '0..1_0'"),  # int() reads 1_0 as 10
+    ("0..0,0..٣", "1 '0..٣'"),  # an Arabic-Indic three
+    (" 0.. 1,0..0", "0 ' 0.. 1'"),
+    ("0..0,+1..2", "1 '+1..2'"),
+    ("0..0,--1..0", "1 '--1..0'"),
+    ("0..0,-..0", "1 '-..0'"),
+    ("0..0,0..", "1 '0..'"),
+])
+def test_box_bounds_are_ascii_integers(tmp_path, capsys, glued, spec, axis):
+    box = ["--box=" + spec] if glued else ["--box", spec]
+    code, out = run_main(tmp_path, box)
+    assert code == 1 and not out.exists()
+    err = _single_json_error(capsys)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"bad box axis {axis}")
+
+
 @pytest.mark.parametrize("fmt,built", [("tsv", set()), ("json", {"classes"})])
 def test_run_builds_only_the_view_its_renderer_reads(tmp_path, monkeypatch, fmt, built):
     labelings = []
