@@ -43,7 +43,7 @@ from .labeling import (
 )
 from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
-from .permgroup import PermGroup, generate_perm_group
+from .permgroup import perm_group_order
 from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1
 from .quotient import reduce_points
 
@@ -67,7 +67,6 @@ __all__ = [
     "NotAtomicError",
     "NotStabilizedError",
     "OrbitLabeling",
-    "PermGroup",
     "Point",
     "SignedPermutation",
     "Stage1",
@@ -75,10 +74,10 @@ __all__ = [
     "compute_labeling",
     "compute_orbits",
     "finalize_labels",
-    "generate_perm_group",
     "hnf_reduce",
     "merge_classes_generators",
     "negation_basis_from_generators",
+    "perm_group_order",
     "reduce_points",
     "rref",
     "run_stage1",

@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {DEFAULT_MAX_PADDING})")
     parser.add_argument("--max-dimension", type=_positive_int,
                         default=DEFAULT_MAX_DIMENSION, metavar="N",
-                        help="permutation-closure dimension cap, positive "
+                        help="permutation-group dimension cap, positive "
                         f"(default: {DEFAULT_MAX_DIMENSION})")
     parser.add_argument("--closure-cap", type=_positive_int, default=DEFAULT_CLOSURE_CAP,
                         metavar="N", help="size cap of one orbit's closure, positive "

@@ -20,7 +20,7 @@ from .labeling import (
     merge_classes_generators,
 )
 from .lattice import LatticeBasis, translation_basis_from_generators
-from .permgroup import DEFAULT_MAX_DIMENSION, generate_perm_group
+from .permgroup import DEFAULT_MAX_DIMENSION, perm_group_order
 from .quotient import reduce_points
 
 
@@ -43,13 +43,11 @@ def run_stage1(gens: GeneratingSet, max_dimension: int = DEFAULT_MAX_DIMENSION) 
     translation-lattice basis for the generating set.
 
     Without a permutation generator the subgroup is the identity alone and
-    nothing is closed, so the work does not grow with n.
+    no stabilizer chain is built, so the work does not grow with n.
     """
     n = gens.n
     perm_tuples = [g.r.perm for g in gens.permutations]
-    perm_order = 1
-    if perm_tuples:
-        perm_order = generate_perm_group(perm_tuples, n, max_dimension).order
+    perm_order = perm_group_order(perm_tuples, n, max_dimension)
     neg_basis = negation_basis_from_generators(gens.negation_rotations(), perm_tuples, n)
     basis = translation_basis_from_generators(
         gens.translation_vectors(), gens.rotation_generators(), n)

@@ -75,6 +75,15 @@ def gf2_span(masks) -> set[int]:
     return span
 
 
+def cycle(n: int, points) -> tuple[int, ...]:
+    """The permutation of 0..n-1 that sends each of the points to the next
+    one, the last to the first, and fixes the rest."""
+    p = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        p[a] = b
+    return tuple(p)
+
+
 def random_signed_permutation(rng: Random, n: int) -> SignedPermutation:
     perm = list(range(n))
     rng.shuffle(perm)

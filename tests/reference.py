@@ -1,11 +1,14 @@
 """Explicit-group and pseudoinverse references for the production pipeline.
 
 The production path in ``isorbit`` never enumerates a group: it runs
-fixed-point loops over the generators. The functions here do the same jobs
-the direct way, by listing the whole rotation subgroup and sweeping it.
-They are slower, but they depend on nothing the production loops do, so
-tests compare the two: negation basis, translation lattice, rotation order
-and the merge witnesses must all agree. The production merge closes every
+fixed-point loops over the generators, and takes the order of the
+permutation subgroup from a Schreier–Sims stabilizer chain. The functions
+here do the same jobs the direct way: generate_perm_group closes the
+permutation generators breadth-first into every element of their subgroup,
+and the whole rotation subgroup is listed and swept. They are slower, but
+they depend on nothing the production loops do, so tests compare the two:
+negation basis, translation lattice, permutation and rotation orders and
+the merge witnesses must all agree. The production merge closes every
 orbit at once with a union-find over coordinate columns; closure_merge_classes
 below is the earlier form of it, one witness's closure at a time, one point
 at a time, kept as a second oracle.
@@ -43,18 +46,52 @@ from isorbit import (
     LatticeBasis,
     OrbitLabeling,
     ClosureCapExceededError,
-    PermGroup,
     Point,
     SignedPermutation,
     Stage1,
     finalize_labels,
-    generate_perm_group,
     hnf_reduce,
     reduce_points,
     rref,
 )
 from isorbit.gf2 import mask_of, permute_mask
 from isorbit.labeling import DEFAULT_CLOSURE_CAP
+
+
+@dataclass(frozen=True)
+class PermGroup:
+    """All elements of a permutation subgroup, sorted in one-line notation."""
+
+    n: int
+    elements: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def generate_perm_group(gens: Iterable[Sequence[int]], n: int) -> PermGroup:
+    """Breadth-first closure of the generators into the whole subgroup.
+
+    Every element of a finite group is a product of generators (inverses are
+    positive powers), so the frontier walk below reaches everything. The
+    closure of no generator is the identity alone. It holds up to n!
+    tuples, so it is for small n only.
+    """
+    gen_list = sorted({tuple(g) for g in gens})
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gen_list:
+                b = tuple(g[i] for i in a)  # the permutation acting as a after g
+                if b not in seen:
+                    seen.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return PermGroup(n, tuple(sorted(seen)))
 
 
 def negation_of(mask: int, n: int) -> SignedPermutation:

@@ -1,7 +1,9 @@
 import gc
 import json
+import math
 import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -17,6 +19,7 @@ from isorbit import (
 )
 import isorbit.cli
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
+from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 
 DIAGONAL_DOC = {
     "n": 2,
@@ -351,37 +354,71 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     assert capsys.readouterr().out == "0,0\t0,0\n"
 
 
+def _dimension_doc(n, *generators):
+    return {"n": n, "generators": [
+        {"type": "permutation", "perm": [1, 0] + list(range(2, n))}, *generators]}
+
+
 def test_dimension_cap_flag(tmp_path, capsys):
-    # n = 11 exceeds the default closure cap; raising the cap unblocks it
-    gens_doc = {"n": 11, "generators": [
-        {"type": "permutation", "perm": [1, 0] + list(range(2, 11))}]}
-    box11 = ",".join(["0..0"] * 11)
-    code, _ = run_main(tmp_path, ["--box", box11], gens_doc=gens_doc, name="capped")
+    # one past the default permutation-group cap; raising the cap unblocks it
+    n = DEFAULT_MAX_DIMENSION + 1
+    box = ",".join(["0..0"] * n)
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n), name="capped")
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "DimensionTooLarge"
+    assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
     code, out = run_main(
-        tmp_path, ["--box", box11, "--max-dimension", "11"],
-        gens_doc=gens_doc, name="uncapped")
+        tmp_path, ["--box", box, "--max-dimension", str(n)],
+        gens_doc=_dimension_doc(n), name="uncapped")
     assert code == 0
-    assert len(json.loads(out.read_text())["classes"]) == 1
+    doc = json.loads(out.read_text())
+    assert len(doc["classes"]) == 1 and doc["rotation_order"] == 2
 
 
 def test_dimension_cap_only_where_a_closure_is_built(tmp_path, capsys):
-    # without a permutation generator there is nothing to close in Z^11
-    e1 = [1] + [0] * 10
-    flip0 = [-1] + [1] * 10
-    gens_doc = {"n": 11, "generators": [
-        {"type": "translation", "v": e1}, {"type": "negation", "signs": flip0}]}
-    box = ",".join(["0..1"] + ["0..0"] * 10)
+    # without a permutation generator there is no group to build, past the cap
+    n = DEFAULT_MAX_DIMENSION + 1
+    e0 = [1] + [0] * (n - 1)
+    flip0 = [-1] + [1] * (n - 1)
+    gens_doc = {"n": n, "generators": [
+        {"type": "translation", "v": e0}, {"type": "negation", "signs": flip0}]}
+    box = ",".join(["0..1"] + ["0..0"] * (n - 1))
     code, out = run_main(tmp_path, ["--box", box], gens_doc=gens_doc, name="free")
     assert code == 0
     assert json.loads(out.read_text())["classes"] == [
-        {"label": [0] * 11, "members": [[0] * 11, e1]}]
-    swap_doc = {"n": 11, "generators": [
-        {"type": "permutation", "perm": [1, 0] + list(range(2, 11))}]}
-    code, _ = run_main(tmp_path, ["--box", box], gens_doc=swap_doc, name="swap")
+        {"label": [0] * n, "members": [[0] * n, e0]}]
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n), name="swap")
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "DimensionTooLarge"
+    assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
+
+
+def test_dimension_far_past_the_cap_is_one_json_error(tmp_path, capsys):
+    # the message once printed n!, which has more than 4,300 digits here
+    n = 2000
+    box = ",".join(["0..0"] * n)
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n))
+    assert code == 1 and not out.exists()
+    err = _single_json_error(capsys)
+    assert err["error"] == "DimensionTooLarge" and len(err["message"]) < 100
+
+
+def test_default_dimension_with_many_random_permutations(tmp_path):
+    # at the cap: 20 random permutations, a negation and a translation
+    n = DEFAULT_MAX_DIMENSION
+    rng = Random(304)
+    perms = [rng.sample(range(n), n) for _ in range(20)]
+    gens_doc = {"n": n, "generators": [
+        *({"type": "permutation", "perm": p} for p in perms),
+        {"type": "negation", "signs": [-1] + [1] * (n - 1)},
+        {"type": "translation", "v": [1] + [0] * (n - 1)}]}
+    box = ",".join(["0..1"] * 2 + ["0..0"] * (n - 2))
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=gens_doc)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    # the permutations generate the alternating group, or the symmetric one
+    # if any is odd; either way the flip of e0 is conjugated onto every axis
+    odd = any(sum(1 for i in range(n) for j in range(i) if p[j] > p[i]) % 2 for p in perms)
+    perm_order = math.factorial(n) // (1 if odd else 2)
+    assert doc["rotation_order"] == 2 ** n * perm_order
 
 
 def test_usage_error_for_conflicting_domains(tmp_path):

@@ -14,12 +14,16 @@ from conftest import (
 from isorbit import (
     DimensionMismatchError,
     SignedPermutation,
-    generate_perm_group,
     negation_basis_from_generators,
     rref,
 )
 from isorbit.gf2 import permute_mask
-from reference import enumerate_negations, negation_basis_from_group, negation_of
+from reference import (
+    enumerate_negations,
+    generate_perm_group,
+    negation_basis_from_group,
+    negation_of,
+)
 
 
 def neg(*signs):

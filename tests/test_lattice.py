@@ -9,13 +9,14 @@ from isorbit import (
     InputError,
     IterationCapExceededError,
     SignedPermutation,
-    generate_perm_group,
     hnf_reduce,
     translation_basis_from_generators,
 )
+from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from reference import (
     assemble_rotation_group,
     enumerate_negations,
+    generate_perm_group,
     lattice_contains,
     negation_basis_from_group,
     translation_basis_from_group,
@@ -160,6 +161,25 @@ def test_generators_variant_iteration_cap():
         translation_basis_from_generators(
             [(1, 0, 0)], [SignedPermutation.permutation((2, 0, 1))], 3,
             max_iterations=1)
+
+
+@pytest.mark.parametrize("n", [10, 16, DEFAULT_MAX_DIMENSION])
+@pytest.mark.parametrize("shape", ["e0 + cycle", "e0 + swap + cycle + flip", "big + cycle"])
+def test_generators_variant_settles_far_below_the_cap(n, shape):
+    # n + 1 passes suffice, against the default cap of 64 * n, up to the
+    # default permutation-group dimension
+    cycle = SignedPermutation.permutation(tuple((i + 1) % n for i in range(n)))
+    swap = SignedPermutation.permutation((1, 0) + tuple(range(2, n)))
+    flip = SignedPermutation.negation((-1,) + (1,) * (n - 1))
+    e0 = (1,) + (0,) * (n - 1)
+    vectors, rotations = {
+        "e0 + cycle": ([e0], [cycle]),
+        "e0 + swap + cycle + flip": ([e0], [swap, cycle, flip]),
+        "big + cycle": ([(2 ** 200 + 1, 3 ** 100) + (0,) * (n - 2)], [cycle]),
+    }[shape]
+    basis = translation_basis_from_generators(vectors, rotations, n, max_iterations=n + 1)
+    assert basis == translation_basis_from_generators(vectors, rotations, n)
+    assert basis.m == n
 
 
 def _random_rotation_generators(rng, n, count):

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from random import Random
@@ -13,6 +14,7 @@ from isorbit import (
     run_stage1,
     validate_atomic,
 )
+from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from reference import reference_labeling, reference_stage1, rotation_group
 
 UNIT_SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -74,6 +76,33 @@ def test_stage1_without_generators_does_not_grow_with_n():
     assert peak < 1_000_000
 
 
+def _rotations(n, perms):
+    flip = Isometry.rotation(SignedPermutation.negation((-1,) + (1,) * (n - 1)))
+    return validate_atomic(
+        [flip, *(Isometry.rotation(SignedPermutation.permutation(p)) for p in perms)], n)
+
+
+def test_stage1_scales_to_the_default_dimension():
+    # swap, n-cycle and a flip: the full signed permutation group, 2^n * n!
+    for n, budget in ((20, 0.2), (DEFAULT_MAX_DIMENSION, 2.0)):
+        gens = _rotations(n, [(1, 0) + tuple(range(2, n)),
+                              tuple((i + 1) % n for i in range(n))])
+        t0 = time.perf_counter()
+        stage1 = run_stage1(gens)
+        elapsed = time.perf_counter() - t0
+        assert stage1.rotation_order == 2 ** n * math.factorial(n)
+        assert elapsed < budget
+    # 20 random permutations at the cap: the alternating or symmetric group
+    n = DEFAULT_MAX_DIMENSION
+    rng = Random(305)
+    gens = _rotations(n, [tuple(rng.sample(range(n), n)) for _ in range(20)])
+    t0 = time.perf_counter()
+    stage1 = run_stage1(gens)
+    elapsed = time.perf_counter() - t0
+    assert stage1.perm_order in (math.factorial(n), math.factorial(n) // 2)
+    assert elapsed < 2.0
+
+
 def test_stage1_modes_agree():
     # the production stage 1 against the explicit-group reference
     rng = Random(901)
@@ -114,10 +143,10 @@ def test_public_api_is_what_a_run_calls():
         "DimensionMismatchError", "DimensionTooLargeError", "GeneratingSet", "Gf2Basis",
         "InputError", "InvalidDomainError", "InvalidRotationError", "Isometry",
         "IsorbitError", "IterationCapExceededError", "LatticeBasis", "NotAtomicError",
-        "NotStabilizedError", "OrbitLabeling", "PermGroup", "Point", "SignedPermutation",
-        "Stage1", "bfs_orbits", "compute_labeling", "compute_orbits", "finalize_labels",
-        "generate_perm_group", "hnf_reduce", "merge_classes_generators",
-        "negation_basis_from_generators", "reduce_points", "rref", "run_stage1",
+        "NotStabilizedError", "OrbitLabeling", "Point", "SignedPermutation", "Stage1",
+        "bfs_orbits", "compute_labeling", "compute_orbits", "finalize_labels",
+        "hnf_reduce", "merge_classes_generators", "negation_basis_from_generators",
+        "perm_group_order", "reduce_points", "rref", "run_stage1",
         "stabilized_bfs_orbits", "translation_basis_from_generators", "validate_atomic",
     ]
     for name in isorbit.__all__:
@@ -125,3 +154,6 @@ def test_public_api_is_what_a_run_calls():
     # the isometry algebra no run calls is gone, not just unexported
     assert not hasattr(isorbit, "conjugate")
     assert not hasattr(isorbit, "project_components")
+    # so is the permutation closure: its reference form is tests/reference.py
+    assert not hasattr(isorbit.permgroup, "PermGroup")
+    assert not hasattr(isorbit.permgroup, "generate_perm_group")

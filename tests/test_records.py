@@ -1,4 +1,4 @@
-"""The value-object contract of the eight record classes.
+"""The value-object contract of the seven record classes.
 
 Each record is built positionally from its fields, compares equal by those
 fields and only to its own class, hashes by its field tuple when frozen
@@ -17,11 +17,9 @@ from isorbit import (
     Isometry,
     LatticeBasis,
     OrbitLabeling,
-    PermGroup,
     SignedPermutation,
     Stage1,
     compute_orbits,
-    generate_perm_group,
     hnf_reduce,
     rref,
     run_stage1,
@@ -59,10 +57,6 @@ RECORDS = {
     "LatticeBasis": (LatticeBasis, ("n", "hnf_rows"),
                      lambda: hnf_reduce([(1, 1)], 2), lambda: hnf_reduce([(2, 2), (1, 1)], 2),
                      lambda: hnf_reduce([(2, 0)], 2)),
-    "PermGroup": (PermGroup, ("n", "elements"),
-                  lambda: generate_perm_group([(1, 0)], 2),
-                  lambda: generate_perm_group([(1, 0), (0, 1)], 2),
-                  lambda: generate_perm_group([], 2)),
     "OrbitLabeling": (OrbitLabeling, ("points", "point_labels"),
                       lambda: compute_orbits(_gens(Isometry.rotation(FLIP)), BOX),
                       lambda: compute_orbits(_gens(Isometry.rotation(FLIP)), BOX[::-1]),

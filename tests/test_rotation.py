@@ -2,8 +2,13 @@ import math
 from random import Random
 
 from conftest import identity_matrix, mat_mul, signed_perm_matrix
-from isorbit import SignedPermutation, generate_perm_group
-from reference import assemble_rotation_group, enumerate_negations, negation_basis_from_group
+from isorbit import SignedPermutation
+from reference import (
+    assemble_rotation_group,
+    enumerate_negations,
+    generate_perm_group,
+    negation_basis_from_group,
+)
 
 
 def matrix_closure(mats):
