@@ -354,21 +354,21 @@ def test_stdout_when_no_output_path(tmp_path, capsys):
     assert capsys.readouterr().out == "0,0\t0,0\n"
 
 
-def _dimension_doc(n, *generators):
+def _swap_doc(n):
     return {"n": n, "generators": [
-        {"type": "permutation", "perm": [1, 0] + list(range(2, n))}, *generators]}
+        {"type": "permutation", "perm": [1, 0] + list(range(2, n))}]}
 
 
 def test_dimension_cap_flag(tmp_path, capsys):
     # one past the default permutation-group cap; raising the cap unblocks it
     n = DEFAULT_MAX_DIMENSION + 1
     box = ",".join(["0..0"] * n)
-    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n), name="capped")
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n), name="capped")
     assert code == 1
     assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
     code, out = run_main(
         tmp_path, ["--box", box, "--max-dimension", str(n)],
-        gens_doc=_dimension_doc(n), name="uncapped")
+        gens_doc=_swap_doc(n), name="uncapped")
     assert code == 0
     doc = json.loads(out.read_text())
     assert len(doc["classes"]) == 1 and doc["rotation_order"] == 2
@@ -386,7 +386,7 @@ def test_dimension_cap_only_where_a_closure_is_built(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["classes"] == [
         {"label": [0] * n, "members": [[0] * n, e0]}]
-    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n), name="swap")
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n), name="swap")
     assert code == 1
     assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
 
@@ -395,7 +395,7 @@ def test_dimension_far_past_the_cap_is_one_json_error(tmp_path, capsys):
     # the message once printed n!, which has more than 4,300 digits here
     n = 2000
     box = ",".join(["0..0"] * n)
-    code, out = run_main(tmp_path, ["--box", box], gens_doc=_dimension_doc(n))
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n))
     assert code == 1 and not out.exists()
     err = _single_json_error(capsys)
     assert err["error"] == "DimensionTooLarge" and len(err["message"]) < 100
