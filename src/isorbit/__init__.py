@@ -36,20 +36,17 @@ from .isometry import (
     SignedPermutation,
     validate_atomic,
 )
-from .labeling import (
-    OrbitLabeling,
-    finalize_labels,
-    merge_classes_generators,
-)
+from .domain import Box
+from .labeling import OrbitLabeling, Stage2, merge_classes_generators
 from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
 from .oracle import bfs_orbits, stabilized_bfs_orbits
 from .permgroup import perm_group_order
-from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1
-from .quotient import reduce_points
+from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1, run_stage2
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Box",
     "BoxTooLargeError",
     "ClosureCapExceededError",
     "DigitLimitExceededError",
@@ -70,17 +67,17 @@ __all__ = [
     "Point",
     "SignedPermutation",
     "Stage1",
+    "Stage2",
     "bfs_orbits",
     "compute_labeling",
     "compute_orbits",
-    "finalize_labels",
     "hnf_reduce",
     "merge_classes_generators",
     "negation_basis_from_generators",
     "perm_group_order",
-    "reduce_points",
     "rref",
     "run_stage1",
+    "run_stage2",
     "stabilized_bfs_orbits",
     "translation_basis_from_generators",
     "validate_atomic",

@@ -18,43 +18,48 @@ axis). Output is JSON (partition plus stage-1 diagnostics) or TSV (one
 byte for byte across reruns.
 
 The CLI checks each document's JSON shape and the library the values: a
-points file goes to quotient.reduce_points as read, duplicates included,
-and it checks each point once, naming the first bad one by its index.
+points file goes to pipeline.run_stage2 as read, duplicates included, and
+domain.sort_points checks each point once, naming the first bad one by its
+index. A box is never listed: stage 2 reads its points in blocks.
+
+The output is opened only once stage 2 is done and, for JSON, the head is
+formatted, so a run that fails writes nothing. It is then written in
+pieces, block by block (TSV) or class by class (JSON).
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
 --oracle-check found a disagreement.
 
 A CLI run does not run the cyclic garbage collector: main turns it off
-around run and restores it after, since a run allocates one tuple per point
-and forms no reference cycles. Library calls leave the collector alone.
+around run and restores it after, since a run allocates a short-lived tuple
+per point and forms no reference cycles. Library calls leave the collector
+alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import sys
 from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .domain import Box, blocks_of
 from .errors import (
     BoxTooLargeError,
     DigitLimitExceededError,
     InputError,
-    InvalidDomainError,
     InvalidRotationError,
     IsorbitError,
     NotAtomicError,
 )
 from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validate_atomic
-from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling
+from .labeling import DEFAULT_CLOSURE_CAP, Stage2
 from .oracle import DEFAULT_BOX_CAP, stabilized_bfs_orbits
 from .permgroup import DEFAULT_MAX_DIMENSION
-from .pipeline import Stage1, compute_labeling, run_stage1
+from .pipeline import Stage1, run_stage1, run_stage2
 
 DEFAULT_MAX_PADDING = 6
 
@@ -123,26 +128,25 @@ def _parse_generator(entry, idx: int) -> Isometry:
         f"must be translation, negation or permutation")
 
 
-def expand_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> list[Point]:
-    if len(lo) != len(hi):
-        raise InputError(f"box min has length {len(lo)}, max has length {len(hi)}")
+def make_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> Box:
+    """The box, once its point count is known to be within box_cap. Its
+    points are never listed; stage 2 reads them in blocks."""
+    box = Box(lo, hi)
     size = 1
-    for a, b in zip(lo, hi):
-        if a > b:
-            raise InvalidDomainError(f"box min {a} exceeds max {b}")
+    for a, b in zip(box.lo, box.hi):
         size *= b - a + 1
         if size > box_cap:
             raise BoxTooLargeError(f"box exceeds the cap of {box_cap} points")
-    return [tuple(p) for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))]
+    return box
 
 
-def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
-    """Parse a domain document into its point list.
+def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> Box | list[Point]:
+    """Parse a domain document into a Box or its point list.
 
     For a points document only the JSON shape is checked here: a list of
     arrays, each made a tuple, in file order with any duplicates. Their
-    dimension and coordinate types are checked once, by reduce_points,
-    which names the first bad point by its index in the file.
+    dimension and coordinate types are checked once, by stage 2, which
+    names the first bad point by its index in the file.
     """
     doc = _loads(text, "domain file")
     if not isinstance(doc, dict) or ("points" in doc) == ("box" in doc):
@@ -160,12 +164,12 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
         raise InputError('box must be {"min": [...], "max": [...]}')
     lo = _int_vector(box["min"], "box", "min")
     hi = _int_vector(box["max"], "box", "max")
-    return expand_box(lo, hi, box_cap)
+    return make_box(lo, hi, box_cap)
 
 
-def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
-    """Expand an inline box spec like "0..1,-2..3" into its points. Bounds
-    are ASCII -?[0-9]+; int() alone would take " 1", "1_0" and other digits."""
+def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> Box:
+    """Read an inline box spec like "0..1,-2..3" into a Box. Bounds are
+    ASCII -?[0-9]+; int() alone would take " 1", "1_0" and other digits."""
     lo, hi = [], []
     for i, axis in enumerate(spec.split(",")):
         parts = axis.split("..")
@@ -180,7 +184,7 @@ def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> list[Point]:
             hi.append(int(parts[1]))
         except ValueError as e:
             raise InputError(f"bad box axis {i} {axis!r}: {e}") from e
-    return expand_box(lo, hi, box_cap)
+    return make_box(lo, hi, box_cap)
 
 
 def _point_template(n: int, depth: int) -> str:
@@ -192,20 +196,13 @@ def _point_template(n: int, depth: int) -> str:
     return "[\n" + ",\n".join([inner + "%d"] * n) + "\n" + "  " * depth + "]"
 
 
-def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
-    """The diagnostics and the classes, byte for byte as json.dumps(doc,
-    indent=2) + "\\n" would write them.
-
-    With indent set, the json module falls back to its pure-Python encoder,
-    so only the small header goes through it. The whole document is then
-    one %-template, built from per-depth point templates and filled in
-    one call.
-
-    The points come from the input, within Python's int-to-str digit
-    limit; a Hermite basis entry or the rotation order can exceed it.
-    """
+def json_head(stage1: Stage1) -> str:
+    """The stage-1 diagnostics with an empty class list, as json.dumps(doc,
+    indent=2) writes them. The points come from the input, within Python's
+    int-to-str digit limit; a Hermite basis entry or the rotation order
+    can exceed it, and that is an error before any output is written."""
     try:
-        head = json.dumps({
+        return json.dumps({
             "n": stage1.gens.n,
             "rank_m": stage1.basis.m,
             "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
@@ -217,35 +214,45 @@ def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
             "a stage-1 diagnostic (a Hermite basis entry or the rotation order) "
             "has more decimal digits than Python converts to text; "
             "--format tsv writes only the points and their labels") from e
-    classes = labeling.classes
-    if not classes:
-        return head + "\n"
-    n = stage1.gens.n
-    member_t = "        " + _point_template(n, 4)
-    opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
-    closing = "\n      ]\n    }"
-    template = "".join([
-        head[:-len("[]\n}")].replace("%", "%%"),
-        "[\n",
-        ",\n".join(
-            opening + ",\n".join([member_t] * len(members)) + closing
-            for members in classes.values()),
-        "\n  ]\n}\n",
-    ])
-    points = itertools.chain.from_iterable(
-        (label, *members) for label, members in classes.items())
-    return template % tuple(itertools.chain.from_iterable(points))
 
 
-def render_tsv(labeling: OrbitLabeling) -> str:
-    """One "point TAB label" line per point, in sorted point order: a
-    %-template filled from each point joined to its label."""
-    points = labeling.points
-    if not points:
-        return ""
-    half = ",".join(["%d"] * len(points[0]))
-    line = half + "\t" + half + "\n"
-    return "".join(map(line.__mod__, map(add, points, labeling.point_labels)))
+def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
+    """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
+    would write it, in pieces: the head from json_head, then class by
+    class its label and its members, at most BLOCK_POINTS per piece, each
+    point filled into a %d template laid out for its depth.
+
+    With indent set, the json module falls back to its pure-Python
+    encoder, so only the small head goes through it.
+    """
+    if not stage2.labels:
+        yield head + "\n"
+        return
+    domain = stage2.domain
+    member = "        " + _point_template(domain.n, 4)
+    opening = '    {\n      "label": ' + _point_template(domain.n, 3) + ',\n      "members": [\n'
+    yield head[:-len("[]\n}")] + "[\n"
+    order, starts = stage2.grouped()
+    for c, label in enumerate(stage2.labels):
+        yield (",\n" if c else "") + opening % label
+        for i, members in enumerate(blocks_of(order[starts[c]:starts[c + 1]])):
+            yield (",\n" if i else "") + ",\n".join(map(member.__mod__, domain.at(members)))
+        yield "\n      ]\n    }"
+    yield "\n  ]\n}\n"
+
+
+def tsv_chunks(stage2: Stage2) -> Iterator[str]:
+    """One "point TAB label" line per point, in sorted point order, one
+    piece per block: each point fills a %d template, and each class's
+    label text is made once."""
+    half = ",".join(["%d"] * stage2.domain.n)
+    tails = ["\t" + half % label + "\n" for label in stage2.labels]
+    class_of, start = stage2.class_of, 0
+    for rows in stage2.domain.row_blocks():
+        points = list(map(half.__mod__, rows))
+        end = start + len(points)
+        yield "".join(map(add, points, map(tails.__getitem__, class_of[start:end])))
+        start = end
 
 
 def _emit_error(code: str, message: str, **extra) -> None:
@@ -265,20 +272,24 @@ def run(args: argparse.Namespace) -> int:
         else:
             points = parse_box_spec(args.box, args.box_cap)
         stage1 = run_stage1(gens, args.max_dimension)
-        labeling = compute_labeling(stage1, points, args.closure_cap)
-        text = render_json(stage1, labeling) if args.format == "json" else render_tsv(labeling)
+        stage2 = run_stage2(stage1, points, args.closure_cap)
+        del points  # a points list is now held sorted, by stage2
+        chunks = (json_chunks(json_head(stage1), stage2) if args.format == "json"
+                  else tsv_chunks(stage2))
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                out.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         if args.oracle_check:
             reference, _pad = stabilized_bfs_orbits(
-                gens, points, args.max_padding, args.box_cap)
-            if reference != labeling.partition():
+                gens, stage2.domain, args.max_padding, args.box_cap)
+            partition = stage2.labeling().partition()
+            if reference != partition:
                 _emit_error(
                     "OracleMismatch",
                     "reference partition disagrees with the pipeline",
-                    pipeline=_partition_doc(labeling.partition()),
+                    pipeline=_partition_doc(partition),
                     reference=_partition_doc(reference),
                 )
                 return 3

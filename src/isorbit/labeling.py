@@ -18,18 +18,24 @@ ones, so the root of every orbit is its smallest representative: the
 witness. The closure cap bounds the cell points of one union-find
 component, hence of one orbit; memory holds all visited orbits together.
 
-Final labels take one sort of the points: the first point seen with a given
-witness is its class minimum, and labels every point of the class.
+Stage 2 then numbers the classes in the order of their smallest points
+(see pipeline.run_stage2) and records them as a Stage2: one 4-byte class
+index per point of the domain, in sorted point order, and the label of each
+class. OrbitLabeling is the same partition with the points listed.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from ._record import record
+from .domain import Box, SortedPoints
 from .errors import ClosureCapExceededError, DimensionMismatchError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
@@ -163,13 +169,34 @@ class OrbitLabeling:
         return {frozenset(members) for members in self.classes.values()}
 
 
-def finalize_labels(
-    assignment: Mapping[Point, Point],
-    witness: Mapping[Point, Point],
-) -> OrbitLabeling:
-    """Compose the two stages and canonicalize labels to class minima, in
-    one pass over the sorted points."""
-    points = sorted(assignment)
-    first: dict[Point, Point] = {}
-    roots = map(witness.__getitem__, map(assignment.__getitem__, points))
-    return OrbitLabeling(tuple(points), tuple(map(first.setdefault, roots, points)))
+@record
+class Stage2:
+    """The labeling by sorted point index, as stage 2 makes it.
+
+    class_of holds the class of every point of the domain, in sorted
+    point order, 4 bytes each; classes are numbered in the order of their
+    labels, and labels holds each class's label, its smallest point. The
+    points themselves stay in the domain, a box or the sorted points, so
+    the record grows by 4 bytes per point.
+    """
+
+    domain: Box | SortedPoints
+    class_of: array
+    labels: tuple[Point, ...]
+
+    def grouped(self) -> tuple[array, list[int]]:
+        """(order, starts): the sorted indices of class c's points are
+        order[starts[c]:starts[c + 1]], ascending. One counting sort."""
+        class_of = self.class_of
+        counts = Counter(class_of)
+        starts = list(accumulate(map(counts.__getitem__, range(len(self.labels))), initial=0))
+        order = array("I", bytes(4 * len(class_of)))
+        slot = starts[:-1]
+        for i, c in enumerate(class_of):
+            order[slot[c]] = i
+            slot[c] += 1
+        return order, starts
+
+    def labeling(self) -> OrbitLabeling:
+        return OrbitLabeling(
+            tuple(self.domain), tuple(map(self.labels.__getitem__, self.class_of)))

@@ -4,24 +4,27 @@ Stage 1 depends only on the generating set and is reusable across point
 sets; stage 2 projects the points and merges translation classes under the
 rotation action. Both stages run fixed-point loops over the generators and
 never enumerate the rotation subgroup.
+
+Stage 2 reads the domain in sorted blocks (see domain.py) and keeps 4 bytes
+per point, an index; everything else it holds is per representative.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 from ._record import record
+from .domain import Box, sort_points
+from .errors import DimensionMismatchError
 from .gf2 import Gf2Basis, negation_basis_from_generators
 from .isometry import GeneratingSet
-from .labeling import (
-    DEFAULT_CLOSURE_CAP,
-    OrbitLabeling,
-    finalize_labels,
-    merge_classes_generators,
-)
+from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling, Stage2, merge_classes_generators
 from .lattice import LatticeBasis, translation_basis_from_generators
 from .permgroup import DEFAULT_MAX_DIMENSION, perm_group_order
-from .quotient import reduce_points
+from .quotient import reduce_columns
 
 
 @record
@@ -54,16 +57,65 @@ def run_stage1(gens: GeneratingSet, max_dimension: int = DEFAULT_MAX_DIMENSION) 
     return Stage1(gens, neg_basis, perm_order, basis)
 
 
+def run_stage2(
+    stage1: Stage1,
+    domain: Box | Iterable[Sequence[int]],
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> Stage2:
+    """Stage 2: project the points and merge classes under the rotations.
+
+    domain is a Box, or any points, which sort_points checks, dedupes and
+    sorts. A box must have one axis per dimension, checked before any
+    point is made. Each block of points is reduced over its columns, and
+    every point gets the number of its representative; representatives
+    are numbered in the order first met, and each keeps the sorted index
+    of its first point. After the merge, a class's label is the first
+    point of its first representative, and classes are numbered in the
+    order of their labels.
+    """
+    n = stage1.gens.n
+    if isinstance(domain, Box):
+        if domain.n != n:
+            axes = "axis" if domain.n == 1 else "axes"
+            raise DimensionMismatchError(
+                f"box has {domain.n} {axes}, the generators act on Z^{n}")
+    else:
+        domain = sort_points(domain, n)
+    basis = stage1.basis
+    index = defaultdict(count().__next__)  # representative -> its number
+    rep_of = array("I")
+    first = array("I")  # sorted index of each representative's first point
+    for size, cols in domain.column_blocks():
+        reduce_columns(basis, cols)
+        met = len(index)
+        ids = list(map(index.__getitem__, zip(*cols) if n else repeat((), size)))
+        at = 0
+        for r in range(met, len(index)):
+            at = ids.index(r, at)
+            first.append(len(rep_of) + at)
+        rep_of.extend(ids)
+    reps = list(index)
+    del index
+    witness = merge_classes_generators(
+        reps, stage1.gens.rotation_generators(), basis, closure_cap)
+    numbers: dict = {}
+    class_of_rep = [numbers.setdefault(witness[rep], len(numbers)) for rep in reps]
+    del reps, witness
+    label_at: list[int] = []
+    for r, c in enumerate(class_of_rep):
+        if c == len(label_at):
+            label_at.append(first[r])
+    return Stage2(domain, array("I", map(class_of_rep.__getitem__, rep_of)),
+                  tuple(domain.at(label_at)))
+
+
 def compute_labeling(
     stage1: Stage1,
-    points: Iterable[Sequence[int]],
+    points: Box | Iterable[Sequence[int]],
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> OrbitLabeling:
-    """Stage 2: project the points and merge classes under the rotations."""
-    reps, assignment = reduce_points(stage1.basis, points)
-    witness = merge_classes_generators(
-        reps, stage1.gens.rotation_generators(), stage1.basis, closure_cap)
-    return finalize_labels(assignment, witness)
+    """Stage 2 with the points listed: see run_stage2."""
+    return run_stage2(stage1, points, closure_cap).labeling()
 
 
 def compute_orbits(

@@ -14,22 +14,17 @@ such translates differ by a lattice vector whose first nonzero coefficient
 a_k would put |a_k| * p_k >= p_k between their c_k coordinates. Every step
 is an integer floor division, so no point can misround at a cell boundary.
 
-reduce_points is the one place that checks the points of a run (their
-dimension and coordinate types), so a caller hands it the points unchecked.
-The same steps apply to every point, so it runs them over whole
-coordinate columns: per Hermite row it computes the column of quotients
-floor(w[c_k] / p_k) once, then makes one list pass per nonzero entry of
-b_k. That column walk is reduce_columns; the class merge runs it over
-the rotated images of a whole frontier at once.
+The same steps apply to every point, so reduce_columns runs them over
+whole coordinate columns: per Hermite row it computes the column of
+quotients floor(w[c_k] / p_k) once, then makes one list pass per nonzero
+entry of b_k. Stage 2 runs it over each block of domain points, and the
+class merge over the rotated images of a whole frontier at once.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterable, NoReturn, Sequence
+from operator import sub
 
-from .errors import DimensionMismatchError, InputError
-from .isometry import Point
 from .lattice import LatticeBasis
 
 
@@ -47,56 +42,7 @@ def reduce_columns(basis: LatticeBasis, cols: list[list[int]]) -> None:
             q = pivot if p == 1 else [v // p for v in pivot]
             for i, b in entries[1:]:
                 if b == 1:
-                    cols[i] = [a - k for a, k in zip(cols[i], q)]
+                    cols[i] = list(map(sub, cols[i], q))
                 else:
                     cols[i] = [a - k * b for a, k in zip(cols[i], q)]
         cols[c] = [v % p for v in pivot] if p != 1 else [0] * len(pivot)
-
-
-def reduce_points(
-    basis: LatticeBasis,
-    points: Iterable[Sequence[int]],
-) -> tuple[set[Point], dict[Point, Point]]:
-    """Project every point; returns the representative set and the point map.
-
-    The map lists the distinct points in first-seen order. Equal
-    representatives are stored as one tuple, so the map holds one object
-    per translation class rather than one per point.
-
-    This is where the points of a run are checked, once: every point must
-    have n coordinates, each of type int (bool and float are rejected, not
-    truncated). The dimensions and then the column types are checked over
-    whole lists; only when a check fails are the points walked, to name
-    the first bad one by its position in the input.
-    """
-    n = basis.n
-    try:
-        pts = list(map(tuple, points))
-    except TypeError as e:
-        raise InputError(f"points must be sequences of integers: {e}") from e
-    if not pts:
-        return set(), {}
-    if set(map(len, pts)) - {n}:
-        _reject_first_bad_point(pts, n)
-    cols: list[list[int]] = [list(map(itemgetter(j), pts)) for j in range(n)]
-    for col in cols:
-        if set(map(type, col)) - {int}:
-            _reject_first_bad_point(pts, n)
-    reduce_columns(basis, cols)
-    rows = list(zip(*cols)) if cols else [()] * len(pts)
-    reps: dict[Point, Point] = {}
-    assignment = dict(zip(pts, map(reps.setdefault, rows, rows)))
-    return set(reps), assignment
-
-
-def _reject_first_bad_point(pts: list[Point], n: int) -> NoReturn:
-    """Raise for the first point, in input order, that has the wrong
-    length (DimensionMismatchError) or a coordinate that is not an int
-    (InputError)."""
-    for i, x in enumerate(pts):
-        if len(x) != n:
-            raise DimensionMismatchError(
-                f"point {i}: {x!r} has dimension {len(x)}, expected {n}")
-        for j, v in enumerate(x):
-            if type(v) is not int:
-                raise InputError(f"point {i}: coordinate {j} is {v!r}, expected an integer")

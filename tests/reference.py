@@ -22,23 +22,31 @@ its representatives differ, but both must split any point set into the
 same translation classes.
 
 The CLI checks a points file's shape and the library its points, over
-whole lists, and the CLI writes TSV over whole columns; the per-point
-parser and the line-by-line TSV writer at the end of this file check and
-write one point at a time, and must name the same first bad point, or
-give the same points and bytes. dumps_reference writes the JSON document
-through the json module. per_class_finalize_labels is the earlier label
-finalisation, which sorts each class and then the classes; the production
-one sorts the points once and must give the same labels and classes.
+whole lists; the per-point parser below checks one point at a time and
+must name the same first bad point, or give the same points. The
+line-by-line TSV writer and dumps_reference, which writes the JSON
+document through the json module, are the byte references of the CLI's
+chunk writers. per_class_finalize_labels is an earlier label
+finalisation, which sorts each class and then the classes.
+
+The end of this file keeps the whole-list stage 2 that the streamed one
+replaced (reduce_points, finalize_labels, render_json, render_tsv), the
+byte oracle of tests/test_stream_property.py, and the adapters that feed
+any labeling to the chunk writers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from isorbit import (
+    DigitLimitExceededError,
     DimensionMismatchError,
     GeneratingSet,
     Gf2Basis,
@@ -49,13 +57,15 @@ from isorbit import (
     Point,
     SignedPermutation,
     Stage1,
-    finalize_labels,
+    Stage2,
     hnf_reduce,
-    reduce_points,
     rref,
 )
+from isorbit.cli import json_chunks, json_head, tsv_chunks
+from isorbit.domain import SortedPoints
 from isorbit.gf2 import mask_of, permute_mask
 from isorbit.labeling import DEFAULT_CLOSURE_CAP
+from isorbit.quotient import reduce_columns
 
 
 @dataclass(frozen=True)
@@ -501,3 +511,133 @@ def per_class_finalize_labels(
         for x in members:
             labels[x] = label
     return labels, classes
+
+
+# The whole-list stage 2 that run_stage2 and the chunk writers replaced:
+# reduce_points checks and reduces the points as given, finalize_labels
+# sorts them once and labels each with its class minimum, and render_json
+# and render_tsv format the whole output as one string. Together they are
+# the byte oracle of the streamed CLI.
+
+def reduce_points(
+    basis: LatticeBasis,
+    points: Iterable[Sequence[int]],
+) -> tuple[set[Point], dict[Point, Point]]:
+    """Project every point; returns the representative set and the point map.
+
+    The map lists the distinct points in first-seen order. Equal
+    representatives are stored as one tuple. Every point must have n
+    coordinates, each of type int; the first bad one is named by its
+    position in the input.
+    """
+    n = basis.n
+    try:
+        pts = list(map(tuple, points))
+    except TypeError as e:
+        raise InputError(f"points must be sequences of integers: {e}") from e
+    if not pts:
+        return set(), {}
+    if set(map(len, pts)) - {n}:
+        _reject_first_bad_point(pts, n)
+    cols: list[list[int]] = [list(map(itemgetter(j), pts)) for j in range(n)]
+    for col in cols:
+        if set(map(type, col)) - {int}:
+            _reject_first_bad_point(pts, n)
+    reduce_columns(basis, cols)
+    rows = list(zip(*cols)) if cols else [()] * len(pts)
+    reps: dict[Point, Point] = {}
+    assignment = dict(zip(pts, map(reps.setdefault, rows, rows)))
+    return set(reps), assignment
+
+
+def _reject_first_bad_point(pts: list[Point], n: int) -> NoReturn:
+    for i, x in enumerate(pts):
+        if len(x) != n:
+            raise DimensionMismatchError(
+                f"point {i}: {x!r} has dimension {len(x)}, expected {n}")
+        for j, v in enumerate(x):
+            if type(v) is not int:
+                raise InputError(f"point {i}: coordinate {j} is {v!r}, expected an integer")
+
+
+def finalize_labels(
+    assignment: Mapping[Point, Point],
+    witness: Mapping[Point, Point],
+) -> OrbitLabeling:
+    """Compose the two stages and canonicalize labels to class minima, in
+    one pass over the sorted points."""
+    points = sorted(assignment)
+    first: dict[Point, Point] = {}
+    roots = map(witness.__getitem__, map(assignment.__getitem__, points))
+    return OrbitLabeling(tuple(points), tuple(map(first.setdefault, roots, points)))
+
+
+def _point_template(n: int, depth: int) -> str:
+    if n == 0:
+        return "[]"
+    inner = "  " * (depth + 1)
+    return "[\n" + ",\n".join([inner + "%d"] * n) + "\n" + "  " * depth + "]"
+
+
+def render_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
+    """The whole JSON document as one %-template, filled in one call."""
+    try:
+        head = json.dumps({
+            "n": stage1.gens.n,
+            "rank_m": stage1.basis.m,
+            "basis_rows": [list(r) for r in stage1.basis.hnf_rows],
+            "rotation_order": stage1.rotation_order,
+            "classes": [],
+        }, indent=2)
+    except ValueError as e:
+        raise DigitLimitExceededError("a stage-1 diagnostic has too many digits") from e
+    classes = labeling.classes
+    if not classes:
+        return head + "\n"
+    n = stage1.gens.n
+    member_t = "        " + _point_template(n, 4)
+    opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
+    closing = "\n      ]\n    }"
+    template = "".join([
+        head[:-len("[]\n}")].replace("%", "%%"),
+        "[\n",
+        ",\n".join(
+            opening + ",\n".join([member_t] * len(members)) + closing
+            for members in classes.values()),
+        "\n  ]\n}\n",
+    ])
+    points = itertools.chain.from_iterable(
+        (label, *members) for label, members in classes.items())
+    return template % tuple(itertools.chain.from_iterable(points))
+
+
+def render_tsv(labeling: OrbitLabeling) -> str:
+    """One "point TAB label" line per point, in sorted point order, from a
+    %-template filled by each point joined to its label."""
+    points = labeling.points
+    if not points:
+        return ""
+    half = ",".join(["%d"] * len(points[0]))
+    line = half + "\t" + half + "\n"
+    return "".join(map(line.__mod__, map(add, points, labeling.point_labels)))
+
+
+def stage2_of(labeling: OrbitLabeling, n: int) -> Stage2:
+    """The Stage2 record of a labeling in Z^n whose labels are its class
+    minima: the points as SortedPoints, the classes numbered in label
+    order. Feeds an arbitrary partition to the chunk writers."""
+    labels = sorted(set(labeling.point_labels))
+    number = {label: c for c, label in enumerate(labels)}
+    return Stage2(SortedPoints(n, list(labeling.points)),
+                  array("I", map(number.__getitem__, labeling.point_labels)), tuple(labels))
+
+
+def streamed_json(stage1: Stage1, labeling: OrbitLabeling) -> str:
+    """The CLI's JSON chunk writer on a labeling, joined."""
+    return "".join(json_chunks(json_head(stage1), stage2_of(labeling, stage1.gens.n)))
+
+
+def streamed_tsv(labeling: OrbitLabeling) -> str:
+    """The CLI's TSV chunk writer on a labeling, joined."""
+    n = len(labeling.points[0]) if labeling.points else 0
+    return "".join(tsv_chunks(stage2_of(labeling, n)))

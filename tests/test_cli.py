@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -14,8 +15,9 @@ from isorbit import (
     InvalidDomainError,
     InvalidRotationError,
     NotAtomicError,
+    Box,
     SignedPermutation,
-    compute_labeling,
+    Stage2,
 )
 import isorbit.cli
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
@@ -81,8 +83,10 @@ def test_parse_generators_bad_json_reports_position():
 
 
 def test_parse_domain_box():
+    # a box is not listed: parse_domain returns it as a Box of that many points
     pts = parse_domain('{"box": {"min": [0, 0], "max": [1, 1]}}')
-    assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert pts == Box((0, 0), (1, 1)) and len(pts) == 4
+    assert list(pts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_parse_domain_points_keep_file_order_and_duplicates():
@@ -121,7 +125,7 @@ BAD_POINTS = [("[0, true]", "bool"), ("[0, 1.5]", "float"), ('[0, "x"]', "str"),
 @pytest.mark.parametrize("bad", [b for b, _ in BAD_POINTS], ids=[i for _, i in BAD_POINTS])
 def test_parse_domain_names_the_first_bad_point(tmp_path, capsys, good, bad):
     # through main: parse_domain rejects a point that is not an array and
-    # reduce_points a bad coordinate. A second bad point after the first,
+    # sort_points a bad coordinate. A second bad point after the first,
     # and good points around both; the index is the point's place in the file.
     points = ["[%d, %d]" % (i, -i) for i in range(good)] + [bad, "[7, 7]", bad, "[0, 0]"]
     code, out = _run_points_file(tmp_path, "[%s]" % ", ".join(points))
@@ -161,7 +165,7 @@ def test_parse_domain_requires_exactly_one_shape():
 
 
 def test_parse_box_spec():
-    assert parse_box_spec("0..1,-1..0") == [(0, -1), (0, 0), (1, -1), (1, 0)]
+    assert list(parse_box_spec("0..1,-1..0")) == [(0, -1), (0, 0), (1, -1), (1, 0)]
     with pytest.raises(InputError):
         parse_box_spec("0..1,nope")
 
@@ -226,18 +230,22 @@ def test_box_bounds_are_ascii_integers(tmp_path, capsys, glued, spec, axis):
     assert err["message"].startswith(f"bad box axis {axis}")
 
 
-@pytest.mark.parametrize("fmt,built", [("tsv", set()), ("json", {"classes"})])
+@pytest.mark.parametrize("fmt,built", [("tsv", set()), ("json", set())])
 def test_run_builds_only_the_view_its_renderer_reads(tmp_path, monkeypatch, fmt, built):
+    # both writers read stage 2's class indices as they are: a run lists no
+    # OrbitLabeling, so it builds neither of its views
     labelings = []
+    listed = Stage2.labeling
 
-    def keep(*args):
-        labelings.append(compute_labeling(*args))
+    def keep(self):
+        labelings.append(listed(self))
         return labelings[-1]
 
-    monkeypatch.setattr(isorbit.cli, "compute_labeling", keep)
+    monkeypatch.setattr(Stage2, "labeling", keep)
     code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--format", fmt])
     assert code == 0
-    assert {"labels", "classes"} & set(vars(labelings[0])) == built
+    assert labelings == []
+    assert {v for lab in labelings for v in {"labels", "classes"} & set(vars(lab))} == built
 
 
 def test_run_tsv_encodes_the_same_partition(tmp_path):
@@ -331,6 +339,101 @@ def test_run_domain_dimension_mismatch(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DimensionMismatch"
+
+
+def _fail_if_listed(monkeypatch):
+    """Make every way of reading a Box's points fail the test."""
+    def listed(self, *args):
+        raise AssertionError("a box point was made")
+    for name in ("__iter__", "column_blocks", "row_blocks", "at"):
+        monkeypatch.setattr(Box, name, listed)
+
+
+@pytest.mark.parametrize("box,axes", [
+    (["--box", "0..1"], "1 axis"),
+    (["--box", "0..1,0..1,0..0"], "3 axes"),
+    ({"min": [0], "max": [1]}, "1 axis"),
+    ({"min": [], "max": []}, "0 axes"),
+], ids=["inline-1", "inline-3", "file-1", "file-0"])
+def test_box_dimension_is_checked_before_any_point(tmp_path, capsys, monkeypatch, box, axes):
+    # the message names the box, not a point that is in no file
+    if isinstance(box, dict):
+        box = ["--domain", write(tmp_path / "domain.json", {"box": box})]
+    _fail_if_listed(monkeypatch)
+    code, out = run_main(tmp_path, box)
+    assert code == 1 and not out.exists()
+    assert _single_json_error(capsys) == {
+        "error": "DimensionMismatch",
+        "message": f"box has {axes}, the generators act on Z^2"}
+
+
+def _main_stdout(argv, capsys):
+    """main's exit status and what it printed on stdout."""
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_stdout_and_output_file_give_the_same_bytes(tmp_path, capsys, fmt):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    out = tmp_path / "out"
+    argv = ["--gens", gens, "--box", "-3..4,-2..5", "--format", fmt]
+    assert _main_stdout(argv + ["--output", str(out)], capsys) == (0, "")
+    code, printed = _main_stdout(argv, capsys)
+    assert code == 0 and printed.encode() == out.read_bytes()
+
+
+def test_merge_failure_writes_nothing(tmp_path, capsys):
+    # rank 0: the orbit of (1, 2) under the signed swaps needs 8 cell points
+    gens = write(tmp_path / "gens.json", {"n": 2, "generators": [
+        {"type": "negation", "signs": [-1, 1]},
+        {"type": "permutation", "perm": [1, 0]}]})
+    out = tmp_path / "out"
+    for fmt in ("json", "tsv"):
+        argv = ["--gens", gens, "--box", "0..3,0..3", "--closure-cap", "1", "--format", fmt]
+        assert _main_stdout(argv + ["--output", str(out)], capsys) == (1, "")
+        assert not out.exists()
+        assert _main_stdout(argv, capsys) == (1, "")
+
+
+def test_digit_limit_writes_nothing(tmp_path, capsys):
+    big = "1" + "0" * 4000
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 1]}, '
+                    '{"type": "translation", "v": [1, %s]}]}' % (big, big),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--gens", str(gens), "--box", "0..1,0..1"]
+    assert _main_stdout(argv + ["--output", str(out)], capsys) == (1, "")
+    assert not out.exists()
+    assert _main_stdout(argv, capsys) == (1, "")
+
+
+CHORDS4_DOC = {"n": 4, "generators": [
+    {"type": "translation", "v": [12, 0, 0, 0]},
+    {"type": "translation", "v": [1, 1, 1, 1]},
+    {"type": "negation", "signs": [-1, -1, -1, -1]},
+    {"type": "permutation", "perm": [1, 0, 2, 3]},
+    {"type": "permutation", "perm": [1, 2, 3, 0]}]}
+
+
+def test_streamed_tsv_run_holds_at_most_16_bytes_per_point(tmp_path):
+    # stage 2 keeps a 4-byte index per point and reads the box in blocks,
+    # so the traced peak of a run grows with the points by a few bytes
+    # each; the first, 16-point run only fills what any run fills once
+    gens = write(tmp_path / "gens.json", CHORDS4_DOC)
+    peaks = {}
+    for points, spec in [(16, "0..1,0..1,0..1,0..1"), (2 ** 16, "0..15,0..15,0..15,0..15"),
+                         (2 ** 18, "0..15,0..15,0..31,0..31")]:
+        argv = ["--gens", gens, "--box", spec, "--format", "tsv",
+                "--output", str(tmp_path / "out.tsv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[2 ** 18] - peaks[2 ** 16]) / (2 ** 18 - 2 ** 16) <= 16
 
 
 def test_run_missing_file(tmp_path, capsys):

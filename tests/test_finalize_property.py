@@ -1,5 +1,6 @@
 """Property test: the one-sort finalize_labels against the per-class-sort
-reference, and both renderers against their references on its output.
+reference, both in tests/reference.py, and both chunk writers against
+their references on its output.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 tier-1 still collects where the extra is not installed.
@@ -7,9 +8,11 @@ tier-1 still collects where the extra is not installed.
 
 import pytest
 
-from isorbit import finalize_labels, run_stage1, validate_atomic
-from isorbit.cli import render_json, render_tsv
-from reference import dumps_reference, line_by_line_render_tsv, per_class_finalize_labels
+from isorbit import run_stage1, validate_atomic
+from reference import dumps_reference, finalize_labels, line_by_line_render_tsv
+from reference import per_class_finalize_labels
+from reference import streamed_json as render_json
+from reference import streamed_tsv as render_tsv
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

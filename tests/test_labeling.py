@@ -8,17 +8,17 @@ from isorbit import (
     ClosureCapExceededError,
     SignedPermutation,
     bfs_orbits,
-    finalize_labels,
     hnf_reduce,
     merge_classes_generators,
-    reduce_points,
     run_stage1,
     validate_atomic,
     Isometry,
 )
 from reference import (
     closure_merge_classes,
+    finalize_labels,
     merge_classes_group,
+    reduce_points,
     rotate_mod_lattice,
     rotation_group,
 )

@@ -1,5 +1,5 @@
 """Property test of the points-file checks: cli.parse_domain checks the
-document's shape and reduce_points the points, over whole lists. On any
+document's shape and domain.sort_points the points, over whole lists. On any
 points document a CLI run must exit 1 naming the same first bad point as
 the per-point parser of tests/reference.py, or exit 0 labelling exactly
 that parser's point set.

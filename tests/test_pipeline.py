@@ -5,6 +5,7 @@ from random import Random
 
 from conftest import random_sweep_instance
 import isorbit
+import isorbit.cli
 from isorbit import (
     Isometry,
     SignedPermutation,
@@ -139,14 +140,14 @@ def test_lattice_shifted_window_has_same_class_sizes():
 def test_public_api_is_what_a_run_calls():
     assert isorbit.__all__ == sorted(set(isorbit.__all__))
     assert isorbit.__all__ == [
-        "BoxTooLargeError", "ClosureCapExceededError", "DigitLimitExceededError",
+        "Box", "BoxTooLargeError", "ClosureCapExceededError", "DigitLimitExceededError",
         "DimensionMismatchError", "DimensionTooLargeError", "GeneratingSet", "Gf2Basis",
         "InputError", "InvalidDomainError", "InvalidRotationError", "Isometry",
         "IsorbitError", "IterationCapExceededError", "LatticeBasis", "NotAtomicError",
         "NotStabilizedError", "OrbitLabeling", "Point", "SignedPermutation", "Stage1",
-        "bfs_orbits", "compute_labeling", "compute_orbits", "finalize_labels",
+        "Stage2", "bfs_orbits", "compute_labeling", "compute_orbits",
         "hnf_reduce", "merge_classes_generators", "negation_basis_from_generators",
-        "perm_group_order", "reduce_points", "rref", "run_stage1",
+        "perm_group_order", "rref", "run_stage1", "run_stage2",
         "stabilized_bfs_orbits", "translation_basis_from_generators", "validate_atomic",
     ]
     for name in isorbit.__all__:
@@ -157,3 +158,9 @@ def test_public_api_is_what_a_run_calls():
     # so is the permutation closure: its reference form is tests/reference.py
     assert not hasattr(isorbit.permgroup, "PermGroup")
     assert not hasattr(isorbit.permgroup, "generate_perm_group")
+    # and the whole-list stage 2: run_stage2 and the CLI's chunk writers
+    # replaced it, and its reference form is tests/reference.py
+    assert not hasattr(isorbit.quotient, "reduce_points")
+    assert not hasattr(isorbit.labeling, "finalize_labels")
+    assert not hasattr(isorbit.cli, "render_json")
+    assert not hasattr(isorbit.cli, "render_tsv")

@@ -10,7 +10,6 @@ from isorbit import (
     Isometry,
     compute_orbits,
     hnf_reduce,
-    reduce_points,
     validate_atomic,
 )
 from reference import (
@@ -20,6 +19,7 @@ from reference import (
     lattice_contains,
     pinv_reduce_mod_lattice,
     reduce_mod_lattice,
+    reduce_points,
 )
 
 

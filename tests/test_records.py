@@ -1,9 +1,10 @@
-"""The value-object contract of the seven record classes.
+"""The value-object contract of the exported record classes.
 
 Each record is built positionally from its fields, compares equal by those
 fields and only to its own class, hashes by its field tuple when frozen
 and refuses assignment to a field; SignedPermutation and Isometry also
-order by their field tuples. Stage1 is the one mutable, unhashable record.
+order by their field tuples. Stage1 and Stage2 are the mutable, unhashable
+records.
 """
 
 import pickle
@@ -11,6 +12,7 @@ import pickle
 import pytest
 
 from isorbit import (
+    Box,
     GeneratingSet,
     Gf2Basis,
     InvalidRotationError,
@@ -19,10 +21,12 @@ from isorbit import (
     OrbitLabeling,
     SignedPermutation,
     Stage1,
+    Stage2,
     compute_orbits,
     hnf_reduce,
     rref,
     run_stage1,
+    run_stage2,
     validate_atomic,
 )
 
@@ -65,8 +69,15 @@ RECORDS = {
                lambda: run_stage1(_gens(Isometry.rotation(FLIP))),
                lambda: run_stage1(_gens(Isometry.rotation(FLIP))),
                lambda: run_stage1(_gens(Isometry.rotation(SWAP)))),
+    "Box": (Box, ("lo", "hi"),
+            lambda: Box((0, -1), (1, 1)), lambda: Box([0, -1], [1, 1]),
+            lambda: Box((0, -1), (1, 2))),
+    "Stage2": (Stage2, ("domain", "class_of", "labels"),
+               lambda: run_stage2(run_stage1(_gens(Isometry.rotation(FLIP))), BOX),
+               lambda: run_stage2(run_stage1(_gens(Isometry.rotation(FLIP))), BOX[::-1]),
+               lambda: run_stage2(run_stage1(_gens()), BOX)),
 }
-FROZEN = sorted(set(RECORDS) - {"Stage1"})
+FROZEN = sorted(set(RECORDS) - {"Stage1", "Stage2"})
 
 
 def _fields(x, names):
@@ -110,6 +121,14 @@ def test_stage1_is_mutable_and_unhashable():
         hash(stage1)
     stage1.perm_order = 7
     assert stage1.perm_order == 7 and stage1 != RECORDS["Stage1"][3]()
+
+
+def test_stage2_is_mutable_and_unhashable():
+    stage2 = RECORDS["Stage2"][2]()
+    with pytest.raises(TypeError):
+        hash(stage2)
+    stage2.labels = ()
+    assert stage2.labels == () and stage2 != RECORDS["Stage2"][3]()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

