@@ -219,8 +219,9 @@ def json_head(stage1: Stage1) -> str:
 def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
     would write it, in pieces: the head from json_head, then class by
-    class its label and its members, at most BLOCK_POINTS per piece, each
-    point filled into a %d template laid out for its depth.
+    class its label and its members, at most BLOCK_POINTS per piece. The
+    members' texts come from the domain's texter, for a %d template laid
+    out for their depth.
 
     With indent set, the json module falls back to its pure-Python
     encoder, so only the small head goes through it.
@@ -228,31 +229,32 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     if not stage2.labels:
         yield head + "\n"
         return
-    domain = stage2.domain
-    member = "        " + _point_template(domain.n, 4)
-    opening = '    {\n      "label": ' + _point_template(domain.n, 3) + ',\n      "members": [\n'
+    n = stage2.domain.n
+    texts = stage2.domain.texter("        " + _point_template(n, 4))
+    opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
     yield head[:-len("[]\n}")] + "[\n"
     order, starts = stage2.grouped()
     for c, label in enumerate(stage2.labels):
         yield (",\n" if c else "") + opening % label
         for i, members in enumerate(blocks_of(order[starts[c]:starts[c + 1]])):
-            yield (",\n" if i else "") + ",\n".join(map(member.__mod__, domain.at(members)))
+            yield (",\n" if i else "") + ",\n".join(texts(members))
         yield "\n      ]\n    }"
     yield "\n  ]\n}\n"
 
 
 def tsv_chunks(stage2: Stage2) -> Iterator[str]:
     """One "point TAB label" line per point, in sorted point order, one
-    piece per block: each point fills a %d template, and each class's
-    label text is made once."""
-    half = ",".join(["%d"] * stage2.domain.n)
+    piece per BLOCK_POINTS points: the points' texts come from the
+    domain's texter, and each class's label text is made once. A piece's
+    point texts are listed first; two flat passes beat one through nested
+    maps."""
+    domain, class_of = stage2.domain, stage2.class_of
+    half = ",".join(["%d"] * domain.n)
+    texts = domain.texter(half)
     tails = ["\t" + half % label + "\n" for label in stage2.labels]
-    class_of, start = stage2.class_of, 0
-    for rows in stage2.domain.row_blocks():
-        points = list(map(half.__mod__, rows))
-        end = start + len(points)
-        yield "".join(map(add, points, map(tails.__getitem__, class_of[start:end])))
-        start = end
+    for block in blocks_of(range(len(domain))):
+        yield "".join(map(add, list(texts(block)),
+                          map(tails.__getitem__, class_of[block.start:block.stop])))
 
 
 def _emit_error(code: str, message: str, **extra) -> None:

@@ -9,12 +9,17 @@ A domain is one of two kinds:
 - SortedPoints, the distinct points of a points list in sorted order,
   checked once by sort_points.
 
-Both give their points in sorted order, in blocks of at most BLOCK_POINTS:
-as coordinate columns to reduce (column_blocks), as point tuples to write
-(row_blocks), and by sorted index (at). A box block is the product of one
-range per axis: the trailing axes that fit in a block whole, the next axis
-cut into slices, and one value of each leading axis. When the last axis
-alone is longer than a block, the block cuts that axis.
+Both give their points in sorted order: as coordinate columns to reduce,
+in blocks of at most BLOCK_POINTS (column_blocks), by sorted index (at),
+and as texts to write, by sorted index (texter). A box block is the
+product of one range per axis: the trailing axes that fit in a block
+whole, the next axis cut into slices, and one value of each leading axis.
+When the last axis alone is longer than a block, the block cuts that axis.
+
+A box's point texts are made in two parts: the trailing axes with at most
+TEXT_TABLE points make a table of tail texts, filled once per writer, and
+the leading axes a head text, made once per distinct head in each call;
+a points list fills a %d template per point.
 """
 
 from __future__ import annotations
@@ -22,14 +27,17 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
-from operator import itemgetter
-from typing import Iterable, Iterator, NoReturn, Sequence
+from operator import add, floordiv, itemgetter, mod
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._record import record
 from .errors import DimensionMismatchError, InputError, InvalidDomainError
 from .isometry import Point, int_tuple
 
 BLOCK_POINTS = 4096
+TEXT_TABLE = 256  # bound on a box's tail table, in texts
+
+Texter = Callable[[Sequence[int]], Iterable[str]]
 
 
 @record(frozen=True)
@@ -67,13 +75,20 @@ class Box:
     def __iter__(self) -> Iterator[Point]:
         return product(*self._ranges)
 
+    def _split(self, bound: int) -> tuple[int, int]:
+        """(k, inner): axes k.. are the longest run of trailing axes whose
+        point count, inner, is at most bound."""
+        ranges = self._ranges
+        k, inner = len(ranges), 1
+        while k and inner * len(ranges[k - 1]) <= bound:
+            k -= 1
+            inner *= len(ranges[k])
+        return k, inner
+
     def _blocks(self) -> Iterator[list[range]]:
         """Each block as one range per axis, in sorted order."""
         ranges = self._ranges
-        k, inner = len(ranges), 1
-        while k and inner * len(ranges[k - 1]) <= BLOCK_POINTS:
-            k -= 1
-            inner *= len(ranges[k])
+        k, inner = self._split(BLOCK_POINTS)
         if not k:
             yield list(ranges)
             return
@@ -96,19 +111,62 @@ class Box:
                 outer *= len(r)
             yield count, cols
 
-    def row_blocks(self) -> Iterator[Iterable[Point]]:
-        return (product(*ranges) for ranges in self._blocks())
-
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
-        """The points with the given sorted indices, decoded by mixed radix."""
+        """The points with the given sorted indices, decoded by mixed radix.
+        A range of indices is read row by row along the last axis that has
+        more than one value, each row a product of ranges."""
         if not self.lo:
             return repeat((), len(indices))
+        ranges = self._ranges
+        k, _ = self._split(1)  # axes k.. hold one value each
+        if k and type(indices) is range and indices.step == 1:
+            a, b, row = indices.start, indices.stop, ranges[k - 1]
+            size = len(row)
+            heads = range(a // size, -(-b // size))
+            return chain.from_iterable(
+                product(*zip(head), row[max(a - h * size, 0):b - h * size], *ranges[k:])
+                for h, head in zip(heads, Box(self.lo[:k - 1], self.hi[:k - 1]).at(heads)))
         cols, stride = [], 1
-        for lo, r in zip(reversed(self.lo), reversed(self._ranges)):
+        for lo, r in zip(reversed(self.lo), reversed(ranges)):
             size = len(r)
             cols.append([lo + i // stride % size for i in indices])
             stride *= size
         return zip(*reversed(cols))
+
+    def tail_table(self, template: str) -> tuple[int, list[str]]:
+        """(k, table): axes k.. are the trailing axes with at most
+        TEXT_TABLE points, and table holds the texts of their points in
+        sorted order, each filled into the template's slots past the k-th
+        (template has one %d per axis and no other conversion)."""
+        k, _ = self._split(TEXT_TABLE)
+        tail = "%d".join(["", *template.split("%d")[k + 1:]])
+        return k, list(map(tail.__mod__, product(*self._ranges[k:])))
+
+    def texter(self, template: str) -> Texter:
+        """The function from ascending sorted indices to the texts of their
+        points, each filled into template (one %d per axis, no other
+        conversion).
+
+        With the tail table of T texts from tail_table, made here once,
+        index i has the text head(i // T) + table[i % T], and a call makes
+        the text of each distinct head among its indices once, in a dict
+        keyed by head. When T = 1 (an axis alone is longer than the table)
+        each point fills the whole template instead.
+        """
+        k, table = self.tail_table(template)
+        t = len(table)
+        if t == 1:
+            return lambda indices: map(template.__mod__, self.at(indices))
+        head = "%d".join(template.split("%d")[:k + 1])
+        leading = Box(self.lo[:k], self.hi[:k])
+
+        def texts(indices: Sequence[int]) -> Iterable[str]:
+            heads = list(map(floordiv, indices, repeat(t)))
+            distinct = list(dict.fromkeys(heads))
+            text = dict(zip(distinct, map(head.__mod__, leading.at(distinct))))
+            return map(add, map(text.__getitem__, heads),
+                       map(table.__getitem__, map(mod, indices, repeat(t))))
+        return texts
 
 
 @record
@@ -125,15 +183,18 @@ class SortedPoints:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
-    def row_blocks(self) -> Iterator[list[Point]]:
-        return blocks_of(self.points)
-
     def column_blocks(self) -> Iterator[tuple[int, list[list[int]]]]:
-        for rows in self.row_blocks():
+        for rows in blocks_of(self.points):
             yield len(rows), [list(map(itemgetter(j), rows)) for j in range(self.n)]
 
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
+        if type(indices) is range and indices.step == 1:
+            return self.points[indices.start:indices.stop]
         return map(self.points.__getitem__, indices)
+
+    def texter(self, template: str) -> Texter:
+        """Indices to texts, as Box.texter: each point fills the template."""
+        return lambda indices: map(template.__mod__, self.at(indices))
 
 
 def blocks_of(seq: Sequence) -> Iterator[Sequence]:

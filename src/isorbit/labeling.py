@@ -13,9 +13,9 @@ over coordinate columns (a signed permutation only reorders and negates
 columns) and projects the images back into the cell with the column walk
 of quotient.reduce_columns. A union-find joins each point with its images,
 always keeping the smaller index as the root. The representatives hold
-the indices 0..R-1 in sorted order and cell points found later get larger
-ones, so the root of every orbit is its smallest representative: the
-witness. The closure cap bounds the cell points of one union-find
+the indices 0..R-1 in the order stage 2 first met them, and cell points
+found later get larger ones, so the root of every orbit is its first
+representative. The closure cap bounds the cell points of one union-find
 component, hence of one orbit; memory holds all visited orbits together.
 
 Stage 2 then numbers the classes in the order of their smallest points
@@ -32,11 +32,11 @@ from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, neg
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._record import record
 from .domain import Box, SortedPoints
-from .errors import ClosureCapExceededError, DimensionMismatchError
+from .errors import ClosureCapExceededError, DimensionMismatchError, InputError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
 from .quotient import reduce_columns
@@ -45,20 +45,22 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 def merge_classes_generators(
-    reps: Iterable[Point],
+    reps: Sequence[Point],
     rotation_gens: Sequence[SignedPermutation],
     basis: LatticeBasis,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> dict[Point, Point]:
-    """Partition the representatives into rotation orbits, expanding all
-    classes together by the rotation generators only.
+) -> list[int]:
+    """Partition the distinct representatives into rotation orbits,
+    expanding all classes together by the rotation generators only.
 
-    Returns the witness of every representative: the lexicographically
-    smallest representative in its orbit. The frontier starts as the
-    sorted representatives and then holds the cell points first seen in
-    the previous round, so each cell point is rotated once per generator.
-    A point seen for the first time joins its source's component; an image
-    already seen joins the two components, the smaller root winning.
+    Returns the root of every representative: the smallest index in reps
+    of a representative in its orbit. The frontier starts as the
+    representatives, indexed 0..R-1 in the order given, and then holds the
+    cell points first seen in the previous round, which get larger indices;
+    so each cell point is rotated once per generator. A point seen for the
+    first time joins its source's component; an image already seen joins
+    the two components, the smaller root winning, so every root is a
+    representative. Repeated representatives raise InputError.
 
     Every component lies inside one orbit, and when the frontier is empty
     each component is a whole orbit. The cell is infinite when the lattice
@@ -71,13 +73,15 @@ def merge_classes_generators(
     """
     n = basis.n
     gens = list(rotation_gens)
-    order = sorted(set(map(tuple, reps)))
-    for k in set(map(len, order)) | {r.n for r in gens}:
+    for k in set(map(len, reps)) | {r.n for r in gens}:
         if k != n:
             raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
-    index = {p: i for i, p in enumerate(order)}
-    parent = list(range(len(order)))
-    size = [1] * len(order)  # by root; every root is a representative
+    index = {p: i for i, p in enumerate(reps)}
+    if len(index) != len(reps):
+        i = next(i for i, p in enumerate(reps) if index[p] != i)
+        raise InputError(f"representatives {i} and {index[reps[i]]} are the same point")
+    parent = list(range(len(reps)))
+    size = [1] * len(reps)  # by root; every root is a representative
 
     def find(x: int) -> int:
         root = x
@@ -89,15 +93,15 @@ def merge_classes_generators(
 
     def too_big(root: int) -> ClosureCapExceededError:
         try:
-            around = str(order[root])
+            around = str(reps[root])
         except ValueError:  # a coordinate past the int-to-str digit limit
-            around = f"representative {root} in sorted order (too many digits to print)"
+            around = f"representative {root} (too many digits to print)"
         return ClosureCapExceededError(
             f"class closure around {around} exceeded {closure_cap} elements")
 
-    if gens and order and closure_cap < 1:
+    if gens and reps and closure_cap < 1:
         raise too_big(0)
-    frontier, ids = order, range(len(order))
+    frontier, ids = reps, range(len(reps))
     while frontier and gens:
         cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
         fresh: list[Point] = []
@@ -132,7 +136,7 @@ def merge_classes_generators(
                     if size[a] > closure_cap:
                         raise too_big(a)
         frontier, ids = fresh, fresh_ids
-    return {p: order[find(i)] for i, p in enumerate(order)}
+    return list(map(find, range(len(reps))))
 
 
 @record(frozen=True)

@@ -69,9 +69,10 @@ def run_stage2(
     point is made. Each block of points is reduced over its columns, and
     every point gets the number of its representative; representatives
     are numbered in the order first met, and each keeps the sorted index
-    of its first point. After the merge, a class's label is the first
-    point of its first representative, and classes are numbered in the
-    order of their labels.
+    of its first point. The merge gives each representative the number of
+    the first representative of its class, so a class's label is that
+    one's first point, and classes are numbered in the order of their
+    labels.
     """
     n = stage1.gens.n
     if isinstance(domain, Box):
@@ -96,15 +97,16 @@ def run_stage2(
         rep_of.extend(ids)
     reps = list(index)
     del index
-    witness = merge_classes_generators(
-        reps, stage1.gens.rotation_generators(), basis, closure_cap)
-    numbers: dict = {}
-    class_of_rep = [numbers.setdefault(witness[rep], len(numbers)) for rep in reps]
-    del reps, witness
+    root = merge_classes_generators(reps, stage1.gens.rotation_generators(), basis, closure_cap)
+    del reps
+    class_of_rep: list[int] = []
     label_at: list[int] = []
-    for r, c in enumerate(class_of_rep):
-        if c == len(label_at):
+    for r, t in enumerate(root):
+        if t == r:  # the first representative of its class opens it
+            class_of_rep.append(len(label_at))
             label_at.append(first[r])
+        else:
+            class_of_rep.append(class_of_rep[t])
     return Stage2(domain, array("I", map(class_of_rep.__getitem__, rep_of)),
                   tuple(domain.at(label_at)))
 

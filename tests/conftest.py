@@ -13,7 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from isorbit import GeneratingSet, Isometry, SignedPermutation, validate_atomic
+from isorbit import (
+    GeneratingSet,
+    Isometry,
+    SignedPermutation,
+    merge_classes_generators,
+    validate_atomic,
+)
+from isorbit.labeling import DEFAULT_CLOSURE_CAP
 
 try:
     from hypothesis import settings
@@ -179,3 +186,12 @@ def _solve_fractions(a, b):
 def refines(fine, coarse) -> bool:
     """True when every class of `fine` lies inside some class of `coarse`."""
     return all(any(cls <= big for big in coarse) for cls in fine)
+
+
+def merge_witnesses(reps, rotation_gens, basis, closure_cap=DEFAULT_CLOSURE_CAP):
+    """The production merge on the sorted distinct representatives, read as
+    a witness dict: in sorted order each representative's root is the
+    lexicographically smallest representative of its orbit."""
+    order = sorted(set(map(tuple, reps)))
+    root = merge_classes_generators(order, rotation_gens, basis, closure_cap)
+    return {p: order[r] for p, r in zip(order, root)}

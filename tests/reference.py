@@ -9,9 +9,11 @@ and the whole rotation subgroup is listed and swept. They are slower, but
 they depend on nothing the production loops do, so tests compare the two:
 negation basis, translation lattice, permutation and rotation orders and
 the merge witnesses must all agree. The production merge closes every
-orbit at once with a union-find over coordinate columns; closure_merge_classes
-below is the earlier form of it, one witness's closure at a time, one point
-at a time, kept as a second oracle.
+orbit at once with a union-find over coordinate columns and returns each
+representative's root by index; witness_merge_classes below is its earlier
+form, which sorted the representatives itself and returned a witness dict,
+and closure_merge_classes an earlier one still, one witness's closure at a
+time, one point at a time. Both are kept as oracles.
 
 The production reduction walks the Hermite-normal-form echelon over whole
 coordinate columns; reduce_mod_lattice below takes the same steps one point
@@ -42,7 +44,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 from isorbit import (
@@ -276,6 +278,81 @@ def closure_merge_classes(
         for p in closure & rep_set:
             witness[p] = w
     return witness
+
+
+def witness_merge_classes(
+    reps: Iterable[Point],
+    rotation_gens: Sequence[SignedPermutation],
+    basis: LatticeBasis,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> dict[Point, Point]:
+    """Partition the representatives into rotation orbits, expanding all
+    classes together by the rotation generators only; the witness of every
+    representative is the lexicographically smallest representative in its
+    orbit.
+
+    The representatives are sorted and indexed 0..R-1 and form the first
+    frontier; each round rotates the frontier over coordinate columns,
+    projects the images back into the cell and joins each point with its
+    images in a union-find that keeps the smaller index as the root. Cell
+    points found later get larger indices, so every root is the smallest
+    representative of its component. closure_cap bounds one component.
+    """
+    n = basis.n
+    gens = list(rotation_gens)
+    order = sorted(set(map(tuple, reps)))
+    for k in set(map(len, order)) | {r.n for r in gens}:
+        if k != n:
+            raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
+    index = {p: i for i, p in enumerate(order)}
+    parent = list(range(len(order)))
+    size = [1] * len(order)
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def too_big(root: int) -> ClosureCapExceededError:
+        return ClosureCapExceededError(
+            f"class closure around {order[root]} exceeded {closure_cap} elements")
+
+    if gens and order and closure_cap < 1:
+        raise too_big(0)
+    frontier, ids = order, range(len(order))
+    while frontier and gens:
+        cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
+        fresh: list[Point] = []
+        fresh_ids: list[int] = []
+        for r in gens:
+            images = [cols[p] if s == 1 else list(map(neg, cols[p]))
+                      for s, p in zip(r.signs, r.perm)]
+            reduce_columns(basis, images)
+            for i, q in zip(ids, zip(*images)):
+                a = find(i)
+                j = index.get(q)
+                if j is None:
+                    index[q] = j = len(parent)
+                    parent.append(a)
+                    size[a] += 1
+                    if size[a] > closure_cap:
+                        raise too_big(a)
+                    fresh.append(q)
+                    fresh_ids.append(j)
+                    continue
+                b = find(j)
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    if size[a] > closure_cap:
+                        raise too_big(a)
+        frontier, ids = fresh, fresh_ids
+    return {p: order[find(i)] for i, p in enumerate(order)}
 
 
 def merge_classes_group(

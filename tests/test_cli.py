@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import re
@@ -20,6 +21,7 @@ from isorbit import (
     Stage2,
 )
 import isorbit.cli
+import isorbit.domain
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 
@@ -345,7 +347,7 @@ def _fail_if_listed(monkeypatch):
     """Make every way of reading a Box's points fail the test."""
     def listed(self, *args):
         raise AssertionError("a box point was made")
-    for name in ("__iter__", "column_blocks", "row_blocks", "at"):
+    for name in ("__iter__", "column_blocks", "at", "tail_table", "texter"):
         monkeypatch.setattr(Box, name, listed)
 
 
@@ -434,6 +436,45 @@ def test_streamed_tsv_run_holds_at_most_16_bytes_per_point(tmp_path):
         finally:
             tracemalloc.stop()
     assert (peaks[2 ** 18] - peaks[2 ** 16]) / (2 ** 18 - 2 ** 16) <= 16
+
+
+def test_streamed_json_run_holds_at_most_12_bytes_per_point(tmp_path):
+    # the JSON twin of the TSV bound: stage 2's 4-byte index, and the
+    # writer's 4-byte order of the points by class; the text tables add a
+    # table and a chunk, not bytes per point
+    gens = write(tmp_path / "gens.json", CHORDS4_DOC)
+    peaks = {}
+    for points, spec in [(16, "0..1,0..1,0..1,0..1"), (2 ** 16, "0..15,0..15,0..15,0..15"),
+                         (2 ** 18, "0..15,0..15,0..31,0..31")]:
+        argv = ["--gens", gens, "--box", spec, "--format", "json",
+                "--output", str(tmp_path / "out.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[2 ** 18] - peaks[2 ** 16]) / (2 ** 18 - 2 ** 16) <= 12
+
+
+@pytest.mark.parametrize("n,spec", [(1, "0..99999"), (2, "0..2,0..40000")])
+def test_a_box_with_no_tail_table_writes_the_bytes_of_its_points_file(tmp_path, n, spec):
+    # the last axis alone is longer than a tail table, so every point fills
+    # the whole template, as a points file's points do
+    gens = write(tmp_path / "gens.json", {"n": n, "generators": [
+        {"type": "translation", "v": [3] + [0] * (n - 1)},
+        {"type": "translation", "v": [0] * (n - 1) + [7]},
+        {"type": "negation", "signs": [-1] * n}]})
+    axes = [range(int(a), int(b) + 1) for a, b in (axis.split("..") for axis in spec.split(","))]
+    assert len(axes[-1]) > isorbit.domain.TEXT_TABLE
+    domain = write(tmp_path / "domain.json", {"points": list(itertools.product(*axes))})
+    for fmt in ("json", "tsv"):
+        outs = []
+        for source in (["--box", spec], ["--domain", domain]):
+            out = tmp_path / f"out-{len(outs)}.{fmt}"
+            assert main(["--gens", gens, *source, "--format", fmt, "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_run_missing_file(tmp_path, capsys):

@@ -3,9 +3,10 @@ from random import Random
 
 import pytest
 
-from conftest import random_sweep_instance
+from conftest import merge_witnesses, random_sweep_instance
 from isorbit import (
     ClosureCapExceededError,
+    InputError,
     SignedPermutation,
     bfs_orbits,
     hnf_reduce,
@@ -21,6 +22,7 @@ from reference import (
     reduce_points,
     rotate_mod_lattice,
     rotation_group,
+    witness_merge_classes,
 )
 
 POINT_REFLECTION = SignedPermutation.negation((-1, -1))
@@ -91,29 +93,52 @@ def test_merge_generators_matches_group_mode():
     reps = set(DIAGONAL_REPS)
     group_witness = merge_classes_group(
         reps, [SignedPermutation.identity(2), POINT_REFLECTION], basis)
-    gen_witness = merge_classes_generators(reps, [POINT_REFLECTION], basis)
+    gen_witness = merge_witnesses(reps, [POINT_REFLECTION], basis)
     assert gen_witness == group_witness
+    assert gen_witness == witness_merge_classes(reps, [POINT_REFLECTION], basis)
     rng = Random(703)
     for _ in range(25):
         gens, points = random_sweep_instance(rng)
         stage1 = run_stage1(gens)
         reps, _assignment = reduce_points(stage1.basis, points)
-        assert merge_classes_generators(
+        assert merge_witnesses(
             reps, gens.rotation_generators(), stage1.basis) == \
             merge_classes_group(
                 reps, rotation_group(stage1).elements, stage1.basis)
+        assert merge_witnesses(reps, gens.rotation_generators(), stage1.basis) == \
+            witness_merge_classes(reps, gens.rotation_generators(), stage1.basis)
+
+
+def test_merge_roots_are_first_representatives_in_the_order_given():
+    # the reflection joins (0, -1) and (0, 1); each class's root is its
+    # representative that comes first in reps, whatever the point order
+    basis = diagonal_cell()
+    for reps, root in [([(0, 1), (0, 0), (0, -1)], [0, 1, 0]),
+                       ([(0, -1), (0, 1), (0, 0)], [0, 0, 2]),
+                       ([(0, 0), (0, -1), (0, 1)], [0, 1, 1])]:
+        assert merge_classes_generators(reps, [POINT_REFLECTION], basis) == root
+        assert merge_classes_generators(reps, [], basis) == [0, 1, 2]
+
+
+def test_merge_rejects_a_repeated_representative():
+    # a repeat would be indexed at its last place only, and its first copy
+    # would end up a root of its own
+    basis = diagonal_cell()
+    for gens in ([POINT_REFLECTION], []):
+        with pytest.raises(InputError, match="representatives 0 and 2 are the same point"):
+            merge_classes_generators([(0, 1), (0, 0), (0, 1), (0, -1)], gens, basis)
 
 
 def test_merge_generators_no_generators():
     basis = diagonal_cell()
     reps = {(0, 0), (1, 0)}
-    assert merge_classes_generators(reps, [], basis) == {p: p for p in reps}
+    assert merge_witnesses(reps, [], basis) == {p: p for p in reps}
 
 
 def test_merge_generators_even_grid_with_swap():
     basis = hnf_reduce([(2, 0), (0, 2)], 2)
     reps, assignment = reduce_points(basis, UNIT_SQUARE)
-    witness = merge_classes_generators(reps, [SWAP], basis)
+    witness = merge_witnesses(reps, [SWAP], basis)
     labeling = finalize_labels(assignment, witness)
     assert labeling.partition() == {
         frozenset({(0, 0)}),
@@ -126,7 +151,7 @@ def test_merge_generators_closure_cap():
     basis = diagonal_cell()
     reps = {(0, 1), (1, 0)}
     with pytest.raises(ClosureCapExceededError):
-        merge_classes_generators(reps, [POINT_REFLECTION], basis, closure_cap=1)
+        merge_witnesses(reps, [POINT_REFLECTION], basis, closure_cap=1)
 
 
 # Z^3 with lattice Z(1,0,0), rotated by the signed swaps of coordinates 1
@@ -139,27 +164,27 @@ SIGNED_SWAP_GENS = [SignedPermutation.negation((1, -1, 1)),
 def test_merge_generators_closure_cap_boundary():
     basis = hnf_reduce([(1, 0, 0)], 3)
     reps = {(0, 1, 2)}
-    assert merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+    assert merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
         {(0, 1, 2): (0, 1, 2)}
     with pytest.raises(ClosureCapExceededError) as info:
-        merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=7)
+        merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=7)
     assert str(info.value) == "class closure around (0, 1, 2) exceeded 7 elements"
     # below 1 every representative alone exceeds the cap, a fixed point too;
     # without rotations there is no closure to cap
     with pytest.raises(ClosureCapExceededError):
-        merge_classes_generators({(0, 0, 0)}, SIGNED_SWAP_GENS, basis, closure_cap=0)
-    assert merge_classes_generators(reps, [], basis, closure_cap=0) == {(0, 1, 2): (0, 1, 2)}
+        merge_witnesses({(0, 0, 0)}, SIGNED_SWAP_GENS, basis, closure_cap=0)
+    assert merge_witnesses(reps, [], basis, closure_cap=0) == {(0, 1, 2): (0, 1, 2)}
 
 
 def test_merge_generators_cap_bounds_one_orbit_not_their_union():
     basis = hnf_reduce([(1, 0, 0)], 3)
     reps = {(0, a, b) for a in range(1, 30) for b in range(a + 1, 30)}
-    witness = merge_classes_generators(reps, SIGNED_SWAP_GENS, basis, closure_cap=8)
+    witness = merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=8)
     # 406 orbits of 8 cell points each: 3,248 visited under a cap of 8
     assert len(reps) == 406
     assert witness == {p: p for p in reps}
     mixed = reps | {(0, b, a) for (_, a, b) in reps} | {(0, -a, b) for (_, a, b) in reps}
-    assert merge_classes_generators(mixed, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+    assert merge_witnesses(mixed, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
         closure_merge_classes(mixed, SIGNED_SWAP_GENS, basis)
 
 

@@ -3,8 +3,10 @@ merge. The reduction gives the same translation classes as the
 pseudoinverse oracle in tests/reference.py, and point for point the same
 representatives as the single-point reduce_mod_lattice there, with the map in
 first-seen order and equal representatives shared as one tuple. The merge
-gives the same witness dict as the per-witness closure merge and the
-explicit-group sweep of tests/reference.py.
+gives the same witness dict as its earlier dict-returning form, the
+per-witness closure merge and the explicit-group sweep of
+tests/reference.py, and in any order of the representatives it roots each
+orbit at its first one.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -23,6 +25,7 @@ from isorbit import (  # noqa: E402
     run_stage1,
     validate_atomic,
 )
+from conftest import merge_witnesses  # noqa: E402
 from reference import (  # noqa: E402
     build_pseudoinverse,
     closure_merge_classes,
@@ -31,6 +34,7 @@ from reference import (  # noqa: E402
     reduce_mod_lattice,
     reduce_points,
     rotation_group,
+    witness_merge_classes,
 )
 
 
@@ -133,6 +137,26 @@ def test_batched_merge_matches_closure_and_group_merges(case):
     basis = stage1.basis
     reps, _assignment = reduce_points(basis, points)
     gens = stage1.gens.rotation_generators()
-    witness = merge_classes_generators(reps, gens, basis)
+    witness = merge_witnesses(reps, gens, basis)
+    assert witness == witness_merge_classes(reps, gens, basis)
     assert witness == closure_merge_classes(reps, gens, basis)
     assert witness == merge_classes_group(reps, rotation_group(stage1).elements, basis)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(ranked_generators_and_points(), st.randoms(use_true_random=False))
+def test_merge_roots_are_first_representatives_in_any_order(case, rng):
+    """In any order of the representatives, as stage 2 hands them over in
+    the order first met, each one's root is the first representative of
+    its orbit in that order."""
+    stage1, points = case
+    basis = stage1.basis
+    reps = sorted(reduce_points(basis, points)[0])
+    rng.shuffle(reps)
+    gens = stage1.gens.rotation_generators()
+    root = merge_classes_generators(reps, gens, basis)
+    witness = witness_merge_classes(reps, gens, basis)
+    first = {}
+    for i, p in enumerate(reps):
+        first.setdefault(witness[p], i)
+    assert root == [first[witness[p]] for p in reps]

@@ -1,13 +1,21 @@
-"""Property test of the streamed stage 2: on random generators and domains,
-the CLI's output bytes, in both formats, equal those of the whole-list
-chain kept in tests/reference.py (reduce_points, the class merge,
-finalize_labels, render_json and render_tsv).
+"""Property tests of the streamed stage 2 and of the box text tables.
+
+On random generators and domains, the CLI's output bytes, in both formats,
+equal those of the whole-list chain kept in tests/reference.py
+(reduce_points, the dict-returning class merge witness_merge_classes,
+finalize_labels, render_json and render_tsv). And a box gives the same
+bytes as its points written as a points file: a points file is written by
+filling a %d template per point, so it is an oracle that uses no table.
 
 The lattices have every rank from 0 to n: r translations span the first r
 axes, and the rotations keep those axes apart from the rest. The domains
 are boxes, with negative bounds and singleton axes, and points files,
 shuffled and with duplicates. The block size is set to 1, 3 or 7 points,
-so blocks cut axes and classes part way, as well as to its default.
+so blocks cut axes and classes part way, as well as to its default, and
+the tail-table bound to 1, 2 or 3 texts, so tables stop at every axis, as
+well as to its default. Mutants of the tables (a tail table one axis
+short, a head decode without its modulus, a head text reused across a
+head boundary) must each make the box and points-file bytes differ.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -15,6 +23,8 @@ the rest of the suite still collects.
 
 import itertools
 import json
+import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,9 +33,18 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 import isorbit.domain  # noqa: E402
-from isorbit import merge_classes_generators, run_stage1  # noqa: E402
+from isorbit import run_stage1  # noqa: E402
 from isorbit.cli import main, parse_generators  # noqa: E402
-from reference import finalize_labels, reduce_points, render_json, render_tsv  # noqa: E402
+from reference import (  # noqa: E402
+    finalize_labels,
+    reduce_points,
+    render_json,
+    render_tsv,
+    witness_merge_classes,
+)
+
+TABLES = [1, 2, 3, isorbit.domain.TEXT_TABLE]
+BLOCKS = [1, 3, 7, isorbit.domain.BLOCK_POINTS]
 
 
 @st.composite
@@ -68,8 +87,7 @@ def domains(draw, n):
 def oracle_bytes(gens_doc, points, fmt) -> bytes:
     stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
     reps, assignment = reduce_points(stage1.basis, points)
-    witness = merge_classes_generators(
-        reps, stage1.gens.rotation_generators(), stage1.basis)
+    witness = witness_merge_classes(reps, stage1.gens.rotation_generators(), stage1.basis)
     labeling = finalize_labels(assignment, witness)
     text = render_json(stage1, labeling) if fmt == "json" else render_tsv(labeling)
     return text.encode("utf-8")
@@ -80,9 +98,21 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("stream")
 
 
+def sizes(block, table, module=isorbit.domain):
+    """BLOCK_POINTS and TEXT_TABLE of module patched to the given values."""
+    return mock.patch.multiple(module, BLOCK_POINTS=block, TEXT_TABLE=table)
+
+
+def run_cli(gens_path, domain, fmt, out) -> bytes:
+    assert main(["--gens", str(gens_path), *domain, "--format", fmt,
+                 "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(st.data(), generator_documents(), st.sampled_from([1, 3, 7, 4096]))
-def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block):
+@hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS),
+                  st.sampled_from(TABLES))
+def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block, table):
     n, rank, gens_doc = gens
     domain, points = data.draw(domains(n))
     hypothesis.event(f"rank {rank} of n = {n}")
@@ -95,8 +125,100 @@ def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block
         domain = ["--domain", str(dom)]
     assert run_stage1(parse_generators(json.dumps(gens_doc))).basis.m == rank
     for fmt in ("json", "tsv"):
-        out = workdir / f"out.{fmt}"
-        with mock.patch.object(isorbit.domain, "BLOCK_POINTS", block):
-            assert main(["--gens", str(gens_path), *domain, "--format", fmt,
-                         "--output", str(out)]) == 0
-        assert out.read_bytes() == oracle_bytes(gens_doc, points, fmt)
+        with sizes(block, table):
+            out = run_cli(gens_path, domain, fmt, workdir / f"out.{fmt}")
+        assert out == oracle_bytes(gens_doc, points, fmt)
+
+
+def box_and_points_bytes(workdir, gens_doc, lo, hi, fmt) -> tuple[bytes, bytes]:
+    """The output bytes of the box lo..hi and of its points as a points file."""
+    gens_path = workdir / "gens.json"
+    gens_path.write_text(json.dumps(gens_doc), encoding="utf-8")
+    dom = workdir / "domain.json"
+    points = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    dom.write_text(json.dumps({"points": list(points)}), encoding="utf-8")
+    box = ["--box=" + ",".join(f"{a}..{b}" for a, b in zip(lo, hi))]
+    return (run_cli(gens_path, box, fmt, workdir / f"box.{fmt}"),
+            run_cli(gens_path, ["--domain", str(dom)], fmt, workdir / f"points.{fmt}"))
+
+
+@st.composite
+def boxes(draw, n):
+    """(lo, hi) of a box in Z^n of up to 6 values an axis and 1,500 points:
+    tables of every bound stop inside it, with several heads."""
+    lo = draw(st.lists(st.integers(-12, 3), min_size=n, max_size=n))
+    hi, points = [], 1
+    for a in lo:
+        k = draw(st.integers(1, min(6, 1500 // points)))
+        hi.append(a + k - 1)
+        points *= k
+    return lo, hi
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS),
+                  st.sampled_from(TABLES))
+def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, table):
+    n, _rank, gens_doc = gens
+    lo, hi = data.draw(boxes(n))
+    for fmt in ("json", "tsv"):
+        with sizes(block, table):
+            from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+        assert from_box == from_points
+
+
+def _mutant(edits: list[tuple[str, str]]) -> types.ModuleType:
+    """isorbit.domain with each (old, new) edit made once in its source."""
+    source = Path(isorbit.domain.__file__).read_text(encoding="utf-8")
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = types.ModuleType("isorbit.domain_mutant")
+    module.__package__ = "isorbit"
+    exec(compile(source, "domain_mutant.py", "exec"), module.__dict__)
+    return module
+
+
+MUTANTS = {
+    "tail table one axis short": [
+        ('tail = "%d".join(["", *template.split("%d")[k + 1:]])',
+         'tail = "%d".join(["", *template.split("%d")[k + 2:]])'),
+        ("product(*self._ranges[k:])", "product(*self._ranges[k + 1:])")],
+    "head decode without its modulus": [
+        ("lo + i // stride % size", "lo + i // stride")],
+    "head text reused across a head boundary": [
+        ("map(text.__getitem__, heads)", "repeat(text[distinct[0]])")],
+}
+
+# a one-class lattice (every index of a class chunk dense) and a lattice
+# with a rotation (sparse class chunks), in Z^4
+MUTANT_GENS = [
+    {"n": 4, "generators": [{"type": "translation", "v": v} for v in
+                            ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]},
+    {"n": 4, "generators": [{"type": "translation", "v": [3, 0, 0, 0]},
+                            {"type": "translation", "v": [1, 1, 1, 1]},
+                            {"type": "negation", "signs": [-1, -1, -1, -1]}]},
+]
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypatch, name):
+    mutant = _mutant(MUTANTS[name])
+    cases = [(gens_doc, (-2, 0, -1, 3), (0, 2, 2, 6), fmt, table)
+             for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
+             for table in (4, 16, isorbit.domain.TEXT_TABLE)]
+
+    def differs(gens_doc, lo, hi, fmt, table) -> bool:
+        block = isorbit.domain.BLOCK_POINTS
+        with sizes(block, table), sizes(block, table, mutant):
+            try:
+                from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+            except Exception:  # a mutant may fail outright
+                return True
+        return from_box != from_points
+
+    assert not any(differs(*case) for case in cases)  # the tables pass every case
+    for method in ("at", "tail_table", "texter"):
+        monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
+    for fmt in ("json", "tsv"):  # each writer catches the mutant
+        assert any(differs(*case) for case in cases if case[3] == fmt)
