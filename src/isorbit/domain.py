@@ -9,12 +9,17 @@ A domain is one of two kinds:
 - SortedPoints, the distinct points of a points list in sorted order,
   checked once by sort_points.
 
-Both give their points in sorted order: as coordinate columns to reduce,
-in blocks of at most BLOCK_POINTS (column_blocks), by sorted index (at),
-and as texts to write, by sorted index (texter). A box block is the
-product of one range per axis: the trailing axes that fit in a block
-whole, the next axis cut into slices, and one value of each leading axis.
-When the last axis alone is longer than a block, the block cuts that axis.
+Both give their points in sorted order, in blocks of at most BLOCK_POINTS,
+as coordinate columns to reduce; by sorted index (at); and as texts to
+write, by sorted index (texter). A points list gives each block's columns
+(column_blocks). A box block is the product of one range per axis: the
+trailing axes that fit in a block whole, the next axis (the cut axis) cut
+into slices, and one value of each leading axis. When the last axis alone
+is longer than a block, the block cuts that axis. So every box block is a
+translate of a prefix of the first block, and a box gives the columns of
+that block alone, the base, with every block's point count and shift
+(shifted_blocks): stage 2 reduces the base and moves its representatives
+(see pipeline.run_stage2).
 
 A box's point texts are made in two parts: the trailing axes with at most
 TEXT_TABLE points make a table of tail texts, filled once per writer, and
@@ -97,19 +102,32 @@ class Box:
             for i in range(0, len(cut), step):
                 yield [*[range(v, v + 1) for v in head], cut[i:i + step], *tail]
 
-    def column_blocks(self) -> Iterator[tuple[int, list[list[int]]]]:
-        """(point count, coordinate columns) of each block: axis j repeats
-        each of its values once per point of the later axes, and the
-        whole run once per point of the earlier ones."""
-        for ranges in self._blocks():
-            count, outer, cols = prod(map(len, ranges)), 1, []
-            for r in ranges:
-                inner = count // (outer * len(r))
-                col = list(r) if inner == 1 else list(
-                    chain.from_iterable(map(repeat, r, repeat(inner))))
-                cols.append(col * outer)
-                outer *= len(r)
-            yield count, cols
+    def shifted_blocks(self) -> tuple[list[list[int]], Iterator[tuple[int, list[int]]]]:
+        """(base, shifts): the coordinate columns of the first block, the
+        base, and the (point count, shift) of every block in sorted order,
+        the base first with shift 0.
+
+        Every block is the first point count points of the base moved by
+        its shift: only the leading axes and the cut axis move. A block's
+        slice of the cut axis is as long as the base's except the last of
+        each value of the leading axes, which may be shorter; the cut axis
+        comes first in a block's order, so that block is a prefix.
+        """
+        blocks = self._blocks()
+        base = next(blocks)
+        # axis j repeats each of its values once per point of the later
+        # axes, and the whole run once per point of the earlier ones
+        count, outer, cols = prod(map(len, base)), 1, []
+        for r in base:
+            inner = count // (outer * len(r))
+            col = list(r) if inner == 1 else list(
+                chain.from_iterable(map(repeat, r, repeat(inner))))
+            cols.append(col * outer)
+            outer *= len(r)
+        starts = [r.start for r in base]
+        shifts = ((prod(map(len, ranges)), [r.start - a for r, a in zip(ranges, starts)])
+                  for ranges in blocks)
+        return cols, chain([(count, [0] * len(base))], shifts)
 
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
         """The points with the given sorted indices, decoded by mixed radix.

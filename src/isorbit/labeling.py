@@ -18,6 +18,11 @@ found later get larger ones, so the root of every orbit is its first
 representative. The closure cap bounds the cell points of one union-find
 component, hence of one orbit; memory holds all visited orbits together.
 
+Two kinds of edge are known to join nothing, and the merge skips them
+without changing a root or where the cap trips: every edge of a generator
+that fixes each cell point, and the edge from a generator R back to the
+points R found the round before, when R is an involution on the cell.
+
 Stage 2 then numbers the classes in the order of their smallest points
 (see pipeline.run_stage2) and records them as a Stage2: one 4-byte class
 index per point of the domain, in sorted point order, and the label of each
@@ -70,6 +75,18 @@ def merge_classes_generators(
     in one rotation-subgroup orbit), and many small ones never trip the
     cap. Memory grows with the union of the orbits visited, all of them
     held at once, not with one orbit at a time.
+
+    Edges that would join nothing are skipped, so the roots, the cap's trip
+    point and its message are those of the full walk:
+
+    - a generator R with (R - I)·e_j in the lattice for every axis j maps
+      every cell point to itself, and is dropped;
+    - when (R^2 - I)·e_j is in the lattice for every j and R maps the
+      lattice into itself, R maps each point q = reduce(R·p) it found last
+      round back to reduce(R^2·p) = p, already in q's component; so R is
+      not applied to those points. The frontier is kept as one group per
+      finding generator, in id order, so every other edge runs in the
+      order of the full walk.
     """
     n = basis.n
     gens = list(rotation_gens)
@@ -101,42 +118,79 @@ def merge_classes_generators(
 
     if gens and reps and closure_cap < 1:
         raise too_big(0)
-    frontier, ids = reps, range(len(reps))
+    gens = [r for r in gens if not _fixes_the_cell(basis, r.signs, r.perm)]
+    # R is an involution on the cell: R^2 fixes it, and R maps every
+    # Hermite row b into the lattice
+    involution = [_fixes_the_cell(basis, *_squared(r)) and _reduce_to_zero(
+        basis, [[s * b[p] for b in basis.hnf_rows] for s, p in zip(r.signs, r.perm)])
+        for r in gens]
+    # (finder, points, ids): the points each generator found last round, by
+    # its index in gens (None for the representatives), in id order
+    frontier = [(None, reps, range(len(reps)))]
     while frontier and gens:
-        cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
-        fresh: list[Point] = []
-        fresh_ids: list[int] = []
-        for r in gens:
-            images = [cols[p] if s == 1 else list(map(neg, cols[p]))
-                      for s, p in zip(r.signs, r.perm)]
-            reduce_columns(basis, images)
-            for i, q in zip(ids, zip(*images)):
-                # after path compression one hop finds most roots
-                a = parent[i]
-                if parent[a] != a:
-                    a = find(i)
-                j = index.get(q)
-                if j is None:
-                    index[q] = j = len(parent)
-                    parent.append(a)
-                    size[a] += 1
-                    if size[a] > closure_cap:
-                        raise too_big(a)
-                    fresh.append(q)
-                    fresh_ids.append(j)
+        groups = [(g, [list(map(itemgetter(j), pts)) for j in range(n)], ids)
+                  for g, pts, ids in frontier]
+        frontier = []
+        for k, r in enumerate(gens):
+            fresh: list[Point] = []
+            fresh_ids: list[int] = []
+            for g, cols, ids in groups:
+                if g == k and involution[k]:  # r maps each back to its finder
                     continue
-                b = parent[j]
-                if parent[b] != b:
-                    b = find(j)
-                if a != b:
-                    if b < a:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    if size[a] > closure_cap:
-                        raise too_big(a)
-        frontier, ids = fresh, fresh_ids
-    return list(map(find, range(len(reps))))
+                images = [cols[p] if s == 1 else list(map(neg, cols[p]))
+                          for s, p in zip(r.signs, r.perm)]
+                reduce_columns(basis, images)
+                for i, q in zip(ids, zip(*images)):
+                    # after path compression one hop finds most roots
+                    a = parent[i]
+                    if parent[a] != a:
+                        a = find(i)
+                    j = index.get(q)
+                    if j is None:
+                        index[q] = j = len(parent)
+                        parent.append(a)
+                        size[a] += 1
+                        if size[a] > closure_cap:
+                            raise too_big(a)
+                        fresh.append(q)
+                        fresh_ids.append(j)
+                        continue
+                    b = parent[j]
+                    if parent[b] != b:
+                        b = find(j)
+                    if a != b:
+                        if b < a:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
+                        if size[a] > closure_cap:
+                            raise too_big(a)
+            if fresh:
+                frontier.append((k, fresh, fresh_ids))
+    for _ in map(find, range(len(reps))):  # now parent[i] is i's root
+        pass
+    return parent[:len(reps)]  # its ints are parent's: a root list adds no int
+
+
+def _reduce_to_zero(basis: LatticeBasis, cols: list[list[int]]) -> bool:
+    """Whether every point held as coordinate columns reduces to 0."""
+    if cols:
+        reduce_columns(basis, cols)
+    return not any(map(any, cols))
+
+
+def _fixes_the_cell(basis: LatticeBasis, signs: Sequence[int], perm: Sequence[int]) -> bool:
+    """Whether the rotation y[i] = signs[i] * x[perm[i]] fixes every cell
+    point: (R - I)·e_j reduces to 0 for every axis j, so (R - I)·x does
+    for every point x. Column i holds coordinate i of each (R - I)·e_j."""
+    axes = range(basis.n)
+    return _reduce_to_zero(basis, [[s * (p == j) - (i == j) for j in axes]
+                                   for i, (s, p) in enumerate(zip(signs, perm))])
+
+
+def _squared(r: SignedPermutation) -> tuple[list[int], list[int]]:
+    """(signs, perm) of r applied twice."""
+    return [s * r.signs[p] for s, p in zip(r.signs, r.perm)], [r.perm[p] for p in r.perm]
 
 
 @record(frozen=True)

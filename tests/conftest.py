@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -195,3 +196,17 @@ def merge_witnesses(reps, rotation_gens, basis, closure_cap=DEFAULT_CLOSURE_CAP)
     order = sorted(set(map(tuple, reps)))
     root = merge_classes_generators(order, rotation_gens, basis, closure_cap)
     return {p: order[r] for p, r in zip(order, root)}
+
+
+def mutant_module(module: types.ModuleType, edits: list[tuple[str, str]]) -> types.ModuleType:
+    """A copy of module, in its package, with each (old, new) edit made
+    once in its source; each old text must occur exactly once."""
+    path = Path(module.__file__)
+    source = path.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    mutant = types.ModuleType(module.__name__ + "_mutant")
+    mutant.__package__ = module.__package__
+    exec(compile(source, f"{path.stem}_mutant.py", "exec"), mutant.__dict__)
+    return mutant

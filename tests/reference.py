@@ -10,10 +10,11 @@ they depend on nothing the production loops do, so tests compare the two:
 negation basis, translation lattice, permutation and rotation orders and
 the merge witnesses must all agree. The production merge closes every
 orbit at once with a union-find over coordinate columns and returns each
-representative's root by index; witness_merge_classes below is its earlier
-form, which sorted the representatives itself and returned a witness dict,
-and closure_merge_classes an earlier one still, one witness's closure at a
-time, one point at a time. Both are kept as oracles.
+representative's root by index, skipping the edges it can tell join
+nothing; full_walk_merge_classes below is the same walk with every edge,
+witness_merge_classes the full walk over the sorted representatives read
+as a witness dict, and closure_merge_classes an earlier form still, one
+witness's closure at a time, one point at a time. All are kept as oracles.
 
 The production reduction walks the Hermite-normal-form echelon over whole
 coordinate columns; reduce_mod_lattice below takes the same steps one point
@@ -289,24 +290,41 @@ def witness_merge_classes(
     """Partition the representatives into rotation orbits, expanding all
     classes together by the rotation generators only; the witness of every
     representative is the lexicographically smallest representative in its
-    orbit.
+    orbit: the full walk below over the sorted distinct representatives."""
+    order = sorted(set(map(tuple, reps)))
+    root = full_walk_merge_classes(order, rotation_gens, basis, closure_cap)
+    return {p: order[r] for p, r in zip(order, root)}
 
-    The representatives are sorted and indexed 0..R-1 and form the first
-    frontier; each round rotates the frontier over coordinate columns,
-    projects the images back into the cell and joins each point with its
-    images in a union-find that keeps the smaller index as the root. Cell
-    points found later get larger indices, so every root is the smallest
-    representative of its component. closure_cap bounds one component.
+
+def full_walk_merge_classes(
+    reps: Sequence[Point],
+    rotation_gens: Sequence[SignedPermutation],
+    basis: LatticeBasis,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> list[int]:
+    """The root of every representative, as merge_classes_generators gives
+    it, by the walk that skips no edge.
+
+    The representatives are indexed 0..R-1 in the order given and form the
+    first frontier; each round rotates the whole frontier by every
+    generator over coordinate columns, projects the images back into the
+    cell and joins each point with its images in a union-find that keeps
+    the smaller index as the root. Cell points found later get larger
+    indices, so every root is the first representative of its component.
+    closure_cap bounds one component, and the error names the same point
+    as the production merge's.
     """
     n = basis.n
     gens = list(rotation_gens)
-    order = sorted(set(map(tuple, reps)))
-    for k in set(map(len, order)) | {r.n for r in gens}:
+    for k in set(map(len, reps)) | {r.n for r in gens}:
         if k != n:
             raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
-    index = {p: i for i, p in enumerate(order)}
-    parent = list(range(len(order)))
-    size = [1] * len(order)
+    index = {p: i for i, p in enumerate(reps)}
+    if len(index) != len(reps):
+        i = next(i for i, p in enumerate(reps) if index[p] != i)
+        raise InputError(f"representatives {i} and {index[reps[i]]} are the same point")
+    parent = list(range(len(reps)))
+    size = [1] * len(reps)
 
     def find(x: int) -> int:
         root = x
@@ -317,12 +335,16 @@ def witness_merge_classes(
         return root
 
     def too_big(root: int) -> ClosureCapExceededError:
+        try:
+            around = str(reps[root])
+        except ValueError:
+            around = f"representative {root} (too many digits to print)"
         return ClosureCapExceededError(
-            f"class closure around {order[root]} exceeded {closure_cap} elements")
+            f"class closure around {around} exceeded {closure_cap} elements")
 
-    if gens and order and closure_cap < 1:
+    if gens and reps and closure_cap < 1:
         raise too_big(0)
-    frontier, ids = order, range(len(order))
+    frontier, ids = reps, range(len(reps))
     while frontier and gens:
         cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
         fresh: list[Point] = []
@@ -352,7 +374,7 @@ def witness_merge_classes(
                     if size[a] > closure_cap:
                         raise too_big(a)
         frontier, ids = fresh, fresh_ids
-    return {p: order[find(i)] for i, p in enumerate(order)}
+    return list(map(find, range(len(reps))))
 
 
 def merge_classes_group(

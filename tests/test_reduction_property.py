@@ -6,7 +6,10 @@ first-seen order and equal representatives shared as one tuple. The merge
 gives the same witness dict as its earlier dict-returning form, the
 per-witness closure merge and the explicit-group sweep of
 tests/reference.py, and in any order of the representatives it roots each
-orbit at its first one.
+orbit at its first one. The edges it skips join nothing: it gives the
+roots of the walk that skips none, or trips the closure cap with the same
+message, and a mutant that skips a 3-cycle's edges as an involution's
+does not.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -17,7 +20,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import isorbit.labeling  # noqa: E402
 from isorbit import (  # noqa: E402
+    ClosureCapExceededError,
     Isometry,
     SignedPermutation,
     hnf_reduce,
@@ -25,10 +30,12 @@ from isorbit import (  # noqa: E402
     run_stage1,
     validate_atomic,
 )
-from conftest import merge_witnesses  # noqa: E402
+from isorbit.labeling import DEFAULT_CLOSURE_CAP  # noqa: E402
+from conftest import merge_witnesses, mutant_module  # noqa: E402
 from reference import (  # noqa: E402
     build_pseudoinverse,
     closure_merge_classes,
+    full_walk_merge_classes,
     merge_classes_group,
     pinv_reduce_points,
     reduce_mod_lattice,
@@ -160,3 +167,47 @@ def test_merge_roots_are_first_representatives_in_any_order(case, rng):
     for i, p in enumerate(reps):
         first.setdefault(witness[p], i)
     assert root == [first[witness[p]] for p in reps]
+
+
+def roots_or_error(merge, reps, gens, basis, closure_cap):
+    """The merge's roots, or the message of the closure cap it tripped."""
+    try:
+        return merge(reps, gens, basis, closure_cap)
+    except ClosureCapExceededError as e:
+        return str(e)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(ranked_generators_and_points(), st.randoms(use_true_random=False),
+                  st.one_of(st.integers(1, 40), st.just(DEFAULT_CLOSURE_CAP)))
+def test_pruned_merge_matches_the_full_walk(case, rng, closure_cap):
+    stage1, points = case
+    basis = stage1.basis
+    reps = sorted(reduce_points(basis, points)[0])
+    rng.shuffle(reps)
+    gens = stage1.gens.rotation_generators()
+    kept = [r for r in gens if not isorbit.labeling._fixes_the_cell(basis, r.signs, r.perm)]
+    hypothesis.event("a generator fixes the cell" if len(kept) < len(gens) else "none fixes the cell")
+    hypothesis.event("an involution" if any(
+        isorbit.labeling._fixes_the_cell(basis, *isorbit.labeling._squared(r)) for r in kept)
+        else "no involution")
+    pruned = roots_or_error(merge_classes_generators, reps, gens, basis, closure_cap)
+    hypothesis.event("cap tripped" if isinstance(pruned, str) else "cap kept")
+    assert pruned == roots_or_error(full_walk_merge_classes, reps, gens, basis, closure_cap)
+
+
+def test_a_3_cycle_skipped_as_an_involution_fails():
+    # the orbit of (0, 1, 2) under the 3-cycle has three cell points at
+    # rank 0 and at rank 1, and the walk reaches the third only as the
+    # cycle's image of a point the cycle found itself
+    mutant = mutant_module(isorbit.labeling, [
+        ("_fixes_the_cell(basis, *_squared(r))", "_fixes_the_cell(basis, (1,) * n, range(n))")])
+    gens = [SignedPermutation.permutation((1, 2, 0))]
+    cases = [([(0, 1, 2)], hnf_reduce([], 3), cap) for cap in (1, 2, 3, DEFAULT_CLOSURE_CAP)]
+    cases += [([(0, 1, 2), (0, 2, 1)], hnf_reduce([(1, 1, 1)], 3), cap) for cap in (2, 3)]
+    for reps, basis, cap in cases:
+        assert roots_or_error(merge_classes_generators, reps, gens, basis, cap) == \
+            roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
+    assert any(roots_or_error(mutant.merge_classes_generators, reps, gens, basis, cap)
+               != roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
+               for reps, basis, cap in cases)

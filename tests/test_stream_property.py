@@ -13,9 +13,15 @@ are boxes, with negative bounds and singleton axes, and points files,
 shuffled and with duplicates. The block size is set to 1, 3 or 7 points,
 so blocks cut axes and classes part way, as well as to its default, and
 the tail-table bound to 1, 2 or 3 texts, so tables stop at every axis, as
-well as to its default. Mutants of the tables (a tail table one axis
-short, a head decode without its modulus, a head text reused across a
-head boundary) must each make the box and points-file bytes differ.
+well as to its default. Some boxes end the cut axis in a short slice after
+every value of the leading axes, so every head group's last block is a
+prefix of the base; and stage 2 takes both of its paths on them, moving
+the base's representatives or (when the base's points are all distinct
+representatives) the base's points. Mutants of the tables (a tail table
+one axis short, a head decode without its modulus, a head text reused
+across a head boundary) and of the moved blocks (a shift with its sign
+flipped or taken from the wrong axis, a short block that keeps every base
+representative) must each make the box and points-file bytes differ.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -23,8 +29,6 @@ the rest of the suite still collects.
 
 import itertools
 import json
-import types
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,9 +36,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+import isorbit.cli  # noqa: E402
 import isorbit.domain  # noqa: E402
-from isorbit import run_stage1  # noqa: E402
+import isorbit.pipeline  # noqa: E402
+from isorbit import Box, run_stage1  # noqa: E402
 from isorbit.cli import main, parse_generators  # noqa: E402
+from conftest import mutant_module  # noqa: E402
 from reference import (  # noqa: E402
     finalize_labels,
     reduce_points,
@@ -155,28 +162,45 @@ def boxes(draw, n):
     return lo, hi
 
 
+@st.composite
+def short_sliced_boxes(draw, n, block):
+    """(lo, hi) of a box in Z^n whose cut axis, under blocks of `block`
+    points, ends in a short slice after each value of the leading axes,
+    and whose first leading axis (if any) has several values."""
+    cut = draw(st.integers(0, n - 1))
+    inner, tail = 1, []
+    for _ in range(cut + 1, n):  # a slice holds at least two values of the cut axis
+        tail.append(draw(st.integers(1, max(1, block // 2 // inner))))
+        inner *= tail[-1]
+    step = block // inner
+    length = step * draw(st.integers(1, 3)) + draw(st.integers(1, step - 1))
+    lead, points = [], length * inner
+    for j in range(cut):
+        lead.append(draw(st.integers(2 if j == 0 else 1, max(2, min(3, 1500 // points)))))
+        points *= lead[-1]
+    lo = draw(st.lists(st.integers(-12, 3), min_size=n, max_size=n))
+    return lo, [a + k - 1 for a, k in zip(lo, [*lead, length, *tail])]
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS),
                   st.sampled_from(TABLES))
 def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, table):
-    n, _rank, gens_doc = gens
-    lo, hi = data.draw(boxes(n))
+    n, rank, gens_doc = gens
+    short = block in (3, 7) and data.draw(st.booleans())
+    lo, hi = data.draw(short_sliced_boxes(n, block) if short else boxes(n))
+    basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
+    with sizes(block, table):
+        counts = [size for size, _shift in Box(lo, hi).shifted_blocks()[1]]
+        loc, _first, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis)
+    assert not short or counts.count(counts[0]) < len(counts)
+    hypothesis.event(f"rank {rank} of n = {n}")
+    hypothesis.event("base points moved" if loc is None else "base representatives moved")
+    hypothesis.event("short blocks" if min(counts) < counts[0] else "no short block")
     for fmt in ("json", "tsv"):
         with sizes(block, table):
             from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
         assert from_box == from_points
-
-
-def _mutant(edits: list[tuple[str, str]]) -> types.ModuleType:
-    """isorbit.domain with each (old, new) edit made once in its source."""
-    source = Path(isorbit.domain.__file__).read_text(encoding="utf-8")
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    module = types.ModuleType("isorbit.domain_mutant")
-    module.__package__ = "isorbit"
-    exec(compile(source, "domain_mutant.py", "exec"), module.__dict__)
-    return module
 
 
 MUTANTS = {
@@ -203,7 +227,7 @@ MUTANT_GENS = [
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypatch, name):
-    mutant = _mutant(MUTANTS[name])
+    mutant = mutant_module(isorbit.domain, MUTANTS[name])
     cases = [(gens_doc, (-2, 0, -1, 3), (0, 2, 2, 6), fmt, table)
              for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
              for table in (4, 16, isorbit.domain.TEXT_TABLE)]
@@ -222,3 +246,44 @@ def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypat
         monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
     for fmt in ("json", "tsv"):  # each writer catches the mutant
         assert any(differs(*case) for case in cases if case[3] == fmt)
+
+
+SHIFT = "[r.start - a for r, a in zip(ranges, starts)]"
+STAGE2_MUTANTS = {
+    "a shift with its sign flipped": (
+        isorbit.domain, [(SHIFT, "[a - r.start for r, a in zip(ranges, starts)]")]),
+    "a shift taken from the wrong axis": (isorbit.domain, [(SHIFT, SHIFT + "[::-1]")]),
+    "a short block that keeps all base representatives": (
+        isorbit.pipeline, [("m = bisect_left(first, size)", "m = len(first)")]),
+}
+
+# the base repeats representatives under both lattices, and the box's
+# blocks of 40 points (2 values of axis 1 by 16 of axes 2 and 3) end each
+# value of axis 0 in a short slice of 1
+STAGE2_MUTANT_GENS = [MUTANT_GENS[1], {"n": 4, "generators": [
+    {"type": "translation", "v": v} for v in ([3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0],
+                                              [1, 1, 1, 1])]}]
+
+
+@pytest.mark.parametrize("name", list(STAGE2_MUTANTS))
+def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, monkeypatch, name):
+    module, edits = STAGE2_MUTANTS[name]
+    mutant = mutant_module(module, edits)
+    lo, hi = (-2, 0, -1, 3), (1, 4, 2, 6)
+
+    def differs(gens_doc, fmt) -> bool:
+        with sizes(40, isorbit.domain.TEXT_TABLE):
+            try:
+                from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+            except Exception:  # a mutant may fail outright
+                return True
+        return from_box != from_points
+
+    cases = [(gens_doc, fmt) for gens_doc in STAGE2_MUTANT_GENS for fmt in ("json", "tsv")]
+    assert not any(differs(*case) for case in cases)
+    if module is isorbit.domain:
+        monkeypatch.setattr(isorbit.domain.Box, "shifted_blocks", mutant.Box.shifted_blocks)
+    else:
+        monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
+    for fmt in ("json", "tsv"):
+        assert any(differs(*case) for case in cases if case[1] == fmt)
