@@ -46,6 +46,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from . import domain
 from .domain import Box, blocks_of
 from .errors import (
     BoxTooLargeError,
@@ -220,8 +221,10 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
     would write it, in pieces: the head from json_head, then class by
     class its label and its members, at most BLOCK_POINTS per piece. The
-    members' texts come from the domain's texter, for a %d template laid
-    out for their depth.
+    members come from Stage2.grouped, and each piece's texts, for a %d
+    template laid out for their depth, are joined by the domain's joined:
+    a box writes each run of members that share a head text at once,
+    from a tail table of at most BLOCK_POINTS texts.
 
     With indent set, the json module falls back to its pure-Python
     encoder, so only the small head goes through it.
@@ -230,14 +233,13 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
         yield head + "\n"
         return
     n = stage2.domain.n
-    texts = stage2.domain.texter("        " + _point_template(n, 4))
+    join = stage2.domain.joined("        " + _point_template(n, 4), domain.BLOCK_POINTS, ",\n")
     opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
     yield head[:-len("[]\n}")] + "[\n"
-    order, starts = stage2.grouped()
-    for c, label in enumerate(stage2.labels):
+    for c, (label, members) in enumerate(zip(stage2.labels, stage2.grouped())):
         yield (",\n" if c else "") + opening % label
-        for i, members in enumerate(blocks_of(order[starts[c]:starts[c + 1]])):
-            yield (",\n" if i else "") + ",\n".join(texts(members))
+        for i, piece in enumerate(blocks_of(members)):
+            yield (",\n" if i else "") + join(piece)
         yield "\n      ]\n    }"
     yield "\n  ]\n}\n"
 
@@ -248,11 +250,11 @@ def tsv_chunks(stage2: Stage2) -> Iterator[str]:
     domain's texter, and each class's label text is made once. A piece's
     point texts are listed first; two flat passes beat one through nested
     maps."""
-    domain, class_of = stage2.domain, stage2.class_of
-    half = ",".join(["%d"] * domain.n)
-    texts = domain.texter(half)
+    points, class_of = stage2.domain, stage2.class_of
+    half = ",".join(["%d"] * points.n)
+    texts = points.texter(half, domain.TEXT_TABLE)
     tails = ["\t" + half % label + "\n" for label in stage2.labels]
-    for block in blocks_of(range(len(domain))):
+    for block in blocks_of(range(len(points))):
         yield "".join(map(add, list(texts(block)),
                           map(tails.__getitem__, class_of[block.start:block.stop])))
 

@@ -11,7 +11,8 @@ A domain is one of two kinds:
 
 Both give their points in sorted order, in blocks of at most BLOCK_POINTS,
 as coordinate columns to reduce; by sorted index (at); and as texts to
-write, by sorted index (texter). A points list gives each block's columns
+write, by sorted index, one text a point (texter) or joined (joined). A
+points list gives each block's columns
 (column_blocks). A box block is the product of one range per axis: the
 trailing axes that fit in a block whole, the next axis (the cut axis) cut
 into slices, and one value of each leading axis. When the last axis alone
@@ -22,13 +23,19 @@ that block alone, the base, with every block's point count and shift
 (see pipeline.run_stage2).
 
 A box's point texts are made in two parts: the trailing axes with at most
-TEXT_TABLE points make a table of tail texts, filled once per writer, and
-the leading axes a head text, made once per distinct head in each call;
-a points list fills a %d template per point.
+a given bound of points make a table of tail texts, filled once per writer,
+and the leading axes a head text, made once per distinct head in each call;
+a points list fills a %d template per point. The TSV writer takes each
+point's text (texter) from a table of at most TEXT_TABLE texts. The JSON
+writer joins the texts of a class's members (joined) with a table of at
+most BLOCK_POINTS texts: the members that share a head are one run, joined
+around the head's text at once, and members too sparse for runs (fewer
+than RUN_MEMBERS a head) are joined from per-point texts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
@@ -40,9 +47,11 @@ from .errors import DimensionMismatchError, InputError, InvalidDomainError
 from .isometry import Point, int_tuple
 
 BLOCK_POINTS = 4096
-TEXT_TABLE = 256  # bound on a box's tail table, in texts
+TEXT_TABLE = 256  # bound on a box's tail table for per-point texts, in texts
+RUN_MEMBERS = 4  # fewest indices per head, on average, that Box.joined writes as runs
 
 Texter = Callable[[Sequence[int]], Iterable[str]]
+Joiner = Callable[[Sequence[int]], str]
 
 
 @record(frozen=True)
@@ -151,27 +160,29 @@ class Box:
             stride *= size
         return zip(*reversed(cols))
 
-    def tail_table(self, template: str) -> tuple[int, list[str]]:
-        """(k, table): axes k.. are the trailing axes with at most
-        TEXT_TABLE points, and table holds the texts of their points in
-        sorted order, each filled into the template's slots past the k-th
-        (template has one %d per axis and no other conversion)."""
-        k, _ = self._split(TEXT_TABLE)
+    def tail_table(self, template: str, bound: int) -> tuple[int, list[str]]:
+        """(k, table): axes k.. are the trailing axes with at most bound
+        points, and table holds the texts of their points in sorted order,
+        each filled into the template's slots past the k-th (template has
+        one %d per axis and no other conversion)."""
+        k, _ = self._split(bound)
         tail = "%d".join(["", *template.split("%d")[k + 1:]])
         return k, list(map(tail.__mod__, product(*self._ranges[k:])))
 
-    def texter(self, template: str) -> Texter:
+    def texter(self, template: str, bound: int) -> Texter:
         """The function from ascending sorted indices to the texts of their
         points, each filled into template (one %d per axis, no other
         conversion).
 
-        With the tail table of T texts from tail_table, made here once,
-        index i has the text head(i // T) + table[i % T], and a call makes
-        the text of each distinct head among its indices once, in a dict
-        keyed by head. When T = 1 (an axis alone is longer than the table)
-        each point fills the whole template instead.
+        With the tail table of T texts from tail_table(template, bound),
+        made here once, index i has the text head(i // T) + table[i % T],
+        and a call makes the text of each distinct head among its indices
+        once, in a dict keyed by head. When T = 1 (an axis alone is longer
+        than the bound) each point fills the whole template instead.
         """
-        k, table = self.tail_table(template)
+        return self._texter(template, *self.tail_table(template, bound))
+
+    def _texter(self, template: str, k: int, table: list[str]) -> Texter:
         t = len(table)
         if t == 1:
             return lambda indices: map(template.__mod__, self.at(indices))
@@ -185,6 +196,40 @@ class Box:
             return map(add, map(text.__getitem__, heads),
                        map(table.__getitem__, map(mod, indices, repeat(t))))
         return texts
+
+    def joined(self, template: str, bound: int, sep: str) -> Joiner:
+        """The function from ascending sorted indices to their texts, as
+        texter gives them, joined by sep.
+
+        The indices go in runs: a run is the consecutive indices that share
+        a head h = i // T, for the tail table of T texts from
+        tail_table(template, bound), and it is written as
+        H + (sep + H).join(its tail texts), H the text of h, so no point
+        text is made on its own. Indices that average fewer than
+        RUN_MEMBERS per head over the heads they span are joined from
+        texter's per-point texts instead, made from the same table.
+        """
+        k, table = self.tail_table(template, bound)
+        t = len(table)
+        texts = self._texter(template, k, table)
+        head = "%d".join(template.split("%d")[:k + 1])
+        leading = Box(self.lo[:k], self.hi[:k])
+
+        def join(indices: Sequence[int]) -> str:
+            if not indices:
+                return ""
+            first, last = indices[0] // t, indices[-1] // t
+            if len(indices) < RUN_MEMBERS * (last - first + 1):
+                return sep.join(texts(indices))
+            # the run of head h ends before the first index of head h + 1;
+            # a head of the span with no index has an empty run
+            ends = list(map(bisect_left, repeat(indices),
+                            range((first + 1) * t, (last + 2) * t, t)))
+            tails = list(map(table.__getitem__, map(mod, indices, repeat(t))))
+            return sep.join([h + (sep + h).join(tails[a:b]) for h, a, b in zip(
+                map(head.__mod__, leading.at(range(first, last + 1))), [0, *ends], ends)
+                if a < b])
+        return join
 
 
 @record
@@ -210,9 +255,15 @@ class SortedPoints:
             return self.points[indices.start:indices.stop]
         return map(self.points.__getitem__, indices)
 
-    def texter(self, template: str) -> Texter:
-        """Indices to texts, as Box.texter: each point fills the template."""
+    def texter(self, template: str, bound: int) -> Texter:
+        """Indices to texts, as Box.texter: each point fills the template,
+        so there is no table and bound is not read."""
         return lambda indices: map(template.__mod__, self.at(indices))
+
+    def joined(self, template: str, bound: int, sep: str) -> Joiner:
+        """Indices to their texts joined by sep, as Box.joined."""
+        texts = self.texter(template, bound)
+        return lambda indices: sep.join(texts(indices))
 
 
 def blocks_of(seq: Sequence) -> Iterator[Sequence]:

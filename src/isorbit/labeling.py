@@ -32,9 +32,8 @@ class. OrbitLabeling is the same partition with the points listed.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import deque
 from functools import cached_property
-from itertools import accumulate
 from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -242,18 +241,14 @@ class Stage2:
     class_of: array
     labels: tuple[Point, ...]
 
-    def grouped(self) -> tuple[array, list[int]]:
-        """(order, starts): the sorted indices of class c's points are
-        order[starts[c]:starts[c + 1]], ascending. One counting sort."""
+    def grouped(self) -> list[array]:
+        """The sorted indices of each class's points, ascending, one array
+        per class, filled in one C-level pass over class_of."""
+        members = [array("I") for _ in self.labels]
         class_of = self.class_of
-        counts = Counter(class_of)
-        starts = list(accumulate(map(counts.__getitem__, range(len(self.labels))), initial=0))
-        order = array("I", bytes(4 * len(class_of)))
-        slot = starts[:-1]
-        for i, c in enumerate(class_of):
-            order[slot[c]] = i
-            slot[c] += 1
-        return order, starts
+        deque(map(array.append, map(members.__getitem__, class_of), range(len(class_of))),
+              maxlen=0)
+        return members
 
     def labeling(self) -> OrbitLabeling:
         return OrbitLabeling(

@@ -1,10 +1,12 @@
 import pickle
+from array import array
 from random import Random
 
 import pytest
 
 from conftest import merge_witnesses, random_sweep_instance
 from isorbit import (
+    Box,
     ClosureCapExceededError,
     InputError,
     SignedPermutation,
@@ -14,6 +16,7 @@ from isorbit import (
     run_stage1,
     validate_atomic,
     Isometry,
+    Stage2,
 )
 from reference import (
     closure_merge_classes,
@@ -301,3 +304,16 @@ def test_classes_merge_even_when_paths_leave_the_window():
     assert labeling.labels[(1, 0)] == labeling.labels[(0, 1)]
     # a window-bound walk cannot see it
     assert bfs_orbits(gens, UNIT_SQUARE, padding=0) != labeling.partition()
+
+
+def test_grouped_is_a_stable_sort_of_the_indices_by_class():
+    rng = Random(704)
+    for _ in range(200):
+        classes, size = rng.randint(1, 12), rng.choice([0, 1, 5, 40, 300, 5000])
+        class_of = array("I", (rng.randrange(classes) for _ in range(size)))
+        stage2 = Stage2(Box((0,), (size,)), class_of, tuple((c,) for c in range(classes)))
+        grouped = stage2.grouped()
+        assert [a.typecode for a in grouped] == ["I"] * classes
+        assert [i for members in grouped for i in members] == sorted(
+            range(size), key=class_of.__getitem__)
+        assert [len(members) for members in grouped] == list(map(class_of.count, range(classes)))

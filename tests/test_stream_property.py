@@ -4,31 +4,40 @@ On random generators and domains, the CLI's output bytes, in both formats,
 equal those of the whole-list chain kept in tests/reference.py
 (reduce_points, the dict-returning class merge witness_merge_classes,
 finalize_labels, render_json and render_tsv). And a box gives the same
-bytes as its points written as a points file: a points file is written by
-filling a %d template per point, so it is an oracle that uses no table.
+bytes as that chain and as its points written as a points file: a points
+file is written by filling a %d template per point, so it is an oracle
+that uses no table.
 
 The lattices have every rank from 0 to n: r translations span the first r
 axes, and the rotations keep those axes apart from the rest. The domains
 are boxes, with negative bounds and singleton axes, and points files,
-shuffled and with duplicates. The block size is set to 1, 3 or 7 points,
-so blocks cut axes and classes part way, as well as to its default, and
-the tail-table bound to 1, 2 or 3 texts, so tables stop at every axis, as
-well as to its default. Some boxes end the cut axis in a short slice after
-every value of the leading axes, so every head group's last block is a
-prefix of the base; and stage 2 takes both of its paths on them, moving
-the base's representatives or (when the base's points are all distinct
-representatives) the base's points. Mutants of the tables (a tail table
-one axis short, a head decode without its modulus, a head text reused
-across a head boundary) and of the moved blocks (a shift with its sign
-flipped or taken from the wrong axis, a short block that keeps every base
-representative) must each make the box and points-file bytes differ.
+shuffled and with duplicates. The block size is set to 1, 3, 7 or 24
+points, so blocks cut axes and classes part way and the JSON tail table
+(bounded by the block size) stops at every axis, as well as to its
+default, and the TSV tail-table bound to 1, 2 or 3 texts, as well as to
+its default. A JSON piece of class members is written as runs that share
+a head or, when its members are sparse, from per-point texts; the boxes
+meet both. Some boxes end the cut axis in a short slice after every value
+of the leading axes, so every head group's last block is a prefix of the
+base; and stage 2 takes both of its paths on them, moving the base's
+representatives or (when the base's points are all distinct
+representatives) the base's points.
+
+Mutants of the tables (a tail table one axis short, a head decode without
+its modulus, a head text reused across a head boundary), of the runs (a
+run that ends where its head starts, one head text for a whole piece), of
+the grouping of indices by class (the last block of indices skipped) and
+of the moved blocks (a shift with its sign flipped or taken from the wrong
+axis, a short block that keeps every base representative) must each make
+the box bytes differ from its points file's or from the whole-list chain's.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
 """
-
 import itertools
 import json
+from collections import Counter
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -38,6 +47,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 import isorbit.cli  # noqa: E402
 import isorbit.domain  # noqa: E402
+import isorbit.labeling  # noqa: E402
 import isorbit.pipeline  # noqa: E402
 from isorbit import Box, run_stage1  # noqa: E402
 from isorbit.cli import main, parse_generators  # noqa: E402
@@ -51,17 +61,21 @@ from reference import (  # noqa: E402
 )
 
 TABLES = [1, 2, 3, isorbit.domain.TEXT_TABLE]
-BLOCKS = [1, 3, 7, isorbit.domain.BLOCK_POINTS]
+BLOCKS = [1, 3, 7, 24, isorbit.domain.BLOCK_POINTS]
 
 
 @st.composite
-def generator_documents(draw):
-    """(n, rank, generator document) with a lattice of exactly that rank."""
-    n, r = draw(st.sampled_from([(n, r) for n in range(1, 6) for r in range(n + 1)]))
+def generator_documents(draw, dense=False):
+    """(n, rank, generator document) with a lattice of exactly that rank;
+    a dense one has full rank and index at most 3, so its classes are few
+    and each holds many points of a box."""
+    n, r = draw(st.sampled_from([(n, r) for n in range(1, 6) for r in range(n + 1)
+                                 if r == n or not dense]))
     gens = []
     for i in range(r):  # upper triangular on the first r axes, nonzero diagonal
         v = [0] * n
-        v[i] = draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+        v[i] = draw(st.integers(1, 3 if i == 0 or not dense else 1)) * draw(
+            st.sampled_from([1, -1]))
         for j in range(i + 1, r):
             v[j] = draw(st.integers(-3, 3))
         gens.append({"type": "translation", "v": v})
@@ -105,9 +119,10 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("stream")
 
 
-def sizes(block, table, module=isorbit.domain):
-    """BLOCK_POINTS and TEXT_TABLE of module patched to the given values."""
-    return mock.patch.multiple(module, BLOCK_POINTS=block, TEXT_TABLE=table)
+def sizes(block, table):
+    """BLOCK_POINTS and TEXT_TABLE of isorbit.domain patched to the given
+    values; the writers read both at each call."""
+    return mock.patch.multiple(isorbit.domain, BLOCK_POINTS=block, TEXT_TABLE=table)
 
 
 def run_cli(gens_path, domain, fmt, out) -> bytes:
@@ -182,9 +197,25 @@ def short_sliced_boxes(draw, n, block):
     return lo, [a + k - 1 for a, k in zip(lo, [*lead, length, *tail])]
 
 
+def json_paths(paths: Counter):
+    """Box.joined and Box._texter patched to count, in paths, the pieces
+    Box.joined writes and those of them it writes from per-point texts."""
+    joined, texter = isorbit.domain.Box.joined, isorbit.domain.Box._texter
+
+    def counted_joined(self, *args):
+        join = joined(self, *args)
+        return lambda indices: (paths.update(["pieces"]), join(indices))[1]
+
+    def counted_texter(self, *args):
+        texts = texter(self, *args)
+        return lambda indices: (paths.update(["per point"]), texts(indices))[1]
+    return mock.patch.multiple(isorbit.domain.Box, joined=counted_joined,
+                               _texter=counted_texter)
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
-@hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS),
-                  st.sampled_from(TABLES))
+@hypothesis.given(st.data(), st.one_of(generator_documents(), generator_documents(dense=True)),
+                  st.sampled_from(BLOCKS), st.sampled_from(TABLES))
 def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, table):
     n, rank, gens_doc = gens
     short = block in (3, 7) and data.draw(st.booleans())
@@ -197,21 +228,39 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, t
     hypothesis.event(f"rank {rank} of n = {n}")
     hypothesis.event("base points moved" if loc is None else "base representatives moved")
     hypothesis.event("short blocks" if min(counts) < counts[0] else "no short block")
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    paths = Counter()
     for fmt in ("json", "tsv"):
-        with sizes(block, table):
+        with sizes(block, table), json_paths(paths) if fmt == "json" else nullcontext():
             from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
-        assert from_box == from_points
+        assert from_box == from_points == oracle_bytes(gens_doc, points, fmt)
+    runs = paths["pieces"] - paths["per point"]
+    hypothesis.event("JSON pieces: " + " and ".join(
+        [kind for kind, count in (("runs", runs), ("per point", paths["per point"])) if count]))
 
 
+BOTH, JSON = ("json", "tsv"), ("json",)
+# name: (module, edits, the writers that run the edited code)
 MUTANTS = {
-    "tail table one axis short": [
+    "tail table one axis short": (isorbit.domain, [
         ('tail = "%d".join(["", *template.split("%d")[k + 1:]])',
          'tail = "%d".join(["", *template.split("%d")[k + 2:]])'),
-        ("product(*self._ranges[k:])", "product(*self._ranges[k + 1:])")],
-    "head decode without its modulus": [
-        ("lo + i // stride % size", "lo + i // stride")],
-    "head text reused across a head boundary": [
-        ("map(text.__getitem__, heads)", "repeat(text[distinct[0]])")],
+        ("product(*self._ranges[k:])", "product(*self._ranges[k + 1:])")], BOTH),
+    "head decode without its modulus": (isorbit.domain, [
+        ("lo + i // stride % size", "lo + i // stride")], BOTH),
+    "head text reused across a head boundary": (isorbit.domain, [
+        ("map(text.__getitem__, heads)", "repeat(text[distinct[0]])")], BOTH),
+    "a run that ends at h * T instead of (h + 1) * T": (isorbit.domain, [
+        ("range((first + 1) * t, (last + 2) * t, t)", "range(first * t, (last + 1) * t, t)")],
+        JSON),
+    "one head text used for a whole piece": (isorbit.domain, [
+        ("map(head.__mod__, leading.at(range(first, last + 1)))",
+         "repeat(head % next(iter(leading.at(range(first, last + 1)))))")], JSON),
+    "grouping that skips the last block of indices": (isorbit.labeling, [
+        ("from .domain import Box, SortedPoints",
+         "from . import domain\nfrom .domain import Box, SortedPoints"),
+        ("range(len(class_of))",
+         "range((len(class_of) - 1) // domain.BLOCK_POINTS * domain.BLOCK_POINTS)")], JSON),
 }
 
 # a one-class lattice (every index of a class chunk dense) and a lattice
@@ -227,25 +276,35 @@ MUTANT_GENS = [
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypatch, name):
-    mutant = mutant_module(isorbit.domain, MUTANTS[name])
-    cases = [(gens_doc, (-2, 0, -1, 3), (0, 2, 2, 6), fmt, table)
+    # blocks of 24 points give the JSON writer a table of 16 texts, so a
+    # piece spans several heads: the one-class lattice's pieces go as runs
+    # and the other lattice's as per-point texts; at the default block
+    # size the whole 144-point box is one table
+    module, edits, writers = MUTANTS[name]
+    mutant = mutant_module(module, edits)
+    lo, hi = (-2, 0, -1, 3), (0, 2, 2, 6)
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    cases = [(gens_doc, fmt, block, table)
              for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
+             for block in (24, isorbit.domain.BLOCK_POINTS)
              for table in (4, 16, isorbit.domain.TEXT_TABLE)]
 
-    def differs(gens_doc, lo, hi, fmt, table) -> bool:
-        block = isorbit.domain.BLOCK_POINTS
-        with sizes(block, table), sizes(block, table, mutant):
+    def differs(gens_doc, fmt, block, table) -> bool:
+        with sizes(block, table):
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
                 return True
-        return from_box != from_points
+        return not from_box == from_points == oracle_bytes(gens_doc, points, fmt)
 
-    assert not any(differs(*case) for case in cases)  # the tables pass every case
-    for method in ("at", "tail_table", "texter"):
-        monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
-    for fmt in ("json", "tsv"):  # each writer catches the mutant
-        assert any(differs(*case) for case in cases if case[3] == fmt)
+    assert not any(differs(*case) for case in cases)  # the writers pass every case
+    if module is isorbit.domain:
+        for method in ("at", "tail_table", "texter", "_texter", "joined"):
+            monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
+    else:
+        monkeypatch.setattr(isorbit.labeling.Stage2, "grouped", mutant.Stage2.grouped)
+    for fmt in writers:  # each writer that runs the edited code catches the mutant
+        assert any(differs(*case) for case in cases if case[1] == fmt)
 
 
 SHIFT = "[r.start - a for r, a in zip(ranges, starts)]"
