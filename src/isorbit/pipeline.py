@@ -8,19 +8,31 @@ never enumerate the rotation subgroup.
 Stage 2 reads the domain in sorted blocks (see domain.py). A box's blocks
 are translates of its first, so only that one is reduced point by point;
 the others come from its distinct representatives moved by the block's
-shift. What stage 2 holds is per representative or per block, but for the
-4-byte class of every point that it returns.
+shift. A translation d permutes the cell Z^n/L, since reduce(x + d)
+depends only on reduce(x); so when the lattice L has full rank and its
+index, the cell's point count, is at most BLOCK_POINTS (the gate), a box
+keeps a step map per delta d, from a representative's number to that of
+its image. A block's delta is its shift minus its parent's: the parent
+of a head's first block (the leading axes' values are its head) is the
+previous head's first block, and that of any other block the block just
+before it. A block whose parent's numbers all have known images takes its
+numbers through the map in one pass, with no move, reduction or lookup;
+the maps are made and dropped within one stage 2. What stage 2 holds is
+per representative or per block, but for the 4-byte class of every point
+that it returns.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import accumulate, compress, count, repeat
-from operator import gt
-from typing import Iterable, Iterator, Sequence
+from math import prod
+from operator import gt, sub
+from typing import Iterable, Iterator, Sequence, TypeAlias
 
+from . import domain as domains
 from ._record import record
 from .domain import Box, SortedPoints, sort_points
 from .errors import DimensionMismatchError
@@ -72,14 +84,14 @@ def run_stage2(
     domain is a Box, or any points, which sort_points checks, dedupes and
     sorts. A box must have one axis per dimension, checked before any
     point is made. Each block of points comes as the reduced columns of
-    its local representatives (see _local_blocks), and each of those gets
-    the number of its representative: representatives are numbered in the
-    order first met, and each keeps the sorted index of its first point.
-    The merge gives each representative the number of the first
-    representative of its class, so a class's label is that one's first
-    point, and classes are numbered in the order of their labels. Only
-    then does every point get its class, block by block, through its
-    local representative.
+    its local representatives, or as their numbers (see _local_blocks),
+    and each of those gets the number of its representative:
+    representatives are numbered in the order first met, and each keeps
+    the sorted index of its first point. The merge gives each
+    representative the number of the first representative of its class,
+    so a class's label is that one's first point, and classes are
+    numbered in the order of their labels. Only then does every point get
+    its class, block by block, through its local representative.
     """
     n = stage1.gens.n
     if isinstance(domain, Box):
@@ -90,24 +102,27 @@ def run_stage2(
     else:
         domain = sort_points(domain, n)
     basis = stage1.basis
-    loc, first_local, blocks = _local_blocks(domain, basis)
     index = defaultdict(count().__next__)  # representative -> its number
-    first = array("I")  # sorted index of each representative's first point
     # the number of each block's local representatives, block after block,
     # in one array: one block of memory, freed at once
     ids = array("I")
+    loc, first_local, blocks = _local_blocks(domain, basis, index, ids)
+    first = array("I")  # sorted index of each representative's first point
     ends = []  # per block: its point count and the end of its numbers in ids
-    start = 0
-    for size, cols in blocks:
-        met = len(index)
-        at = begin = len(ids)
-        ids.extend(map(index.__getitem__, zip(*cols) if n else repeat((), size)))
+    # the representatives met and the numbers in ids before the block: a
+    # block that comes as numbers has met its new representatives already
+    met = begin = start = 0
+    for size, cols, numbers in blocks:
+        ids.extend(map(index.__getitem__, zip(*cols) if n else repeat((), size))
+                   if numbers is None else numbers)
         # new representatives are numbered in the order their local ones
         # come, which a points file's block may repeat: find each's first
+        at = begin
         for r in range(met, len(index)):
             at = ids.index(r, at)
             first.append(start + first_local[at - begin])
-        ends.append((size, len(ids)))
+        met, begin = len(index), len(ids)
+        ends.append((size, begin))
         start += size
     reps = list(index)
     del index
@@ -132,14 +147,23 @@ def run_stage2(
     return Stage2(domain, class_of, tuple(domain.at(label_at)))
 
 
+# a block's point count, and its local representatives' reduced columns or numbers
+Block: TypeAlias = "tuple[int, list[list[int]] | None, Sequence[int] | None]"
+
+
 def _local_blocks(
-    domain: Box | SortedPoints, basis: LatticeBasis,
-) -> tuple[array | None, Sequence[int], Iterator[tuple[int, list[list[int]]]]]:
+    domain: Box | SortedPoints, basis: LatticeBasis, index: dict, ids: array,
+) -> tuple[array | None, Sequence[int], Iterator[Block]]:
     """(loc, first, blocks): blocks yields, for each block in sorted order,
-    its point count and the reduced columns of its local representatives,
-    distinct or not. Point i of a block has local representative loc[i],
-    first met at point first[r] of the block; loc None is the identity,
-    where every point is its own local representative and first[r] = r.
+    its point count, the reduced columns of its local representatives,
+    distinct or not, and None; or, for a box block that takes or fills a
+    step map, its point count, None and the numbers those representatives
+    have in index, which numbers each distinct representative (as a tuple)
+    in the order first met. The caller looks the columns up in index and
+    appends the numbers to ids before it asks for the next block. Point i
+    of a block has local representative loc[i], first met at point first[r]
+    of the block; loc None is the identity, where every point is its own
+    local representative and first[r] = r.
 
     A points list takes the identity: each block is reduced as read. A box
     reduces its first block, the base, and deduplicates it. Every block is
@@ -147,16 +171,32 @@ def _local_blocks(
     reduce(x + t) = reduce(reduce(x) + t), so a block's representatives
     are the base's moved by t and reduced again. Distinct base
     representatives differ by no lattice vector, so they stay distinct
-    after the move, in the base's order. A block cut short keeps those
-    base representatives met in its prefix: the r with first[r] below its
-    point count. When the base's points are all distinct representatives,
-    loc is the identity too.
+    after the move, in the base's order. A block cut short keeps the first
+    m base representatives, those met in its prefix: the r with first[r]
+    below its point count. When the base's points are all distinct
+    representatives, loc is the identity too.
+
+    Step maps. Every block but the base has a parent: for a head's first
+    block (its slice of the cut axis is the first) the first block of the
+    previous head, and for any other block the block just before it. The
+    parent holds at least m numbers, and its r-th representative moved by
+    the delta d, the block's shift minus its parent's, reduces to the
+    block's r-th: reduce(x + d) depends only on reduce(x), so d permutes
+    the cell. When the lattice has full rank and its index, the cell's
+    point count, is at most BLOCK_POINTS, a list per delta (one for the
+    cut-axis step and one per carry of the head axes) maps a
+    representative's number to the number of its image. A block whose
+    parent's first m numbers, read from ids, all have known images takes
+    its numbers through the map in one pass; any other block is moved,
+    reduced and looked up, and fills its delta's map from its parent's
+    numbers. A box whose lattice is not of full rank, or of larger index,
+    moves every block.
     """
     if isinstance(domain, SortedPoints):
-        def read() -> Iterator[tuple[int, list[list[int]]]]:
+        def read() -> Iterator[Block]:
             for size, cols in domain.column_blocks():
                 reduce_columns(basis, cols)
-                yield size, cols
+                yield size, cols, None
         return None, range(len(domain)), read()
     base, shifts = domain.shifted_blocks()
     reduce_columns(basis, base)
@@ -169,17 +209,44 @@ def _local_blocks(
         first = list(compress(count(), map(gt, loc, accumulate(loc, max, initial=-1))))
         base = list(map(list, zip(*local)))
     del local
+    cell = prod(p for _c, p, _b in basis.echelon)  # its point count, at full rank
+    # delta -> its step map, where the cell is finite and small
+    steps = defaultdict(lambda: [None] * cell) if (
+        basis.m == domain.n and cell <= domains.BLOCK_POINTS) else None
+    k, _ = domain._split(domains.BLOCK_POINTS)  # axis k - 1, if any, is cut in slices
 
-    def moved() -> Iterator[tuple[int, list[list[int]]]]:
+    def moved() -> Iterator[Block]:
+        # (shift, start of its numbers in ids) of the block before and of
+        # the first block of its head
+        before = head = None
         for size, t in shifts:
-            cols = base
-            if size < points:
-                m = bisect_left(first, size)
-                cols = [col[:m] for col in cols]
+            m = bisect_left(first, size)
+            if any(t[k - 1:k]):
+                parent = before
+            else:  # the first slice of the cut axis opens a head
+                parent, head = head, (t, len(ids))
+            before = t, len(ids)
+            step = None
+            if steps is not None and parent is not None:
+                step, of = steps[tuple(map(sub, t, parent[0]))], parent[1]
+                try:
+                    numbers = array("I", map(step.__getitem__, ids[of:of + m]))
+                except TypeError:  # an image not yet known: move the block
+                    pass
+                else:
+                    yield size, None, numbers
+                    continue
+            cols = base if m == len(first) else [col[:m] for col in base]
             if any(t):
                 cols = [col if s == 0 else _moved(col, s) for col, s in zip(cols, t)]
                 reduce_columns(basis, cols)
-            yield size, cols
+            if step is None:
+                yield size, cols, None
+            else:  # the map holds index's own ints, 8 bytes an entry; a
+                # box with no axis is one block, so here cols has columns
+                numbers = list(map(index.__getitem__, zip(*cols)))
+                deque(map(step.__setitem__, ids[of:of + m], numbers), maxlen=0)
+                yield size, None, numbers
     return loc, first, moved()
 
 

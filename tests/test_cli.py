@@ -22,8 +22,11 @@ from isorbit import (
 )
 import isorbit.cli
 import isorbit.domain
+import isorbit.pipeline
 from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
+from isorbit.pipeline import run_stage1
+from conftest import mutant_module
 
 DIAGONAL_DOC = {
     "n": 2,
@@ -471,6 +474,46 @@ def test_a_box_of_distinct_representatives_holds_at_most_370_bytes_per_point(tmp
         {"type": "permutation", "perm": [0, 1, 3, 2]}]}
     boxes = [(points, f"0..0,0..{points - 1},0..0,0..0") for points in (16, 2 ** 13, 2 ** 15)]
     assert traced_slope(tmp_path, gens_doc, "tsv", boxes) <= 370
+
+
+def test_step_maps_hold_at_most_8_bytes_per_cell_point_and_axis(monkeypatch):
+    # the box's blocks revisit the 1,728 points of the chords4 cell: each of
+    # its two deltas (the step of axis 1 and the carry of axis 0) has a
+    # step map of one 8-byte entry per cell point, and there are at most n
+    # deltas; against stage 2 without the maps, the traced peak may grow
+    # by no more than that (it fell by 9 KB on Python 3.11, as fewer blocks
+    # are moved). Each runs twice and the second run counts, so caches
+    # filled once are not charged
+    stage1 = run_stage1(parse_generators(json.dumps(CHORDS4_DOC)))
+    index, n = math.prod(p for _c, p, _b in stage1.basis.echelon), 4
+    assert index == 12 ** 3
+    gate_off = mutant_module(isorbit.pipeline, [
+        ("basis.m == domain.n and cell", "False and cell")])
+    box = Box((0, 0, 0, 0), (20, 20, 15, 15))
+    peaks, moves = {}, {}
+
+    def counted(module):  # module's reduce_columns, counting the blocks it moves
+        reduce_columns = module.reduce_columns
+
+        def reduce(basis, cols):
+            moves[module] += 1
+            reduce_columns(basis, cols)
+        return reduce
+    for module in (isorbit.pipeline, gate_off):
+        monkeypatch.setattr(module, "reduce_columns", counted(module))
+    for module in (isorbit.pipeline, gate_off) * 2:
+        moves[module] = 0
+        tracemalloc.start()
+        try:
+            module.run_stage2(stage1, box)
+            peaks[module] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 21 heads of 2 blocks; with the maps, stage 2 moves the base, the first
+    # carry and the short blocks (5 values of axis 1) until the map of the
+    # axis-1 step knows the images of all their representatives
+    assert moves == {isorbit.pipeline: 10, gate_off: 21 * 2}
+    assert peaks[isorbit.pipeline] - peaks[gate_off] <= 8 * index * n
 
 
 @pytest.mark.parametrize("n,spec", [(1, "0..99999"), (2, "0..2,0..40000")])

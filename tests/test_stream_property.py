@@ -21,7 +21,10 @@ meet both. Some boxes end the cut axis in a short slice after every value
 of the leading axes, so every head group's last block is a prefix of the
 base; and stage 2 takes both of its paths on them, moving the base's
 representatives or (when the base's points are all distinct
-representatives) the base's points.
+representatives) the base's points. Boxes with two leading axes or more,
+under full-rank lattices, have blocks that take their numbers through
+stage 2's step maps, or that miss them and are moved, or (when the
+lattice's index passes the block size) have no maps.
 
 Mutants of the tables (a tail table one axis short, a head decode without
 its modulus, a head text reused across a head boundary), of the runs (a
@@ -30,6 +33,10 @@ the grouping of indices by class (the last block of indices skipped) and
 of the moved blocks (a shift with its sign flipped or taken from the wrong
 axis, a short block that keeps every base representative) must each make
 the box bytes differ from its points file's or from the whole-list chain's.
+Mutants of the step maps (a map keyed by the absolute shift, a head's first
+block taking the block before it as its parent, a hit that takes all of its
+parent's numbers, one map for every delta) must each change the bytes or
+move more blocks.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -38,6 +45,7 @@ import itertools
 import json
 from collections import Counter
 from contextlib import nullcontext
+from math import prod
 from unittest import mock
 
 import pytest
@@ -65,12 +73,13 @@ BLOCKS = [1, 3, 7, 24, isorbit.domain.BLOCK_POINTS]
 
 
 @st.composite
-def generator_documents(draw, dense=False):
-    """(n, rank, generator document) with a lattice of exactly that rank;
-    a dense one has full rank and index at most 3, so its classes are few
-    and each holds many points of a box."""
-    n, r = draw(st.sampled_from([(n, r) for n in range(1, 6) for r in range(n + 1)
-                                 if r == n or not dense]))
+def generator_documents(draw, dense=False, full=False, min_n=1):
+    """(n, rank, generator document) with a lattice of exactly that rank,
+    in Z^n for n from min_n to 5; a full one has full rank, and a dense one
+    full rank and index at most 3, so its classes are few and each holds
+    many points of a box."""
+    n, r = draw(st.sampled_from([(n, r) for n in range(min_n, 6) for r in range(n + 1)
+                                 if r == n or not (dense or full)]))
     gens = []
     for i in range(r):  # upper triangular on the first r axes, nonzero diagonal
         v = [0] * n
@@ -178,11 +187,12 @@ def boxes(draw, n):
 
 
 @st.composite
-def short_sliced_boxes(draw, n, block):
+def short_sliced_boxes(draw, n, block, heads=0):
     """(lo, hi) of a box in Z^n whose cut axis, under blocks of `block`
     points, ends in a short slice after each value of the leading axes,
-    and whose first leading axis (if any) has several values."""
-    cut = draw(st.integers(0, n - 1))
+    and which has at least `heads` leading axes (n > heads); its first
+    leading axis, or its first `heads`, has several values."""
+    cut = draw(st.integers(heads, n - 1))
     inner, tail = 1, []
     for _ in range(cut + 1, n):  # a slice holds at least two values of the cut axis
         tail.append(draw(st.integers(1, max(1, block // 2 // inner))))
@@ -191,7 +201,8 @@ def short_sliced_boxes(draw, n, block):
     length = step * draw(st.integers(1, 3)) + draw(st.integers(1, step - 1))
     lead, points = [], length * inner
     for j in range(cut):
-        lead.append(draw(st.integers(2 if j == 0 else 1, max(2, min(3, 1500 // points)))))
+        several = 2 if j < max(heads, 1) else 1
+        lead.append(draw(st.integers(several, max(2, min(3, 1500 // points)))))
         points *= lead[-1]
     lo = draw(st.lists(st.integers(-12, 3), min_size=n, max_size=n))
     return lo, [a + k - 1 for a, k in zip(lo, [*lead, length, *tail])]
@@ -223,7 +234,7 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, t
     basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
     with sizes(block, table):
         counts = [size for size, _shift in Box(lo, hi).shifted_blocks()[1]]
-        loc, _first, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis)
+        loc, _first, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis, {}, [])
     assert not short or counts.count(counts[0]) < len(counts)
     hypothesis.event(f"rank {rank} of n = {n}")
     hypothesis.event("base points moved" if loc is None else "base representatives moved")
@@ -237,6 +248,54 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, t
     runs = paths["pieces"] - paths["per point"]
     hypothesis.event("JSON pieces: " + " and ".join(
         [kind for kind, count in (("runs", runs), ("per point", paths["per point"])) if count]))
+
+
+def counted_moves(module, calls: Counter):
+    """module's reduce_columns patched to count its calls in calls["moves"]:
+    stage 2 calls it once for a box's base block and once for each block
+    it moves, and once for each block of a points file."""
+    reduce_columns = module.reduce_columns
+
+    def counted(basis, cols):
+        calls["moves"] += 1
+        reduce_columns(basis, cols)
+    return mock.patch.object(module, "reduce_columns", counted)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data(), st.one_of(generator_documents(dense=True, min_n=3),
+                                       generator_documents(full=True, min_n=3)),
+                  st.sampled_from(BLOCKS))
+def test_a_box_whose_blocks_revisit_its_cell_writes_the_bytes_of_its_points_file(
+        workdir, data, gens, block):
+    # the lattices have full rank, of index at most 3 or up to 3^n, so the
+    # step maps are on where the index is at most BLOCK_POINTS and off
+    # elsewhere; the boxes have two leading axes or more, so the first
+    # blocks of heads have several deltas, and every head ends in a short
+    # block under blocks of 3, 7 or 24 points (the size the box is drawn
+    # for; blocks of 1 cut no short slice, and the default size makes the
+    # box one block)
+    n, rank, gens_doc = gens
+    shape = block if block in (3, 7, 24) else data.draw(st.sampled_from([3, 7, 24]))
+    lo, hi = data.draw(short_sliced_boxes(n, shape, heads=2))
+    stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
+    calls = Counter()
+    with sizes(block, isorbit.domain.TEXT_TABLE), counted_moves(isorbit.pipeline, calls):
+        blocks = sum(1 for _ in Box(lo, hi).shifted_blocks()[1])
+        isorbit.pipeline.run_stage2(stage1, Box(lo, hi))
+    moved = calls["moves"] - 1  # every block but the base has a nonzero shift
+    if prod(p for _c, p, _b in stage1.basis.echelon) > block:
+        assert moved == blocks - 1
+        hypothesis.event("gate off")
+    else:
+        hypothesis.event("step map hit" if moved < blocks - 1 else "no step map hit")
+        hypothesis.event("step map miss" if moved else "no step map miss")
+    hypothesis.event(f"{blocks} blocks" if blocks < 3 else "3 blocks or more")
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    for fmt in ("json", "tsv"):
+        with sizes(block, isorbit.domain.TEXT_TABLE):
+            from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+        assert from_box == from_points == oracle_bytes(gens_doc, points, fmt)
 
 
 BOTH, JSON = ("json", "tsv"), ("json",)
@@ -316,12 +375,17 @@ STAGE2_MUTANTS = {
         isorbit.pipeline, [("m = bisect_left(first, size)", "m = len(first)")]),
 }
 
-# the base repeats representatives under both lattices, and the box's
-# blocks of 40 points (2 values of axis 1 by 16 of axes 2 and 3) end each
-# value of axis 0 in a short slice of 1
-STAGE2_MUTANT_GENS = [MUTANT_GENS[1], {"n": 4, "generators": [
-    {"type": "translation", "v": v} for v in ([3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0],
-                                              [1, 1, 1, 1])]}]
+# the box's blocks of 40 points (2 values of axis 1 by 16 of axes 2 and 3)
+# end each value of axis 0 in a short slice of 1. The base repeats
+# representatives under the first two lattices; under the third its 32
+# points are distinct representatives. The first has rank 2, so stage 2
+# moves every block; the other two have full rank and index 27 and 32, at
+# most the block size, so blocks take their numbers through step maps
+STAGE2_MUTANT_GENS = [MUTANT_GENS[1], *({"n": 4, "generators": [
+    {"type": "translation", "v": v} for v in vectors] + negation} for vectors, negation in [
+        (([3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [1, 1, 1, 1]), []),
+        (([1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]),
+         [{"type": "negation", "signs": [-1, -1, -1, -1]}])])]
 
 
 @pytest.mark.parametrize("name", list(STAGE2_MUTANTS))
@@ -346,3 +410,39 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
         monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
     for fmt in ("json", "tsv"):
         assert any(differs(*case) for case in cases if case[1] == fmt)
+
+
+STEP = "steps[tuple(map(sub, t, parent[0]))]"
+STEP_MAP_MUTANTS = {
+    "a map keyed by the block's absolute shift": [(STEP, "steps[tuple(t)]")],
+    "a head's first block whose parent is the block before it": [
+        ("parent, head = head, (t, len(ids))", "parent, head = before, (t, len(ids))")],
+    "a hit that takes all of the parent's numbers": [
+        ("step.__getitem__, ids[of:of + m]", "step.__getitem__, ids[of:of + len(first)]")],
+    "one map shared by every delta": [(STEP, "steps[()]")],
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_MAP_MUTANTS))
+def test_each_step_map_mutant_changes_the_bytes_or_moves_more_blocks(workdir, monkeypatch, name):
+    # a map keyed by the absolute shift is never read twice, since no two
+    # blocks share a shift: its bytes are right, but every block is moved
+    mutant = mutant_module(isorbit.pipeline, STEP_MAP_MUTANTS[name])
+    lo, hi = (-2, 0, -1, 3), (1, 4, 2, 6)
+
+    def outcome(module, gens_doc, fmt):
+        calls = Counter()
+        with sizes(40, isorbit.domain.TEXT_TABLE), counted_moves(module, calls):
+            try:
+                from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+            except Exception:  # a mutant may fail outright
+                return None
+        return from_box == from_points, calls["moves"]
+
+    cases = [(gens_doc, fmt) for gens_doc in STAGE2_MUTANT_GENS for fmt in ("json", "tsv")]
+    right = {i: outcome(isorbit.pipeline, *case) for i, case in enumerate(cases)}
+    assert all(same for same, _moves in right.values())
+    monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
+    for fmt in ("json", "tsv"):
+        assert any(outcome(mutant, *case) != right[i]
+                   for i, case in enumerate(cases) if case[1] == fmt)
