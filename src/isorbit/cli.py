@@ -24,7 +24,7 @@ index. A box is never listed: stage 2 reads its points in blocks.
 
 The output is opened only once stage 2 is done and, for JSON, the head is
 formatted, so a run that fails writes nothing. It is then written in
-pieces, block by block (TSV) or class by class (JSON).
+pieces, chunk by chunk (TSV) or class by class (JSON).
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
@@ -42,12 +42,13 @@ import argparse
 import gc
 import json
 import sys
+from bisect import bisect_left
 from operator import add
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import domain
-from .domain import Box, blocks_of
+from .domain import Box
 from .errors import (
     BoxTooLargeError,
     DigitLimitExceededError,
@@ -220,43 +221,64 @@ def json_head(stage1: Stage1) -> str:
 def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
     would write it, in pieces: the head from json_head, then class by
-    class its label and its members, at most BLOCK_POINTS per piece. The
-    members come from Stage2.grouped, and each piece's texts, for a %d
-    template laid out for their depth, are joined by the domain's joined:
-    a box writes each run of members that share a head text at once,
-    from a tail table of at most BLOCK_POINTS texts.
+    class its label and its members, a piece per chunk of the domain that
+    holds them (Box.chunks, Stage2.grouped) and at most BLOCK_POINTS per
+    piece, for a %d template laid out for them.
 
     With indent set, the json module falls back to its pure-Python
     encoder, so only the small head goes through it.
     """
-    if not stage2.labels:
+    if not stage2.label_at:
         yield head + "\n"
         return
     n = stage2.domain.n
-    join = stage2.domain.joined("        " + _point_template(n, 4), domain.BLOCK_POINTS, ",\n")
+    chunk, _texts, join = stage2.domain.chunks("        " + _point_template(n, 4), ",\n")
+    members, later = stage2.grouped(chunk)
     opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
     yield head[:-len("[]\n}")] + "[\n"
-    for c, (label, members) in enumerate(zip(stage2.labels, stage2.grouped())):
+    for c, (label, first) in enumerate(zip(stage2.domain.at(stage2.label_at), stage2.label_at)):
         yield (",\n" if c else "") + opening % label
-        for i, piece in enumerate(blocks_of(members)):
-            yield (",\n" if i else "") + join(piece)
+        offsets, q, a = members[c], first // chunk, 0
+        if c in later:
+            starts = iter(later[c])
+            for q_next, b in zip(starts, starts):
+                yield (",\n" if a else "") + join(q, offsets[a:b])
+                q, a = q_next, b
+        for i in range(a, len(offsets), domain.BLOCK_POINTS):  # one chunk: long runs
+            yield (",\n" if i else "") + join(q, offsets[i:i + domain.BLOCK_POINTS])
         yield "\n      ]\n    }"
     yield "\n  ]\n}\n"
 
 
 def tsv_chunks(stage2: Stage2) -> Iterator[str]:
-    """One "point TAB label" line per point, in sorted point order, one
-    piece per BLOCK_POINTS points: the points' texts come from the
-    domain's texter, and each class's label text is made once. A piece's
-    point texts are listed first; two flat passes beat one through nested
-    maps."""
-    points, class_of = stage2.domain, stage2.class_of
-    half = ",".join(["%d"] * points.n)
-    texts = points.texter(half, domain.TEXT_TABLE)
-    tails = ["\t" + half % label + "\n" for label in stage2.labels]
-    for block in blocks_of(range(len(points))):
-        yield "".join(map(add, list(texts(block)),
-                          map(tails.__getitem__, class_of[block.start:block.stop])))
+    """One "point TAB label" line per point, in sorted order, a piece per
+    list of the domain's texts (Box.chunks). A label, its class's first
+    point, takes its text from that list: one bisect of label_at a list."""
+    points, class_of, label_at, tails = stage2.domain, stage2.class_of, stage2.label_at, []
+    _chunk, texts, _join = points.chunks(",".join(["%d"] * points.n), "")
+    start = 0
+    for lines in texts():
+        end = start + len(lines)
+        held = label_at[len(tails):bisect_left(label_at, end, len(tails))]
+        tails.extend(["\t" + lines[i - start] + "\n" for i in held])
+        yield "".join(map(add, lines, map(tails.__getitem__, class_of[start:end])))
+        start = end
+
+
+def _batched(texts: Iterator[str]) -> Iterator[str]:
+    """The texts joined in pieces of up to 64 KB, since a text file copies
+    small writes; a longer text goes alone, at once and uncopied."""
+    batch, held = [], 0
+    for text in texts:
+        if batch and held + len(text) > 1 << 16:
+            yield "".join(batch)
+            batch, held = [], 0
+        if len(text) > 1 << 16:
+            yield text
+            continue
+        batch.append(text)
+        held += len(text)
+    yield "".join(batch)
 
 
 def _emit_error(code: str, message: str, **extra) -> None:
@@ -278,8 +300,8 @@ def run(args: argparse.Namespace) -> int:
         stage1 = run_stage1(gens, args.max_dimension)
         stage2 = run_stage2(stage1, points, args.closure_cap)
         del points  # a points list is now held sorted, by stage2
-        chunks = (json_chunks(json_head(stage1), stage2) if args.format == "json"
-                  else tsv_chunks(stage2))
+        chunks = _batched(json_chunks(json_head(stage1), stage2) if args.format == "json"
+                          else tsv_chunks(stage2))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as out:
                 out.writelines(chunks)

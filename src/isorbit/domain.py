@@ -1,4 +1,4 @@
-"""The point set of a run, handed to stage 2 in sorted blocks.
+"""The point set of a run: sorted blocks for stage 2, chunks for writing.
 
 A domain is one of two kinds:
 
@@ -10,27 +10,23 @@ A domain is one of two kinds:
   checked once by sort_points.
 
 Both give their points in sorted order, in blocks of at most BLOCK_POINTS,
-as coordinate columns to reduce; by sorted index (at); and as texts to
-write, by sorted index, one text a point (texter) or joined (joined). A
-points list gives each block's columns
-(column_blocks). A box block is the product of one range per axis: the
-trailing axes that fit in a block whole, the next axis (the cut axis) cut
-into slices, and one value of each leading axis. When the last axis alone
-is longer than a block, the block cuts that axis. So every box block is a
-translate of a prefix of the first block, and a box gives the columns of
-that block alone, the base, with every block's point count and shift
-(shifted_blocks): stage 2 reduces the base and moves its representatives
-(see pipeline.run_stage2).
+as coordinate columns to reduce, and by sorted index (at). A points list
+gives each block's columns (column_blocks). A box block is the product of
+one range per axis: the trailing axes that fit in a block whole, the next
+axis (the cut axis) cut into slices, and one value of each leading axis.
+When the last axis alone is longer than a block, the block cuts that axis.
+So every box block is a translate of a prefix of the first block, and a
+box gives the columns of that block alone, the base, with every block's
+point count and shift (shifted_blocks): stage 2 reduces the base and moves
+its representatives (see pipeline.run_stage2).
 
-A box's point texts are made in two parts: the trailing axes with at most
-a given bound of points make a table of tail texts, filled once per writer,
-and the leading axes a head text, made once per distinct head in each call;
-a points list fills a %d template per point. The TSV writer takes each
-point's text (texter) from a table of at most TEXT_TABLE texts. The JSON
-writer joins the texts of a class's members (joined) with a table of at
-most BLOCK_POINTS texts: the members that share a head are one run, joined
-around the head's text at once, and members too sparse for runs (fewer
-than RUN_MEMBERS a head) are joined from per-point texts.
+The writers take point texts from chunks: all of them in order (TSV),
+or those at some offsets of one chunk of the sorted indices, joined
+(JSON). A points list, or a box whose last axis alone is longer than a
+block, is one chunk, and each point fills a %d template. Any other box's
+point text is a head text and a tail text from a table of its trailing
+axes, and a chunk is whole heads, so the offsets of a class in a chunk
+find their tails in one gather (see Box.chunks).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
-from operator import add, floordiv, itemgetter, mod
+from operator import add, floordiv, itemgetter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._record import record
@@ -47,11 +43,9 @@ from .errors import DimensionMismatchError, InputError, InvalidDomainError
 from .isometry import Point, int_tuple
 
 BLOCK_POINTS = 4096
-TEXT_TABLE = 256  # bound on a box's tail table for per-point texts, in texts
-RUN_MEMBERS = 4  # fewest indices per head, on average, that Box.joined writes as runs
+RUN_MEMBERS = 4  # fewest offsets a head, on average, that Box.chunks joins as runs
 
-Texter = Callable[[Sequence[int]], Iterable[str]]
-Joiner = Callable[[Sequence[int]], str]
+Chunks = tuple[int, Callable[..., Iterator[list[str]]], Callable[[int, Sequence[int]], str]]
 
 
 @record(frozen=True)
@@ -145,8 +139,8 @@ class Box:
         if not self.lo:
             return repeat((), len(indices))
         ranges = self._ranges
-        k, _ = self._split(1)  # axes k.. hold one value each
-        if k and type(indices) is range and indices.step == 1:
+        k = type(indices) is range and indices.step == 1 and self._split(1)[0]
+        if k:  # a range, and axes k.. hold one value each
             a, b, row = indices.start, indices.stop, ranges[k - 1]
             size = len(row)
             heads = range(a // size, -(-b // size))
@@ -163,73 +157,74 @@ class Box:
     def tail_table(self, template: str, bound: int) -> tuple[int, list[str]]:
         """(k, table): axes k.. are the trailing axes with at most bound
         points, and table holds the texts of their points in sorted order,
-        each filled into the template's slots past the k-th (template has
-        one %d per axis and no other conversion)."""
-        k, _ = self._split(bound)
-        tail = "%d".join(["", *template.split("%d")[k + 1:]])
-        return k, list(map(tail.__mod__, product(*self._ranges[k:])))
+        each filled into the template's slots past the k-th (one %d per
+        axis, no other conversion), made by adding an axis's texts at a time."""
+        k, table = self._split(bound)[0], [""]
+        for r, piece in zip(self._ranges[k:], template.split("%d")[k + 1:]):
+            texts = list(map(add, map(str, r), repeat(piece)))
+            table = list(map(add, chain.from_iterable(map(repeat, table, repeat(len(r)))),
+                             texts * len(table)))
+        return k, table
 
-    def texter(self, template: str, bound: int) -> Texter:
-        """The function from ascending sorted indices to the texts of their
-        points, each filled into template (one %d per axis, no other
-        conversion).
+    def chunks(self, template: str, sep: str) -> Chunks:
+        """(chunk, texts, join): texts(p) gives the points' texts, each
+        filled into template (one %d per axis, no other conversion), in
+        sorted order and in lists of at most BLOCK_POINTS, from list p on;
+        join(q, offsets) joins by sep the texts at ascending offsets (at
+        least one) in chunk q of the sorted indices, cut every `chunk`.
 
-        With the tail table of T texts from tail_table(template, bound),
-        made here once, index i has the text head(i // T) + table[i % T],
-        and a call makes the text of each distinct head among its indices
-        once, in a dict keyed by head. When T = 1 (an axis alone is longer
-        than the bound) each point fills the whole template instead.
-        """
-        return self._texter(template, *self.tail_table(template, bound))
-
-    def _texter(self, template: str, k: int, table: list[str]) -> Texter:
+        With T tail texts from tail_table(template, BLOCK_POINTS), a chunk
+        and a list are BLOCK_POINTS // T heads, index i having head i // T,
+        so offset o has the tail chunk_table[o]; texts adds each head's text
+        to every tail. When T = 1 there is no table: the box is one chunk,
+        and each point fills the template. join writes a head's offsets as
+        H + (sep + H).join(their tails), H the head's text, but offsets under
+        RUN_MEMBERS a head as each one's head text and tail. Head texts come
+        from a table of every head's (93 bytes a head for a 4-axis JSON
+        template) when there are at most BLOCK_POINTS heads, else by decode."""
+        k, table = self.tail_table(template, BLOCK_POINTS)
         t = len(table)
-        if t == 1:
-            return lambda indices: map(template.__mod__, self.at(indices))
+        per, heads = BLOCK_POINTS // t, self.size // t  # heads a chunk, and in all
+        chunk, chunk_table = per * t if t > 1 else self.size, table * per
         head = "%d".join(template.split("%d")[:k + 1])
         leading = Box(self.lo[:k], self.hi[:k])
 
-        def texts(indices: Sequence[int]) -> Iterable[str]:
-            heads = list(map(floordiv, indices, repeat(t)))
-            distinct = list(dict.fromkeys(heads))
-            text = dict(zip(distinct, map(head.__mod__, leading.at(distinct))))
-            return map(add, map(text.__getitem__, heads),
-                       map(table.__getitem__, map(mod, indices, repeat(t))))
-        return texts
+        # at most BLOCK_POINTS head texts, as the tail table holds at most as many tails
+        every = list(map(head.__mod__, leading.at(range(heads)))) if (
+            heads <= BLOCK_POINTS) else None
 
-    def joined(self, template: str, bound: int, sep: str) -> Joiner:
-        """The function from ascending sorted indices to their texts, as
-        texter gives them, joined by sep.
+        def heads_of(q: int, first: int = 0, last: int = per - 1) -> range:
+            return range(q * per + first, min(q * per + last + 1, heads))
 
-        The indices go in runs: a run is the consecutive indices that share
-        a head h = i // T, for the tail table of T texts from
-        tail_table(template, bound), and it is written as
-        H + (sep + H).join(its tail texts), H the text of h, so no point
-        text is made on its own. Indices that average fewer than
-        RUN_MEMBERS per head over the heads they span are joined from
-        texter's per-point texts instead, made from the same table.
-        """
-        k, table = self.tail_table(template, bound)
-        t = len(table)
-        texts = self._texter(template, k, table)
-        head = "%d".join(template.split("%d")[:k + 1])
-        leading = Box(self.lo[:k], self.hi[:k])
+        def head_texts(these: Sequence[int]) -> list[str]:
+            return list(map(every.__getitem__, these) if every else map(
+                head.__mod__, leading.at(these)))
 
-        def join(indices: Sequence[int]) -> str:
-            if not indices:
-                return ""
-            first, last = indices[0] // t, indices[-1] // t
-            if len(indices) < RUN_MEMBERS * (last - first + 1):
-                return sep.join(texts(indices))
-            # the run of head h ends before the first index of head h + 1;
-            # a head of the span with no index has an empty run
-            ends = list(map(bisect_left, repeat(indices),
-                            range((first + 1) * t, (last + 2) * t, t)))
-            tails = list(map(table.__getitem__, map(mod, indices, repeat(t))))
+        def texts(p: int = 0) -> Iterator[list[str]]:
+            for q in range(p, -(-heads // per)):
+                if t == 1:  # a head is a point
+                    yield list(map(template.__mod__, self.at(heads_of(q))))
+                else:
+                    yield list(map(add, chain.from_iterable(map(
+                        repeat, head_texts(heads_of(q)), repeat(t))), chunk_table))
+
+        def join(q: int, offsets: Sequence[int]) -> str:
+            if t == 1:  # no table: the box is one chunk
+                return sep.join(map(template.__mod__, self.at(offsets)))
+            first, last = offsets[0] // t, offsets[-1] // t
+            tails = gather(offsets)(chunk_table)
+            if len(offsets) < RUN_MEMBERS * (last - first + 1):
+                return sep.join(map(add, head_texts(list(map(
+                    add, map(floordiv, offsets, repeat(t)), repeat(q * per)))), tails))
+            if first == last:
+                h = head_texts(heads_of(q, first, first))[0]
+                return h + (sep + h).join(tails)
+            # the run of head h ends before the first offset of h + 1
+            runs = [*map(bisect_left, repeat(offsets), range((first + 1) * t, (last + 1) * t, t)),
+                    len(offsets)]
             return sep.join([h + (sep + h).join(tails[a:b]) for h, a, b in zip(
-                map(head.__mod__, leading.at(range(first, last + 1))), [0, *ends], ends)
-                if a < b])
-        return join
+                head_texts(heads_of(q, first, last)), [0, *runs], runs) if a < b])
+        return chunk, texts, join
 
 
 @record
@@ -247,28 +242,29 @@ class SortedPoints:
         return iter(self.points)
 
     def column_blocks(self) -> Iterator[tuple[int, list[list[int]]]]:
-        for rows in blocks_of(self.points):
+        for i in range(0, len(self.points), BLOCK_POINTS):
+            rows = self.points[i:i + BLOCK_POINTS]
             yield len(rows), [list(map(itemgetter(j), rows)) for j in range(self.n)]
 
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
-        if type(indices) is range and indices.step == 1:
-            return self.points[indices.start:indices.stop]
         return map(self.points.__getitem__, indices)
 
-    def texter(self, template: str, bound: int) -> Texter:
-        """Indices to texts, as Box.texter: each point fills the template,
-        so there is no table and bound is not read."""
-        return lambda indices: map(template.__mod__, self.at(indices))
+    def chunks(self, template: str, sep: str) -> Chunks:
+        """As Box.chunks, each point filling the template: with no table,
+        the points are one chunk."""
+        points, fill = self.points, template.__mod__
+        return (max(len(points), 1),
+                lambda p=0: (list(map(fill, points[i:i + BLOCK_POINTS]))
+                             for i in range(p * BLOCK_POINTS, len(points), BLOCK_POINTS)),
+                lambda q, offsets: sep.join(map(fill, map(points.__getitem__, offsets))))
 
-    def joined(self, template: str, bound: int, sep: str) -> Joiner:
-        """Indices to their texts joined by sep, as Box.joined."""
-        texts = self.texter(template, bound)
-        return lambda indices: sep.join(texts(indices))
 
-
-def blocks_of(seq: Sequence) -> Iterator[Sequence]:
-    """seq in consecutive slices of at most BLOCK_POINTS items."""
-    return (seq[i:i + BLOCK_POINTS] for i in range(0, len(seq), BLOCK_POINTS))
+def gather(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """The items of a sequence at the indices, in one C-level call: itemgetter,
+    but a one-item slice for one index, where itemgetter(i) gives the item."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
 
 
 def sort_points(points: Iterable[Sequence[int]], n: int) -> SortedPoints:

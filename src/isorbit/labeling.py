@@ -25,21 +25,24 @@ points R found the round before, when R is an involution on the cell.
 
 Stage 2 then numbers the classes in the order of their smallest points
 (see pipeline.run_stage2) and records them as a Stage2: one 4-byte class
-index per point of the domain, in sorted point order, and the label of each
-class. OrbitLabeling is the same partition with the points listed.
+index per point of the domain, in sorted point order, and each label's
+sorted index. OrbitLabeling is the same partition with the points listed.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from collections import deque
-from functools import cached_property
+from bisect import bisect_left
+from collections import defaultdict, deque
+from functools import cached_property, partial
+from itertools import repeat
 from operator import itemgetter, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ._record import record
-from .domain import Box, SortedPoints
+from .domain import Box, SortedPoints, gather
 from .errors import ClosureCapExceededError, DimensionMismatchError, InputError
 from .isometry import Point, SignedPermutation
 from .lattice import LatticeBasis
@@ -232,24 +235,45 @@ class Stage2:
 
     class_of holds the class of every point of the domain, in sorted
     point order, 4 bytes each; classes are numbered in the order of their
-    labels, and labels holds each class's label, its smallest point. The
-    points themselves stay in the domain, a box or the sorted points, so
-    the record grows by 4 bytes per point.
+    labels, their smallest points, whose sorted indices label_at holds.
+    The points stay in the domain, so the record grows by 4 bytes a point.
     """
 
     domain: Box | SortedPoints
     class_of: array
-    labels: tuple[Point, ...]
+    label_at: array
 
-    def grouped(self) -> list[array]:
-        """The sorted indices of each class's points, ascending, one array
-        per class, filled in one C-level pass over class_of."""
-        members = [array("I") for _ in self.labels]
-        class_of = self.class_of
-        deque(map(array.append, map(members.__getitem__, class_of), range(len(class_of))),
-              maxlen=0)
-        return members
+    def grouped(self, chunk: int) -> tuple[list[array], dict[int, array]]:
+        """(members, later) for the sorted indices cut into chunks of
+        `chunk`: members[c] holds class c's offsets in their chunks, in
+        order. Its first chunk holds its label; later[c] holds each other
+        chunk that holds it, its number and where its offsets start. The
+        offsets of one chunk are the sorted indices, 4 bytes each, from one
+        C-level pass; else a pass a chunk (at most 2^16 points) copies each
+        point's 2-byte offset into its class, and one marks the classes it
+        holds that began earlier, since those that begin in it are a range."""
+        class_of, label_at = self.class_of, self.label_at
+        if chunk >= len(class_of):
+            members = [array("I") for _ in label_at]
+            deque(map(array.append, map(members.__getitem__, class_of), range(len(class_of))),
+                  maxlen=0)
+            return members, {}
+        members = [array("H") for _ in label_at]
+        later: dict[int, array] = defaultdict(partial(array, "I"))
+        # offsets as their 2 bytes: array.frombytes copies, array.append parses
+        offsets = list(map(int.to_bytes, range(chunk), repeat(2), repeat(sys.byteorder)))
+        new = 0  # the first class with no point before this chunk
+        for q, start in enumerate(range(0, len(class_of), chunk)):
+            classes, end = class_of[start:start + chunk], bisect_left(label_at, start + chunk, new)
+            if new:
+                old = set(classes)
+                old.difference_update(range(new, end))
+                deque(map(array.extend, map(later.__getitem__, old),
+                          zip(repeat(q), map(len, map(members.__getitem__, old)))), maxlen=0)
+            deque(map(array.frombytes, gather(classes)(members), offsets), maxlen=0)
+            new = end
+        return members, dict(later)
 
     def labeling(self) -> OrbitLabeling:
-        return OrbitLabeling(
-            tuple(self.domain), tuple(map(self.labels.__getitem__, self.class_of)))
+        labels = tuple(self.domain.at(self.label_at))
+        return OrbitLabeling(tuple(self.domain), tuple(map(labels.__getitem__, self.class_of)))

@@ -8,18 +8,10 @@ never enumerate the rotation subgroup.
 Stage 2 reads the domain in sorted blocks (see domain.py). A box's blocks
 are translates of its first, so only that one is reduced point by point;
 the others come from its distinct representatives moved by the block's
-shift. A translation d permutes the cell Z^n/L, since reduce(x + d)
-depends only on reduce(x); so when the lattice L has full rank and its
-index, the cell's point count, is at most BLOCK_POINTS (the gate), a box
-keeps a step map per delta d, from a representative's number to that of
-its image. A block's delta is its shift minus its parent's: the parent
-of a head's first block (the leading axes' values are its head) is the
-previous head's first block, and that of any other block the block just
-before it. A block whose parent's numbers all have known images takes its
-numbers through the map in one pass, with no move, reduction or lookup;
-the maps are made and dropped within one stage 2. What stage 2 holds is
-per representative or per block, but for the 4-byte class of every point
-that it returns.
+shift, or, since a translation permutes the cell Z^n/L, from their parent
+block's through a step map when the cell is small (see _local_blocks).
+What stage 2 holds is per representative or per block, but for the 4-byte
+class of every point that it returns.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ from typing import Iterable, Iterator, Sequence, TypeAlias
 
 from . import domain as domains
 from ._record import record
-from .domain import Box, SortedPoints, sort_points
+from .domain import Box, SortedPoints, gather, sort_points
 from .errors import DimensionMismatchError
 from .gf2 import Gf2Basis, negation_basis_from_generators
 from .isometry import GeneratingSet
@@ -81,26 +73,27 @@ def run_stage2(
 ) -> Stage2:
     """Stage 2: project the points and merge classes under the rotations.
 
-    domain is a Box, or any points, which sort_points checks, dedupes and
-    sorts. A box must have one axis per dimension, checked before any
-    point is made. Each block of points comes as the reduced columns of
-    its local representatives, or as their numbers (see _local_blocks),
-    and each of those gets the number of its representative:
-    representatives are numbered in the order first met, and each keeps
-    the sorted index of its first point. The merge gives each
-    representative the number of the first representative of its class,
-    so a class's label is that one's first point, and classes are
-    numbered in the order of their labels. Only then does every point get
-    its class, block by block, through its local representative.
+    domain is a Box, or SortedPoints from sort_points (or an earlier
+    Stage2.domain), taken as they are, or any points, which sort_points
+    checks, dedupes and sorts. A box or sorted points must have one axis
+    per dimension, checked before any point is made.
+    Each block of points comes as the reduced columns of its local
+    representatives, or as their numbers (see _local_blocks), and each of
+    those gets the number of its representative: representatives are
+    numbered in the order first met, and each keeps the sorted index of
+    its first point. The merge gives each representative the number of the
+    first representative of its class, so a class's label is that one's
+    first point, and classes are numbered in the order of their labels.
+    Only then does every point get its class, block by block, through its
+    local representative, in one gather a block.
     """
     n = stage1.gens.n
-    if isinstance(domain, Box):
-        if domain.n != n:
-            axes = "axis" if domain.n == 1 else "axes"
-            raise DimensionMismatchError(
-                f"box has {domain.n} {axes}, the generators act on Z^{n}")
-    else:
+    if not isinstance(domain, (Box, SortedPoints)):
         domain = sort_points(domain, n)
+    elif domain.n != n:
+        what = (f"box has {domain.n} {'axis' if domain.n == 1 else 'axes'}"
+                if isinstance(domain, Box) else f"sorted points have dimension {domain.n}")
+        raise DimensionMismatchError(f"{what}, the generators act on Z^{n}")
     basis = stage1.basis
     index = defaultdict(count().__next__)  # representative -> its number
     # the number of each block's local representatives, block after block,
@@ -129,7 +122,7 @@ def run_stage2(
     root = merge_classes_generators(reps, stage1.gens.rotation_generators(), basis, closure_cap)
     del reps
     class_of_rep: list[int] = []
-    label_at: list[int] = []
+    label_at = array("I")
     for r, t in enumerate(root):
         if t == r:  # the first representative of its class opens it
             class_of_rep.append(len(label_at))
@@ -137,14 +130,16 @@ def run_stage2(
         else:
             class_of_rep.append(class_of_rep[t])
     class_of = array("I")
+    gathers: dict = {}  # p -> the gather of loc[:p], for blocks of p points
     begin = 0
     for size, end in ends:
-        cls = list(map(class_of_rep.__getitem__, ids[begin:end]))
-        class_of.extend(cls if loc is None else map(
-            cls.__getitem__, loc if size == len(loc) else loc[:size]))
+        cls = gather(ids[begin:end])(class_of_rep)
+        if loc is not None:
+            cls = (gathers.get(size) or gathers.setdefault(size, gather(loc[:size])))(cls)
+        class_of.extend(cls)
         begin = end
     del ids
-    return Stage2(domain, class_of, tuple(domain.at(label_at)))
+    return Stage2(domain, class_of, label_at)
 
 
 # a block's point count, and its local representatives' reduced columns or numbers

@@ -724,11 +724,14 @@ def render_tsv(labeling: OrbitLabeling) -> str:
 def stage2_of(labeling: OrbitLabeling, n: int) -> Stage2:
     """The Stage2 record of a labeling in Z^n whose labels are its class
     minima: the points as SortedPoints, the classes numbered in label
-    order. Feeds an arbitrary partition to the chunk writers."""
+    order, each label at its sorted index. Feeds an arbitrary partition to
+    the chunk writers."""
     labels = sorted(set(labeling.point_labels))
     number = {label: c for c, label in enumerate(labels)}
+    at = {p: i for i, p in enumerate(labeling.points)}
     return Stage2(SortedPoints(n, list(labeling.points)),
-                  array("I", map(number.__getitem__, labeling.point_labels)), tuple(labels))
+                  array("I", map(number.__getitem__, labeling.point_labels)),
+                  array("I", map(at.__getitem__, labels)))
 
 
 def streamed_json(stage1: Stage1, labeling: OrbitLabeling) -> str:

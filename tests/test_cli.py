@@ -350,7 +350,7 @@ def _fail_if_listed(monkeypatch):
     """Make every way of reading a Box's points fail the test."""
     def listed(self, *args):
         raise AssertionError("a box point was made")
-    for name in ("__iter__", "shifted_blocks", "at", "tail_table", "texter", "joined"):
+    for name in ("__iter__", "shifted_blocks", "at", "tail_table", "chunks"):
         monkeypatch.setattr(Box, name, listed)
 
 
@@ -525,7 +525,7 @@ def test_a_box_with_no_tail_table_writes_the_bytes_of_its_points_file(tmp_path, 
         {"type": "translation", "v": [0] * (n - 1) + [7]},
         {"type": "negation", "signs": [-1] * n}]})
     axes = [range(int(a), int(b) + 1) for a, b in (axis.split("..") for axis in spec.split(","))]
-    assert len(axes[-1]) > isorbit.domain.TEXT_TABLE
+    assert len(axes[-1]) > isorbit.domain.BLOCK_POINTS
     domain = write(tmp_path / "domain.json", {"points": list(itertools.product(*axes))})
     for fmt in ("json", "tsv"):
         outs = []

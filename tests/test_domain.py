@@ -1,9 +1,10 @@
-"""Box point texts by table: the tail table's bound, the texts and their
-joins against a plain %d fill of every point, and ranges of sorted indices
-read as rows."""
+"""Box point texts by table: the tail table's bound, the texts of each
+chunk and their joins against a plain %d fill of every point, and ranges
+of sorted indices read as rows."""
 
 import itertools
 import tracemalloc
+from array import array
 from random import Random
 
 import pytest
@@ -22,7 +23,7 @@ def random_boxes(seed, count):
         yield Box(lo, [a + rng.choice([0, 0, 1, 2, 4, 7]) for a in lo])
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 5, 16, isorbit.domain.TEXT_TABLE])
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 16, 256])
 def test_the_tail_table_holds_at_most_its_bound(bound):
     for box in random_boxes(bound, 300):
         template = TEMPLATE_OF[box.n]
@@ -36,43 +37,54 @@ def test_the_tail_table_holds_at_most_its_bound(bound):
 
 
 def test_texts_of_a_box_past_any_list_cost_a_table_and_a_chunk():
-    # 10^12 points: a texter and the texts of one chunk of them fit in a
-    # few hundred kilobytes
+    # 10^12 points: the chunk texts, the texts of one chunk and the joins
+    # of chunks far apart fit in a few hundred kilobytes
     box = Box((0, 0, -5, 0), (999_999, 999_999, 5, 9))
     template = TEMPLATE_OF[4]
-    dense = range(10 ** 11, 10 ** 11 + 4096)
-    sparse = list(range(0, 10 ** 12, 10 ** 9))
     tracemalloc.start()
     try:
-        texts = box.texter(template, isorbit.domain.TEXT_TABLE)
-        dense_texts, sparse_texts = list(texts(dense)), list(texts(sparse))
+        chunk, texts, join = box.chunks(template, ";")
+        q = 10 ** 11 // chunk
+        dense = next(texts(q))
+        sparse = [join(p, array("H", [7])) for p in range(0, 10 ** 12 // chunk, 10 ** 8)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 800_000
-    assert dense_texts == [template % p for p in box.at(list(dense))]
-    assert sparse_texts == [template % p for p in box.at(sparse)]
+    assert dense == [template % p for p in box.at(list(range(q * chunk, q * chunk + chunk)))]
+    assert sparse == [template % p for p in box.at(
+        [p * chunk + 7 for p in range(0, 10 ** 12 // chunk, 10 ** 8)])]
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 16, isorbit.domain.TEXT_TABLE])
-def test_texts_are_the_filled_template_of_each_point(bound):
-    # joined writes dense indices as runs that share a head and sparse ones
-    # from the per-point texts; both must give the texts joined
+@pytest.mark.parametrize("bound", [1, 2, 3, 16, 256])
+def test_texts_are_the_filled_template_of_each_point(bound, monkeypatch):
+    # under blocks of bound points, chunks cuts the indices into chunks of
+    # whole heads of a table of at most bound texts, or into one chunk when
+    # the table would hold one text: texts makes every point's text, in
+    # lists of a chunk or of bound points, and join writes a chunk's dense
+    # offsets as runs that share a head and its sparse ones from per-point
+    # texts; all must give the filled template of each point
     rng = Random(bound)
+    monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", bound)
     for box in random_boxes(100 + bound, 150):
         template = TEMPLATE_OF[box.n]
-        texts = box.texter(template, bound)
-        join = box.joined(template, bound, ";")
+        chunk, texts, join = box.chunks(template, ";")
         points = list(box)
         size = len(points)
-        a = rng.randint(0, size)
-        b = rng.randint(a, size)
-        dense = list(range(a, b))
-        sparse = sorted(rng.sample(range(size), rng.randint(0, size)))
-        for indices in (range(a, b), dense, sparse, range(0), []):
-            expected = [template % points[i] for i in indices]
-            assert list(texts(indices)) == expected
-            assert join(indices) == ";".join(expected)
+        t = len(box.tail_table(template, bound)[1])
+        assert chunk == (bound // t * t if t > 1 else size)
+        lists = list(texts())
+        assert [len(x) for x in lists[:-1]] == [min(chunk, bound)] * (len(lists) - 1)
+        assert list(itertools.chain.from_iterable(lists)) == [template % p for p in points]
+        assert list(texts(len(lists) - 1)) == lists[-1:]
+        for q, start in enumerate(range(0, size, chunk)):
+            inside = range(start, min(start + chunk, size))
+            a = rng.randint(0, len(inside) - 1)
+            b = rng.randint(a + 1, len(inside))
+            sparse = sorted(rng.sample(inside, rng.randint(1, len(inside))))
+            for indices in (inside, inside[a:b], inside[a:a + 1], sparse):
+                offsets = array("H", [i - start for i in indices])
+                assert join(q, offsets) == ";".join([template % points[i] for i in indices])
 
 
 def test_a_range_of_indices_is_read_row_by_row():

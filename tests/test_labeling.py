@@ -307,13 +307,26 @@ def test_classes_merge_even_when_paths_leave_the_window():
 
 
 def test_grouped_is_a_stable_sort_of_the_indices_by_class():
+    # each class's offsets, put back in their chunks, are its sorted
+    # indices: its first chunk holds its label, and later names each other
+    # chunk that holds it once, in order, with where its offsets start
     rng = Random(704)
     for _ in range(200):
         classes, size = rng.randint(1, 12), rng.choice([0, 1, 5, 40, 300, 5000])
-        class_of = array("I", (rng.randrange(classes) for _ in range(size)))
-        stage2 = Stage2(Box((0,), (size,)), class_of, tuple((c,) for c in range(classes)))
-        grouped = stage2.grouped()
-        assert [a.typecode for a in grouped] == ["I"] * classes
-        assert [i for members in grouped for i in members] == sorted(
-            range(size), key=class_of.__getitem__)
-        assert [len(members) for members in grouped] == list(map(class_of.count, range(classes)))
+        chunk = rng.choice([1, 2, 7, 64, 4096])
+        number: dict[int, int] = {}  # classes numbered by their first points
+        class_of = array("I", (number.setdefault(rng.randrange(classes), len(number))
+                               for _ in range(size)))
+        label_at = array("I", map(class_of.index, range(len(number))))
+        members, later = Stage2(Box((0,), (size,)), class_of, label_at).grouped(chunk)
+        assert [a.typecode for a in members] == ["I" if chunk >= size else "H"] * len(number)
+        indices = []
+        for c, offsets in enumerate(members):
+            q, a, chunks, starts = label_at[c] // chunk, 0, [], iter(later.get(c, ()))
+            for q_next, b in [*zip(starts, starts), (None, len(offsets))]:
+                assert a < b and max(offsets[a:b]) < chunk
+                chunks.append(q)
+                indices.extend(q * chunk + o for o in offsets[a:b])
+                q, a = q_next, b
+            assert chunks == sorted({i // chunk for i, k in enumerate(class_of) if k == c})
+        assert indices == sorted(range(size), key=class_of.__getitem__)

@@ -3,9 +3,12 @@ import time
 import tracemalloc
 from random import Random
 
+import pytest
+
 from conftest import random_sweep_instance
 import isorbit
 import isorbit.cli
+import isorbit.pipeline
 from isorbit import (
     Isometry,
     SignedPermutation,
@@ -15,6 +18,7 @@ from isorbit import (
     run_stage1,
     validate_atomic,
 )
+from isorbit.domain import SortedPoints
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from reference import reference_labeling, reference_stage1, rotation_group
 
@@ -164,3 +168,23 @@ def test_public_api_is_what_a_run_calls():
     assert not hasattr(isorbit.labeling, "finalize_labels")
     assert not hasattr(isorbit.cli, "render_json")
     assert not hasattr(isorbit.cli, "render_tsv")
+
+
+def test_sorted_points_are_taken_as_they_are(monkeypatch):
+    # a points list is checked and sorted once; the SortedPoints that
+    # stage 2 returns as its domain goes back in without sort_points
+    calls = []
+    sort_points = isorbit.pipeline.sort_points
+    monkeypatch.setattr(isorbit.pipeline, "sort_points",
+                        lambda *args: calls.append(args) or sort_points(*args))
+    gens = validate_atomic(
+        [Isometry.translation((1, 1)),
+         Isometry.rotation(SignedPermutation.negation((-1, -1)))], 2)
+    stage1 = run_stage1(gens)
+    first = isorbit.pipeline.run_stage2(stage1, UNIT_SQUARE[::-1] + UNIT_SQUARE)
+    assert len(calls) == 1 and isinstance(first.domain, SortedPoints)
+    again = isorbit.pipeline.run_stage2(stage1, first.domain)
+    assert len(calls) == 1 and again == first and again.domain is first.domain
+    with pytest.raises(isorbit.DimensionMismatchError, match="dimension 3"):
+        isorbit.pipeline.run_stage2(stage1, SortedPoints(3, [(0, 0, 0)]))
+    assert len(calls) == 1

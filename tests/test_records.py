@@ -8,6 +8,7 @@ records.
 """
 
 import pickle
+from array import array
 
 import pytest
 
@@ -72,7 +73,7 @@ RECORDS = {
     "Box": (Box, ("lo", "hi"),
             lambda: Box((0, -1), (1, 1)), lambda: Box([0, -1], [1, 1]),
             lambda: Box((0, -1), (1, 2))),
-    "Stage2": (Stage2, ("domain", "class_of", "labels"),
+    "Stage2": (Stage2, ("domain", "class_of", "label_at"),
                lambda: run_stage2(run_stage1(_gens(Isometry.rotation(FLIP))), BOX),
                lambda: run_stage2(run_stage1(_gens(Isometry.rotation(FLIP))), BOX[::-1]),
                lambda: run_stage2(run_stage1(_gens()), BOX)),
@@ -127,8 +128,8 @@ def test_stage2_is_mutable_and_unhashable():
     stage2 = RECORDS["Stage2"][2]()
     with pytest.raises(TypeError):
         hash(stage2)
-    stage2.labels = ()
-    assert stage2.labels == () and stage2 != RECORDS["Stage2"][3]()
+    stage2.label_at = array("I")
+    assert stage2.label_at == array("I") and stage2 != RECORDS["Stage2"][3]()
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -12,31 +12,38 @@ The lattices have every rank from 0 to n: r translations span the first r
 axes, and the rotations keep those axes apart from the rest. The domains
 are boxes, with negative bounds and singleton axes, and points files,
 shuffled and with duplicates. The block size is set to 1, 3, 7 or 24
-points, so blocks cut axes and classes part way and the JSON tail table
+points, so blocks cut axes and classes part way and the tail table
 (bounded by the block size) stops at every axis, as well as to its
-default, and the TSV tail-table bound to 1, 2 or 3 texts, as well as to
-its default. A JSON piece of class members is written as runs that share
-a head or, when its members are sparse, from per-point texts; the boxes
-meet both. Some boxes end the cut axis in a short slice after every value
-of the leading axes, so every head group's last block is a prefix of the
-base; and stage 2 takes both of its paths on them, moving the base's
-representatives or (when the base's points are all distinct
+default. The writers read a box in chunks of whole heads of that table: a
+JSON piece, one class's members in one chunk, is written as runs that
+share a head or, when its members are sparse, member by member; the
+boxes meet both, with head texts from a table or decoded. Some boxes end the cut axis in a short slice after every
+value of the leading axes, so every head group's last block is a prefix
+of the base; and stage 2 takes both of its paths on them, moving the
+base's representatives or (when the base's points are all distinct
 representatives) the base's points. Boxes with two leading axes or more,
 under full-rank lattices, have blocks that take their numbers through
 stage 2's step maps, or that miss them and are moved, or (when the
-lattice's index passes the block size) have no maps.
+lattice's index passes the block size) have no maps. Gathers of one index,
+which itemgetter answers with an item rather than a tuple, meet a block
+of 1 point, a piece of 1 member and a 1-point box.
 
 Mutants of the tables (a tail table one axis short, a head decode without
-its modulus, a head text reused across a head boundary), of the runs (a
-run that ends where its head starts, one head text for a whole piece), of
-the grouping of indices by class (the last block of indices skipped) and
-of the moved blocks (a shift with its sign flipped or taken from the wrong
-axis, a short block that keeps every base representative) must each make
-the box bytes differ from its points file's or from the whole-list chain's.
-Mutants of the step maps (a map keyed by the absolute shift, a head's first
-block taking the block before it as its parent, a hit that takes all of its
-parent's numbers, one map for every delta) must each change the bytes or
-move more blocks.
+its modulus, a head text reused across a head boundary, a chunk table not
+repeated for each head), of the runs (a run that ends where its head
+starts or one index early, one head text for a whole piece, a one-head
+piece that takes its chunk's first head), of the grouping of indices by
+class (a chunk-local offset off by one, the last chunk skipped, a mark for
+the chunk a class begins in), of the JSON writer's pieces (a class's first
+chunk taken one late, a one-chunk piece cut one member short), of the TSV
+labels (a label's text read one line early) and of the moved blocks
+(a shift with its sign flipped or taken from the wrong axis, a short block
+that keeps every base representative or takes its classes through the
+whole base's gather) must each make the box bytes differ from its points
+file's or from the whole-list chain's. Mutants of the step maps (a map
+keyed by the absolute shift, a head's first block taking the block before
+it as its parent, a hit that takes all of its parent's numbers, one map
+for every delta) must each change the bytes or move more blocks.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -68,7 +75,6 @@ from reference import (  # noqa: E402
     witness_merge_classes,
 )
 
-TABLES = [1, 2, 3, isorbit.domain.TEXT_TABLE]
 BLOCKS = [1, 3, 7, 24, isorbit.domain.BLOCK_POINTS]
 
 
@@ -128,10 +134,10 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("stream")
 
 
-def sizes(block, table):
-    """BLOCK_POINTS and TEXT_TABLE of isorbit.domain patched to the given
-    values; the writers read both at each call."""
-    return mock.patch.multiple(isorbit.domain, BLOCK_POINTS=block, TEXT_TABLE=table)
+def sizes(block, module=isorbit.domain):
+    """BLOCK_POINTS of isorbit.domain (or of a mutant of it) patched to
+    block; the writers read it at each call."""
+    return mock.patch.object(module, "BLOCK_POINTS", block)
 
 
 def run_cli(gens_path, domain, fmt, out) -> bytes:
@@ -141,9 +147,8 @@ def run_cli(gens_path, domain, fmt, out) -> bytes:
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS),
-                  st.sampled_from(TABLES))
-def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block, table):
+@hypothesis.given(st.data(), generator_documents(), st.sampled_from(BLOCKS))
+def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block):
     n, rank, gens_doc = gens
     domain, points = data.draw(domains(n))
     hypothesis.event(f"rank {rank} of n = {n}")
@@ -156,7 +161,7 @@ def test_streamed_output_matches_the_whole_list_chain(workdir, data, gens, block
         domain = ["--domain", str(dom)]
     assert run_stage1(parse_generators(json.dumps(gens_doc))).basis.m == rank
     for fmt in ("json", "tsv"):
-        with sizes(block, table):
+        with sizes(block):
             out = run_cli(gens_path, domain, fmt, workdir / f"out.{fmt}")
         assert out == oracle_bytes(gens_doc, points, fmt)
 
@@ -209,30 +214,33 @@ def short_sliced_boxes(draw, n, block, heads=0):
 
 
 def json_paths(paths: Counter):
-    """Box.joined and Box._texter patched to count, in paths, the pieces
-    Box.joined writes and those of them it writes from per-point texts."""
-    joined, texter = isorbit.domain.Box.joined, isorbit.domain.Box._texter
+    """Box.chunks patched to count, in paths, the pieces its join writes as
+    runs and those it writes from per-point texts, by its rule: offsets
+    that average fewer than RUN_MEMBERS a head over the heads they span."""
+    chunks = isorbit.domain.Box.chunks
 
-    def counted_joined(self, *args):
-        join = joined(self, *args)
-        return lambda indices: (paths.update(["pieces"]), join(indices))[1]
+    def counted_chunks(self, template, sep):
+        chunk, texts, join = chunks(self, template, sep)
+        t = len(self.tail_table(template, isorbit.domain.BLOCK_POINTS)[1])
 
-    def counted_texter(self, *args):
-        texts = texter(self, *args)
-        return lambda indices: (paths.update(["per point"]), texts(indices))[1]
-    return mock.patch.multiple(isorbit.domain.Box, joined=counted_joined,
-                               _texter=counted_texter)
+        def counted(q, offsets):
+            heads = offsets[-1] // t - offsets[0] // t + 1
+            dense = len(offsets) >= isorbit.domain.RUN_MEMBERS * heads
+            paths.update(["runs" if dense else "per point"])
+            return join(q, offsets)
+        return chunk, texts, counted
+    return mock.patch.object(isorbit.domain.Box, "chunks", counted_chunks)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(st.data(), st.one_of(generator_documents(), generator_documents(dense=True)),
-                  st.sampled_from(BLOCKS), st.sampled_from(TABLES))
-def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, table):
+                  st.sampled_from(BLOCKS))
+def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block):
     n, rank, gens_doc = gens
     short = block in (3, 7) and data.draw(st.booleans())
     lo, hi = data.draw(short_sliced_boxes(n, block) if short else boxes(n))
     basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
-    with sizes(block, table):
+    with sizes(block):
         counts = [size for size, _shift in Box(lo, hi).shifted_blocks()[1]]
         loc, _first, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis, {}, [])
     assert not short or counts.count(counts[0]) < len(counts)
@@ -242,12 +250,11 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block, t
     points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     paths = Counter()
     for fmt in ("json", "tsv"):
-        with sizes(block, table), json_paths(paths) if fmt == "json" else nullcontext():
+        with sizes(block), json_paths(paths) if fmt == "json" else nullcontext():
             from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
         assert from_box == from_points == oracle_bytes(gens_doc, points, fmt)
-    runs = paths["pieces"] - paths["per point"]
     hypothesis.event("JSON pieces: " + " and ".join(
-        [kind for kind, count in (("runs", runs), ("per point", paths["per point"])) if count]))
+        [kind for kind in ("runs", "per point") if paths[kind]]))
 
 
 def counted_moves(module, calls: Counter):
@@ -280,7 +287,7 @@ def test_a_box_whose_blocks_revisit_its_cell_writes_the_bytes_of_its_points_file
     lo, hi = data.draw(short_sliced_boxes(n, shape, heads=2))
     stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
     calls = Counter()
-    with sizes(block, isorbit.domain.TEXT_TABLE), counted_moves(isorbit.pipeline, calls):
+    with sizes(block), counted_moves(isorbit.pipeline, calls):
         blocks = sum(1 for _ in Box(lo, hi).shifted_blocks()[1])
         isorbit.pipeline.run_stage2(stage1, Box(lo, hi))
     moved = calls["moves"] - 1  # every block but the base has a nonzero shift
@@ -293,40 +300,58 @@ def test_a_box_whose_blocks_revisit_its_cell_writes_the_bytes_of_its_points_file
     hypothesis.event(f"{blocks} blocks" if blocks < 3 else "3 blocks or more")
     points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     for fmt in ("json", "tsv"):
-        with sizes(block, isorbit.domain.TEXT_TABLE):
+        with sizes(block):
             from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
         assert from_box == from_points == oracle_bytes(gens_doc, points, fmt)
 
 
-BOTH, JSON = ("json", "tsv"), ("json",)
+BOTH, JSON, TSV = ("json", "tsv"), ("json",), ("tsv",)
+RUN_ENDS = "range((first + 1) * t, (last + 1) * t, t)"
+RUN_HEADS = "head_texts(heads_of(q, first, last))"
+NEW_CLASSES = "old.difference_update(range(new, end))"
 # name: (module, edits, the writers that run the edited code)
 MUTANTS = {
     "tail table one axis short": (isorbit.domain, [
-        ('tail = "%d".join(["", *template.split("%d")[k + 1:]])',
-         'tail = "%d".join(["", *template.split("%d")[k + 2:]])'),
-        ("product(*self._ranges[k:])", "product(*self._ranges[k + 1:])")], BOTH),
+        ('zip(self._ranges[k:], template.split("%d")[k + 1:])',
+         'zip(self._ranges[k + 1:], template.split("%d")[k + 2:])')], BOTH),
     "head decode without its modulus": (isorbit.domain, [
-        ("lo + i // stride % size", "lo + i // stride")], BOTH),
+        ("lo + i // stride % size", "lo + i // stride")], JSON),
     "head text reused across a head boundary": (isorbit.domain, [
-        ("map(text.__getitem__, heads)", "repeat(text[distinct[0]])")], BOTH),
+        ("repeat, head_texts(heads_of(q)), repeat(t)",
+         "repeat, head_texts(heads_of(q))[:1], repeat(per * t)")], TSV),
     "a run that ends at h * T instead of (h + 1) * T": (isorbit.domain, [
-        ("range((first + 1) * t, (last + 2) * t, t)", "range(first * t, (last + 1) * t, t)")],
-        JSON),
+        (RUN_ENDS, "range(first * t, last * t, t)")], JSON),
+    "a run split one index early": (isorbit.domain, [
+        (RUN_ENDS, "range((first + 1) * t - 1, (last + 1) * t - 1, t)")], JSON),
     "one head text used for a whole piece": (isorbit.domain, [
-        ("map(head.__mod__, leading.at(range(first, last + 1)))",
-         "repeat(head % next(iter(leading.at(range(first, last + 1)))))")], JSON),
-    "grouping that skips the last block of indices": (isorbit.labeling, [
-        ("from .domain import Box, SortedPoints",
-         "from . import domain\nfrom .domain import Box, SortedPoints"),
-        ("range(len(class_of))",
-         "range((len(class_of) - 1) // domain.BLOCK_POINTS * domain.BLOCK_POINTS)")], JSON),
+        (RUN_HEADS, f"repeat({RUN_HEADS}[0])")], JSON),
+    "a one-head piece that takes its chunk's first head": (isorbit.domain, [
+        ("heads_of(q, first, first)", "heads_of(q, 0, 0)")], JSON),
+    "a chunk table not repeated for each head of a chunk": (isorbit.domain, [
+        ("else self.size, table * per", "else self.size, table")], JSON),
+    "a chunk-local offset off by one": (isorbit.labeling, [
+        ("range(chunk), repeat(2)", "range(1, chunk + 1), repeat(2)")], JSON),
+    "grouping that skips the last chunk of indices": (isorbit.labeling, [
+        ("range(0, len(class_of), chunk)", "range(0, len(class_of) - chunk, chunk)")], JSON),
+    "a mark for the chunk a class begins in": (isorbit.labeling, [
+        (NEW_CLASSES, "old.difference_update(range(new, new))")], JSON),
+    "a class's first chunk taken as the chunk after its label's": (isorbit.cli, [
+        ("first // chunk, 0", "first // chunk + 1, 0")], JSON),
+    "a piece of one chunk cut one member short at the bound": (isorbit.cli, [
+        ("offsets[i:i + domain.BLOCK_POINTS]", "offsets[i:i + domain.BLOCK_POINTS - 1]")], JSON),
+    "a label tail read at the wrong block offset": (isorbit.cli, [
+        ("lines[i - start]", "lines[i - start - 1]")], TSV),
 }
 
-# a one-class lattice (every index of a class chunk dense) and a lattice
-# with a rotation (sparse class chunks), in Z^4
+# a one-class lattice (every offset of a chunk dense), a lattice whose two
+# classes take alternate values of axis 1 (so, under blocks of 40, each
+# piece is one head of a chunk of two) and a lattice with a rotation
+# (sparse chunks), in Z^4
 MUTANT_GENS = [
     {"n": 4, "generators": [{"type": "translation", "v": v} for v in
                             ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]},
+    {"n": 4, "generators": [{"type": "translation", "v": v} for v in
+                            ([1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]},
     {"n": 4, "generators": [{"type": "translation", "v": [3, 0, 0, 0]},
                             {"type": "translation", "v": [1, 1, 1, 1]},
                             {"type": "negation", "signs": [-1, -1, -1, -1]}]},
@@ -335,21 +360,20 @@ MUTANT_GENS = [
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypatch, name):
-    # blocks of 24 points give the JSON writer a table of 16 texts, so a
-    # piece spans several heads: the one-class lattice's pieces go as runs
-    # and the other lattice's as per-point texts; at the default block
-    # size the whole 144-point box is one table
+    # blocks of 8 and 40 points give the writers tables of 4 and 16 texts
+    # and chunks of two heads, so a chunk's runs meet a head boundary: the
+    # one-class lattice's chunks go as runs and the rotation lattice's as
+    # per-point texts; at the default block size the whole 144-point box
+    # is one table
     module, edits, writers = MUTANTS[name]
     mutant = mutant_module(module, edits)
     lo, hi = (-2, 0, -1, 3), (0, 2, 2, 6)
     points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    cases = [(gens_doc, fmt, block, table)
-             for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
-             for block in (24, isorbit.domain.BLOCK_POINTS)
-             for table in (4, 16, isorbit.domain.TEXT_TABLE)]
+    cases = [(gens_doc, fmt, block) for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
+             for block in (8, 40, isorbit.domain.BLOCK_POINTS)]
 
-    def differs(gens_doc, fmt, block, table) -> bool:
-        with sizes(block, table):
+    def differs(gens_doc, fmt, block) -> bool:
+        with sizes(block), sizes(block, mutant) if module is isorbit.domain else nullcontext():
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
@@ -358,12 +382,87 @@ def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypat
 
     assert not any(differs(*case) for case in cases)  # the writers pass every case
     if module is isorbit.domain:
-        for method in ("at", "tail_table", "texter", "_texter", "joined"):
+        for method in ("at", "tail_table", "chunks"):
             monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
-    else:
+    elif module is isorbit.labeling:
         monkeypatch.setattr(isorbit.labeling.Stage2, "grouped", mutant.Stage2.grouped)
+    else:
+        monkeypatch.setattr(isorbit.cli, "json_chunks", mutant.json_chunks)
+        monkeypatch.setattr(isorbit.cli, "tsv_chunks", mutant.tsv_chunks)
     for fmt in writers:  # each writer that runs the edited code catches the mutant
         assert any(differs(*case) for case in cases if case[1] == fmt)
+
+
+PLANE = {"n": 2, "generators": [{"type": "translation", "v": [12, 0]},
+                                {"type": "translation", "v": [1, 1]},
+                                {"type": "negation", "signs": [-1, -1]}]}
+# every point of a value of axis 0 has one representative
+COLUMNS = {"n": 2, "generators": [{"type": "translation", "v": [5, 0]},
+                                  {"type": "translation", "v": [0, 1]},
+                                  {"type": "negation", "signs": [-1, 1]}]}
+# name: (generators, lo, hi, block size). itemgetter(i) gives an item, not
+# a one-item tuple, so each case but the last makes some gather take one
+# index: stage 2's for a block of 1 point (which only a last axis longer
+# than the block cuts) or for a 1-point box, or the JSON writer's tails
+# for a piece of 1 member of a box of at most a block of heads. A box with
+# no table, as the last one, is one chunk: it fills the template per point
+# and gathers no tails, and none of its blocks holds 1 point
+ONE_INDEX_GATHERS = {
+    "a short block of 1 point": (COLUMNS, (0, 0), (1, 6), 3),
+    "a class with 1 member in a chunk": (PLANE, (0, 0), (3, 1), 4),
+    "a 1-point box": (PLANE, (3, -2), (3, -2), isorbit.domain.BLOCK_POINTS),
+    "a last axis longer than the block (T = 1)": (PLANE, (0, 0), (2, 9), 4),
+}
+
+
+def chunk_pieces(stage2: isorbit.labeling.Stage2, chunk: int) -> list[int]:
+    """The member count of every piece the JSON writer joins, at most
+    BLOCK_POINTS each."""
+    members, later = stage2.grouped(chunk)
+    bound, pieces = isorbit.domain.BLOCK_POINTS, []
+    for c, offsets in enumerate(members):
+        starts = [*later.get(c, ())[1::2], len(offsets)]
+        for a, b in zip([0, *starts], starts):
+            pieces.extend(min(bound, b - i) for i in range(a, b, bound))
+    return pieces
+
+
+@pytest.mark.parametrize("name", list(ONE_INDEX_GATHERS))
+def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypatch, name):
+    gens_doc, lo, hi, block = ONE_INDEX_GATHERS[name]
+    stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
+    box = Box(lo, hi)
+    with sizes(block):
+        counts = [size for size, _shift in box.shifted_blocks()[1]]
+        loc, _first, _blocks = isorbit.pipeline._local_blocks(box, stage1.basis, {}, [])
+        chunk, _texts, _join = box.chunks("%d,%d", ",")
+        pieces = chunk_pieces(isorbit.pipeline.run_stage2(stage1, box), chunk)
+        tail = box.tail_table("%d,%d", block)[1]
+    heads = len(box) // len(tail)
+    assert {
+        "a short block of 1 point": loc is not None and min(counts) == 1,
+        "a class with 1 member in a chunk": len(tail) > 1 and heads <= block and min(pieces) == 1,
+        "a 1-point box": len(box) == 1,
+        "a last axis longer than the block (T = 1)": len(tail) == 1 and heads > block,
+    }[name]
+    points = list(box)
+
+    def outputs():
+        for fmt in ("json", "tsv"):
+            with sizes(block):
+                try:
+                    yield fmt, box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
+                except Exception:  # a mutant may fail outright
+                    yield fmt, None
+
+    for fmt, out in outputs():
+        assert out == (oracle_bytes(gens_doc, points, fmt),) * 2
+    # the same runs with gathers that give the item itself for one index
+    mutant = mutant_module(isorbit.domain, [("if len(indices) == 1:", "if False:")])
+    for module in (isorbit.domain, isorbit.pipeline, isorbit.labeling):
+        monkeypatch.setattr(module, "gather", mutant.gather)
+    differ = [out != (oracle_bytes(gens_doc, points, fmt),) * 2 for fmt, out in outputs()]
+    assert any(differ) == (name != "a last axis longer than the block (T = 1)")
 
 
 SHIFT = "[r.start - a for r, a in zip(ranges, starts)]"
@@ -373,6 +472,8 @@ STAGE2_MUTANTS = {
     "a shift taken from the wrong axis": (isorbit.domain, [(SHIFT, SHIFT + "[::-1]")]),
     "a short block that keeps all base representatives": (
         isorbit.pipeline, [("m = bisect_left(first, size)", "m = len(first)")]),
+    "a short block that takes its classes through the whole base's gather": (
+        isorbit.pipeline, [("gather(loc[:size])", "gather(loc)")]),
 }
 
 # the box's blocks of 40 points (2 values of axis 1 by 16 of axes 2 and 3)
@@ -381,7 +482,7 @@ STAGE2_MUTANTS = {
 # points are distinct representatives. The first has rank 2, so stage 2
 # moves every block; the other two have full rank and index 27 and 32, at
 # most the block size, so blocks take their numbers through step maps
-STAGE2_MUTANT_GENS = [MUTANT_GENS[1], *({"n": 4, "generators": [
+STAGE2_MUTANT_GENS = [MUTANT_GENS[2], *({"n": 4, "generators": [
     {"type": "translation", "v": v} for v in vectors] + negation} for vectors, negation in [
         (([3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [1, 1, 1, 1]), []),
         (([1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]),
@@ -395,7 +496,7 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
     lo, hi = (-2, 0, -1, 3), (1, 4, 2, 6)
 
     def differs(gens_doc, fmt) -> bool:
-        with sizes(40, isorbit.domain.TEXT_TABLE):
+        with sizes(40):
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
@@ -432,7 +533,7 @@ def test_each_step_map_mutant_changes_the_bytes_or_moves_more_blocks(workdir, mo
 
     def outcome(module, gens_doc, fmt):
         calls = Counter()
-        with sizes(40, isorbit.domain.TEXT_TABLE), counted_moves(module, calls):
+        with sizes(40), counted_moves(module, calls):
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
