@@ -24,7 +24,11 @@ index. A box is never listed: stage 2 reads its points in blocks.
 
 The output is opened only once stage 2 is done and, for JSON, the head is
 formatted, so a run that fails writes nothing. It is then written in
-pieces, chunk by chunk (TSV) or class by class (JSON).
+pieces, chunk by chunk (TSV) or class by class (JSON), as UTF-8 bytes
+through a binary file with a 64 KB buffer, opened on the output path or
+on stdout's file descriptor: the buffer copies small pieces into 64 KB
+writes and passes a longer one straight through. Lines end in LF on
+every platform.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (argparse), 3 when
@@ -191,9 +195,7 @@ def parse_box_spec(spec: str, box_cap: int = DEFAULT_BOX_CAP) -> Box:
 
 def _point_template(n: int, depth: int) -> str:
     """A point as json.dumps(indent=2) lays it out at the given depth, with
-    a "%d" slot per coordinate."""
-    if n == 0:
-        return "[]"
+    a "%d" slot per coordinate; n >= 1, as parse_generators checks."""
     inner = "  " * (depth + 1)
     return "[\n" + ",\n".join([inner + "%d"] * n) + "\n" + "  " * depth + "]"
 
@@ -222,8 +224,8 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
     would write it, in pieces: the head from json_head, then class by
     class its label and its members, a piece per chunk of the domain that
-    holds them (Box.chunks, Stage2.grouped) and at most BLOCK_POINTS per
-    piece, for a %d template laid out for them.
+    holds them (the domain's chunks, Stage2.grouped) and at most
+    BLOCK_POINTS per piece, for a %d template laid out for them.
 
     With indent set, the json module falls back to its pure-Python
     encoder, so only the small head goes through it.
@@ -252,7 +254,7 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
 
 def tsv_chunks(stage2: Stage2) -> Iterator[str]:
     """One "point TAB label" line per point, in sorted order, a piece per
-    list of the domain's texts (Box.chunks). A label, its class's first
+    list of the domain's texts (its chunks). A label, its class's first
     point, takes its text from that list: one bisect of label_at a list."""
     points, class_of, label_at, tails = stage2.domain, stage2.class_of, stage2.label_at, []
     _chunk, texts, _join = points.chunks(",".join(["%d"] * points.n), "")
@@ -263,22 +265,6 @@ def tsv_chunks(stage2: Stage2) -> Iterator[str]:
         tails.extend(["\t" + lines[i - start] + "\n" for i in held])
         yield "".join(map(add, lines, map(tails.__getitem__, class_of[start:end])))
         start = end
-
-
-def _batched(texts: Iterator[str]) -> Iterator[str]:
-    """The texts joined in pieces of up to 64 KB, since a text file copies
-    small writes; a longer text goes alone, at once and uncopied."""
-    batch, held = [], 0
-    for text in texts:
-        if batch and held + len(text) > 1 << 16:
-            yield "".join(batch)
-            batch, held = [], 0
-        if len(text) > 1 << 16:
-            yield text
-            continue
-        batch.append(text)
-        held += len(text)
-    yield "".join(batch)
 
 
 def _emit_error(code: str, message: str, **extra) -> None:
@@ -300,13 +286,13 @@ def run(args: argparse.Namespace) -> int:
         stage1 = run_stage1(gens, args.max_dimension)
         stage2 = run_stage2(stage1, points, args.closure_cap)
         del points  # a points list is now held sorted, by stage2
-        chunks = _batched(json_chunks(json_head(stage1), stage2) if args.format == "json"
-                          else tsv_chunks(stage2))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
-                out.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
+        pieces = (json_chunks(json_head(stage1), stage2) if args.format == "json"
+                  else tsv_chunks(stage2))
+        if not args.output:
+            sys.stdout.flush()  # text already printed goes first
+        with open(args.output or sys.stdout.fileno(), "wb", buffering=1 << 16,
+                  closefd=bool(args.output)) as out:
+            out.writelines(map(str.encode, pieces))
         if args.oracle_check:
             reference, _pad = stabilized_bfs_orbits(
                 gens, stage2.domain, args.max_padding, args.box_cap)

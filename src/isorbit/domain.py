@@ -22,11 +22,13 @@ its representatives (see pipeline.run_stage2).
 
 The writers take point texts from chunks: all of them in order (TSV),
 or those at some offsets of one chunk of the sorted indices, joined
-(JSON). A points list, or a box whose last axis alone is longer than a
-block, is one chunk, and each point fills a %d template. Any other box's
-point text is a head text and a tail text from a table of its trailing
-axes, and a chunk is whole heads, so the offsets of a class in a chunk
-find their tails in one gather (see Box.chunks).
+(JSON). A points list, or a box whose trailing axes that fit in a block
+have one point (as when its last axis alone is longer than a block), has
+no table of texts: it is one chunk, and each point fills a %d template
+in one function for both (filled). Any other box's point text is a head
+text and a tail text from a table of its trailing axes, and a chunk is
+whole heads, so the offsets of a class in a chunk find their tails in one
+gather (see Box.chunks).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .isometry import Point, int_tuple
 BLOCK_POINTS = 4096
 RUN_MEMBERS = 4  # fewest offsets a head, on average, that Box.chunks joins as runs
 
-Chunks = tuple[int, Callable[..., Iterator[list[str]]], Callable[[int, Sequence[int]], str]]
+Chunks = tuple[int, Callable[[], Iterator[list[str]]], Callable[[int, Sequence[int]], str]]
 
 
 @record(frozen=True)
@@ -167,25 +169,22 @@ class Box:
         return k, table
 
     def chunks(self, template: str, sep: str) -> Chunks:
-        """(chunk, texts, join): texts(p) gives the points' texts, each
-        filled into template (one %d per axis, no other conversion), in
-        sorted order and in lists of at most BLOCK_POINTS, from list p on;
-        join(q, offsets) joins by sep the texts at ascending offsets (at
-        least one) in chunk q of the sorted indices, cut every `chunk`.
-
-        With T tail texts from tail_table(template, BLOCK_POINTS), a chunk
-        and a list are BLOCK_POINTS // T heads, index i having head i // T,
-        so offset o has the tail chunk_table[o]; texts adds each head's text
-        to every tail. When T = 1 there is no table: the box is one chunk,
-        and each point fills the template. join writes a head's offsets as
-        H + (sep + H).join(their tails), H the head's text, but offsets under
-        RUN_MEMBERS a head as each one's head text and tail. Head texts come
-        from a table of every head's (93 bytes a head for a 4-axis JSON
-        template) when there are at most BLOCK_POINTS heads, else by decode."""
+        """As filled, but from a table of texts when there is one: with T
+        tail texts from tail_table(template, BLOCK_POINTS), a chunk and a
+        list are BLOCK_POINTS // T heads, index i having head i // T, so
+        offset o has the tail chunk_table[o]; texts adds each head's text
+        to every tail. When T = 1 there is no table, and this is filled.
+        join writes a head's offsets as H + (sep + H).join(their tails), H
+        the head's text, but offsets under RUN_MEMBERS a head as each one's
+        head text and tail. Head texts come from a table of every head's
+        (93 bytes a head for a 4-axis JSON template) when there are at most
+        BLOCK_POINTS heads, else by decode."""
         k, table = self.tail_table(template, BLOCK_POINTS)
         t = len(table)
+        if t == 1:
+            return filled(self, template, sep)
         per, heads = BLOCK_POINTS // t, self.size // t  # heads a chunk, and in all
-        chunk, chunk_table = per * t if t > 1 else self.size, table * per
+        chunk_table = table * per
         head = "%d".join(template.split("%d")[:k + 1])
         leading = Box(self.lo[:k], self.hi[:k])
 
@@ -200,17 +199,12 @@ class Box:
             return list(map(every.__getitem__, these) if every else map(
                 head.__mod__, leading.at(these)))
 
-        def texts(p: int = 0) -> Iterator[list[str]]:
-            for q in range(p, -(-heads // per)):
-                if t == 1:  # a head is a point
-                    yield list(map(template.__mod__, self.at(heads_of(q))))
-                else:
-                    yield list(map(add, chain.from_iterable(map(
-                        repeat, head_texts(heads_of(q)), repeat(t))), chunk_table))
+        def texts() -> Iterator[list[str]]:
+            for q in range(-(-heads // per)):
+                yield list(map(add, chain.from_iterable(map(
+                    repeat, head_texts(heads_of(q)), repeat(t))), chunk_table))
 
         def join(q: int, offsets: Sequence[int]) -> str:
-            if t == 1:  # no table: the box is one chunk
-                return sep.join(map(template.__mod__, self.at(offsets)))
             first, last = offsets[0] // t, offsets[-1] // t
             tails = gather(offsets)(chunk_table)
             if len(offsets) < RUN_MEMBERS * (last - first + 1):
@@ -224,7 +218,7 @@ class Box:
                     len(offsets)]
             return sep.join([h + (sep + h).join(tails[a:b]) for h, a, b in zip(
                 head_texts(heads_of(q, first, last)), [0, *runs], runs) if a < b])
-        return chunk, texts, join
+        return per * t, texts, join
 
 
 @record
@@ -247,16 +241,29 @@ class SortedPoints:
             yield len(rows), [list(map(itemgetter(j), rows)) for j in range(self.n)]
 
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
+        """The points with the given sorted indices; a range of them is a slice."""
+        if type(indices) is range:
+            return self.points[indices.start:indices.stop]
         return map(self.points.__getitem__, indices)
 
     def chunks(self, template: str, sep: str) -> Chunks:
-        """As Box.chunks, each point filling the template: with no table,
-        the points are one chunk."""
-        points, fill = self.points, template.__mod__
-        return (max(len(points), 1),
-                lambda p=0: (list(map(fill, points[i:i + BLOCK_POINTS]))
-                             for i in range(p * BLOCK_POINTS, len(points), BLOCK_POINTS)),
-                lambda q, offsets: sep.join(map(fill, map(points.__getitem__, offsets))))
+        """filled: a points list has no table of texts."""
+        return filled(self, template, sep)
+
+
+def filled(domain: Box | SortedPoints, template: str, sep: str) -> Chunks:
+    """(chunk, texts, join) for a domain with no table of texts, each point
+    filling the template (one %d per axis, no other conversion): texts()
+    gives the points' texts in sorted order, in lists of BLOCK_POINTS read
+    through domain.at a range at a time; join(q, offsets) joins by sep the
+    texts at ascending offsets (at least one) in chunk q of the sorted
+    indices, cut every `chunk`. Here the domain is one chunk, so offsets
+    are sorted indices."""
+    indices, fill = range(len(domain)), template.__mod__
+    return (max(len(domain), 1),
+            lambda: (list(map(fill, domain.at(indices[i:i + BLOCK_POINTS])))
+                     for i in indices[::BLOCK_POINTS]),
+            lambda q, offsets: sep.join(map(fill, domain.at(offsets))))
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:

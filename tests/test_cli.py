@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import json
 import math
@@ -372,23 +373,71 @@ def test_box_dimension_is_checked_before_any_point(tmp_path, capsys, monkeypatch
         "message": f"box has {axes}, the generators act on Z^2"}
 
 
-def _main_stdout(argv, capsys):
+def _main_stdout(argv, capfd):
     """main's exit status and what it printed on stdout."""
     code = main(argv)
-    return code, capsys.readouterr().out
+    return code, capfd.readouterr().out
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
-def test_stdout_and_output_file_give_the_same_bytes(tmp_path, capsys, fmt):
+def test_stdout_and_output_file_give_the_same_bytes(tmp_path, capfd, fmt):
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     out = tmp_path / "out"
     argv = ["--gens", gens, "--box", "-3..4,-2..5", "--format", fmt]
-    assert _main_stdout(argv + ["--output", str(out)], capsys) == (0, "")
-    code, printed = _main_stdout(argv, capsys)
+    assert _main_stdout(argv + ["--output", str(out)], capfd) == (0, "")
+    code, printed = _main_stdout(argv, capfd)
     assert code == 0 and printed.encode() == out.read_bytes()
 
 
-def test_merge_failure_writes_nothing(tmp_path, capsys):
+def test_the_output_joins_small_pieces_into_64_kb_writes(tmp_path, monkeypatch, capfd):
+    # the JSON writer makes pieces of a few bytes to a few KB; the output
+    # file's buffer copies them and writes when the next piece does not
+    # fit, so every raw write but the last is over 64 KB less the longest
+    # piece, to a file or to stdout. The same run through the file opened
+    # unbuffered or with an 8 KB buffer makes writes of a few bytes or KB,
+    # and fails the check
+    gens = write(tmp_path / "gens.json", CHORDS4_DOC)
+    out = tmp_path / "out.json"
+    argv = ["--gens", gens, "--box", "0..15,0..15,0..15,0..15", "--output", str(out)]
+    json_chunks, lengths = isorbit.cli.json_chunks, []
+
+    def measured(head, stage2):
+        for piece in json_chunks(head, stage2):
+            lengths.append(len(piece))
+            yield piece
+    monkeypatch.setattr(isorbit.cli, "json_chunks", measured)
+
+    def raw_writes(forced=None, argv=argv) -> list[int]:
+        sizes = []
+
+        class Counted(io.FileIO):
+            def write(self, b):
+                sizes.append(super().write(b))
+                return sizes[-1]
+
+        def opener(path, mode, buffering=-1, closefd=True):
+            assert mode == "wb"  # no output is opened in text mode
+            buffering = buffering if forced is None else forced
+            raw = Counted(path, mode, closefd)
+            return raw if buffering == 0 else io.BufferedWriter(
+                raw, buffering if buffering > 0 else io.DEFAULT_BUFFER_SIZE)
+        monkeypatch.setattr(isorbit.cli, "open", opener, raising=False)
+        assert main(argv) == 0
+        return sizes
+
+    sizes = raw_writes()
+    longest = max(lengths)
+    assert sum(sizes) == out.stat().st_size > 1 << 20 and longest < 1 << 14
+    assert min(sizes[:-1]) > (1 << 16) - longest
+    capfd.readouterr()
+    sizes = raw_writes(argv=argv[:-2])
+    assert capfd.readouterr().out.encode() == out.read_bytes()
+    assert min(sizes[:-1]) > (1 << 16) - longest
+    for forced in (0, 8192):
+        assert min(raw_writes(forced)[:-1]) < (1 << 16) - longest
+
+
+def test_merge_failure_writes_nothing(tmp_path, capfd):
     # rank 0: the orbit of (1, 2) under the signed swaps needs 8 cell points
     gens = write(tmp_path / "gens.json", {"n": 2, "generators": [
         {"type": "negation", "signs": [-1, 1]},
@@ -396,12 +445,12 @@ def test_merge_failure_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     for fmt in ("json", "tsv"):
         argv = ["--gens", gens, "--box", "0..3,0..3", "--closure-cap", "1", "--format", fmt]
-        assert _main_stdout(argv + ["--output", str(out)], capsys) == (1, "")
+        assert _main_stdout(argv + ["--output", str(out)], capfd) == (1, "")
         assert not out.exists()
-        assert _main_stdout(argv, capsys) == (1, "")
+        assert _main_stdout(argv, capfd) == (1, "")
 
 
-def test_digit_limit_writes_nothing(tmp_path, capsys):
+def test_digit_limit_writes_nothing(tmp_path, capfd):
     big = "1" + "0" * 4000
     gens = tmp_path / "gens.json"
     gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 1]}, '
@@ -409,9 +458,9 @@ def test_digit_limit_writes_nothing(tmp_path, capsys):
                     encoding="utf-8")
     out = tmp_path / "out"
     argv = ["--gens", str(gens), "--box", "0..1,0..1"]
-    assert _main_stdout(argv + ["--output", str(out)], capsys) == (1, "")
+    assert _main_stdout(argv + ["--output", str(out)], capfd) == (1, "")
     assert not out.exists()
-    assert _main_stdout(argv, capsys) == (1, "")
+    assert _main_stdout(argv, capfd) == (1, "")
 
 
 CHORDS4_DOC = {"n": 4, "generators": [
@@ -466,8 +515,12 @@ def test_a_box_of_distinct_representatives_holds_at_most_370_bytes_per_point(tmp
     # every point of 0..0,0..N,0..0,0..0 is its own representative under
     # this rank-2 lattice, so stage 2 moves the first block's points, not
     # its representatives, and holds what the merge of N representatives
-    # holds: 357 bytes a point on Python 3.11, as before the blocks were
-    # moved
+    # holds: 369.6 bytes a point on Python 3.11 (363.8 in a fresh process).
+    # The peak comes while the merge reduces a column of a generator's
+    # images: the representative tuples (76), the merge's dict of them (69),
+    # the quotient column and the new column with their ints (41 each), the
+    # union-find parents (40), the representatives' columns (34) and
+    # coordinate ints (32), and five lists or arrays of 4 to 9 bytes
     gens_doc = {"n": 4, "generators": [
         {"type": "translation", "v": [0, 1, 1, 0]},
         {"type": "negation", "signs": [-1, 1, 1, 1]},
@@ -551,10 +604,10 @@ def test_run_not_atomic_error_object(tmp_path, capsys):
     assert err["error"] == "NotAtomic"
 
 
-def test_stdout_when_no_output_path(tmp_path, capsys):
+def test_stdout_when_no_output_path(tmp_path, capfd):
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     assert main(["--gens", gens, "--box", "0..0,0..0", "--format", "tsv"]) == 0
-    assert capsys.readouterr().out == "0,0\t0,0\n"
+    assert capfd.readouterr().out == "0,0\t0,0\n"
 
 
 def _swap_doc(n):

@@ -37,21 +37,20 @@ def test_the_tail_table_holds_at_most_its_bound(bound):
 
 
 def test_texts_of_a_box_past_any_list_cost_a_table_and_a_chunk():
-    # 10^12 points: the chunk texts, the texts of one chunk and the joins
-    # of chunks far apart fit in a few hundred kilobytes
+    # 10^12 points: the chunk texts, the texts of the first chunk and the
+    # joins of chunks far apart fit in a few hundred kilobytes
     box = Box((0, 0, -5, 0), (999_999, 999_999, 5, 9))
     template = TEMPLATE_OF[4]
     tracemalloc.start()
     try:
         chunk, texts, join = box.chunks(template, ";")
-        q = 10 ** 11 // chunk
-        dense = next(texts(q))
+        dense = next(texts())
         sparse = [join(p, array("H", [7])) for p in range(0, 10 ** 12 // chunk, 10 ** 8)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 800_000
-    assert dense == [template % p for p in box.at(list(range(q * chunk, q * chunk + chunk)))]
+    assert dense == [template % p for p in box.at(list(range(chunk)))]
     assert sparse == [template % p for p in box.at(
         [p * chunk + 7 for p in range(0, 10 ** 12 // chunk, 10 ** 8)])]
 
@@ -76,7 +75,7 @@ def test_texts_are_the_filled_template_of_each_point(bound, monkeypatch):
         lists = list(texts())
         assert [len(x) for x in lists[:-1]] == [min(chunk, bound)] * (len(lists) - 1)
         assert list(itertools.chain.from_iterable(lists)) == [template % p for p in points]
-        assert list(texts(len(lists) - 1)) == lists[-1:]
+        assert list(texts()) == lists  # each call starts over
         for q, start in enumerate(range(0, size, chunk)):
             inside = range(start, min(start + chunk, size))
             a = rng.randint(0, len(inside) - 1)

@@ -328,7 +328,11 @@ MUTANTS = {
     "a one-head piece that takes its chunk's first head": (isorbit.domain, [
         ("heads_of(q, first, first)", "heads_of(q, 0, 0)")], JSON),
     "a chunk table not repeated for each head of a chunk": (isorbit.domain, [
-        ("else self.size, table * per", "else self.size, table")], JSON),
+        ("chunk_table = table * per", "chunk_table = table")], JSON),
+    "table-less lists cut one point short at the bound": (isorbit.domain, [
+        ("indices[i:i + BLOCK_POINTS]", "indices[i:i + BLOCK_POINTS - 1]")], TSV),
+    "a table-less join that fills its first offset's point for every member": (
+        isorbit.domain, [("domain.at(offsets)", "domain.at(offsets[:1] * len(offsets))")], JSON),
     "a chunk-local offset off by one": (isorbit.labeling, [
         ("range(chunk), repeat(2)", "range(1, chunk + 1), repeat(2)")], JSON),
     "grouping that skips the last chunk of indices": (isorbit.labeling, [
@@ -364,13 +368,15 @@ def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypat
     # and chunks of two heads, so a chunk's runs meet a head boundary: the
     # one-class lattice's chunks go as runs and the rotation lattice's as
     # per-point texts; at the default block size the whole 144-point box
-    # is one table
+    # is one table. Blocks of 3 are shorter than the last axis, so the box
+    # has no table (T = 1) and fills the template per point, as the points
+    # file it is checked against does in the unchanged module
     module, edits, writers = MUTANTS[name]
     mutant = mutant_module(module, edits)
     lo, hi = (-2, 0, -1, 3), (0, 2, 2, 6)
     points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
     cases = [(gens_doc, fmt, block) for gens_doc in MUTANT_GENS for fmt in ("json", "tsv")
-             for block in (8, 40, isorbit.domain.BLOCK_POINTS)]
+             for block in (3, 8, 40, isorbit.domain.BLOCK_POINTS)]
 
     def differs(gens_doc, fmt, block) -> bool:
         with sizes(block), sizes(block, mutant) if module is isorbit.domain else nullcontext():
