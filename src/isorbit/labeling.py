@@ -12,9 +12,10 @@ round. Each round applies every rotation generator to the whole frontier
 over coordinate columns (a signed permutation only reorders and negates
 columns) and projects the images back into the cell with the column walk
 of quotient.reduce_columns. A union-find joins each point with its images,
-always keeping the smaller index as the root. The representatives hold
-the indices 0..R-1 in the order stage 2 first met them, and cell points
-found later get larger ones, so the root of every orbit is its first
+always keeping the smaller number as the root. Points are numbered by
+stage 2's own dict of the representatives, which holds 0..R-1 in the
+order stage 2 first met them; the merge adds the cell points it finds to
+it with larger numbers, so the root of every orbit is its first
 representative. The closure cap bounds the cell points of one union-find
 component, hence of one orbit; memory holds all visited orbits together.
 
@@ -23,10 +24,11 @@ without changing a root or where the cap trips: every edge of a generator
 that fixes each cell point, and the edge from a generator R back to the
 points R found the round before, when R is an involution on the cell.
 
-Stage 2 then numbers the classes in the order of their smallest points
-(see pipeline.run_stage2) and records them as a Stage2: one 4-byte class
-index per point of the domain, in sorted point order, and each label's
-sorted index. OrbitLabeling is the same partition with the points listed.
+Stage 2 then opens a class at each root, which numbers the classes in
+the order of their smallest points (see pipeline.run_stage2), and records
+them as a Stage2: one 4-byte class index per point of the domain, in
+sorted point order, and each label's sorted index, read off the former.
+OrbitLabeling is the same partition with the points listed.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
 from functools import cached_property, partial
-from itertools import repeat
-from operator import itemgetter, neg
+from itertools import compress, count, islice, repeat
+from operator import itemgetter, ne, neg
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -52,22 +54,24 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 def merge_classes_generators(
-    reps: Sequence[Point],
+    index: dict[Point, int],
     rotation_gens: Sequence[SignedPermutation],
     basis: LatticeBasis,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> list[int]:
-    """Partition the distinct representatives into rotation orbits,
-    expanding all classes together by the rotation generators only.
+    """Partition the representatives into rotation orbits, expanding all
+    classes together by the rotation generators only.
 
-    Returns the root of every representative: the smallest index in reps
-    of a representative in its orbit. The frontier starts as the
-    representatives, indexed 0..R-1 in the order given, and then holds the
-    cell points first seen in the previous round, which get larger indices;
-    so each cell point is rotated once per generator. A point seen for the
-    first time joins its source's component; an image already seen joins
-    the two components, the smaller root winning, so every root is a
-    representative. Repeated representatives raise InputError.
+    index numbers the distinct representatives 0..R-1 in its insertion
+    order, as defaultdict(count().__next__) numbers them; other numbers
+    raise InputError. The merge adds every cell point it visits to index,
+    numbered from R on. Returns the root of every representative: the
+    smallest number of a representative in its orbit. The frontier starts
+    as the representatives and then holds the cell points first seen in
+    the previous round; so each cell point is rotated once per generator.
+    A point seen for the first time joins its source's component; an image
+    already seen joins the two components, the smaller root winning, so
+    every root is a representative.
 
     Every component lies inside one orbit, and when the frontier is empty
     each component is a whole orbit. The cell is infinite when the lattice
@@ -92,15 +96,15 @@ def merge_classes_generators(
     """
     n = basis.n
     gens = list(rotation_gens)
-    for k in set(map(len, reps)) | {r.n for r in gens}:
+    for k in set(map(len, index)) | {r.n for r in gens}:
         if k != n:
             raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
-    index = {p: i for i, p in enumerate(reps)}
-    if len(index) != len(reps):
-        i = next(i for i, p in enumerate(reps) if index[p] != i)
-        raise InputError(f"representatives {i} and {index[reps[i]]} are the same point")
-    parent = list(range(len(reps)))
-    size = [1] * len(reps)  # by root; every root is a representative
+    wrong = next(compress(enumerate(index.values()), map(ne, index.values(), count())), None)
+    if wrong:
+        raise InputError("representative {0} is numbered {1!r}, not {0}".format(*wrong))
+    reps = len(index)  # numbered 0..reps-1
+    parent = list(range(reps))
+    size = [1] * reps  # by root; every root is a representative
 
     def find(x: int) -> int:
         root = x
@@ -112,13 +116,13 @@ def merge_classes_generators(
 
     def too_big(root: int) -> ClosureCapExceededError:
         try:
-            around = str(reps[root])
+            around = str(next(islice(index, root, None)))
         except ValueError:  # a coordinate past the int-to-str digit limit
             around = f"representative {root} (too many digits to print)"
         return ClosureCapExceededError(
             f"class closure around {around} exceeded {closure_cap} elements")
 
-    if gens and reps and closure_cap < 1:
+    if gens and index and closure_cap < 1:
         raise too_big(0)
     gens = [r for r in gens if not _fixes_the_cell(basis, r.signs, r.perm)]
     # R is an involution on the cell: R^2 fixes it, and R maps every
@@ -128,7 +132,7 @@ def merge_classes_generators(
         for r in gens]
     # (finder, points, ids): the points each generator found last round, by
     # its index in gens (None for the representatives), in id order
-    frontier = [(None, reps, range(len(reps)))]
+    frontier = [(None, index, range(reps))]
     while frontier and gens:
         groups = [(g, [list(map(itemgetter(j), pts)) for j in range(n)], ids)
                   for g, pts, ids in frontier]
@@ -169,9 +173,9 @@ def merge_classes_generators(
                             raise too_big(a)
             if fresh:
                 frontier.append((k, fresh, fresh_ids))
-    for _ in map(find, range(len(reps))):  # now parent[i] is i's root
+    for _ in map(find, range(reps)):  # now parent[i] is i's root
         pass
-    return parent[:len(reps)]  # its ints are parent's: a root list adds no int
+    return parent[:reps]  # its ints are parent's: a root list adds no int
 
 
 def _reduce_to_zero(basis: LatticeBasis, cols: list[list[int]]) -> bool:

@@ -80,12 +80,13 @@ def run_stage2(
     Each block of points comes as the reduced columns of its local
     representatives, or as their numbers (see _local_blocks), and each of
     those gets the number of its representative: representatives are
-    numbered in the order first met, and each keeps the sorted index of
-    its first point. The merge gives each representative the number of the
-    first representative of its class, so a class's label is that one's
-    first point, and classes are numbered in the order of their labels.
+    numbered in the order first met, so in the order of their first
+    points. The merge gives each representative its root, the first
+    representative of its class, and a class opens at its root: classes
+    are numbered in the order of their labels, their roots' first points.
     Only then does every point get its class, block by block, through its
-    local representative, in one gather a block.
+    local representative, in one gather a block; a label is then the first
+    place of its class in class_of.
     """
     n = stage1.gens.n
     if not isinstance(domain, (Box, SortedPoints)):
@@ -99,34 +100,20 @@ def run_stage2(
     # the number of each block's local representatives, block after block,
     # in one array: one block of memory, freed at once
     ids = array("I")
-    loc, first_local, blocks = _local_blocks(domain, basis, index, ids)
-    first = array("I")  # sorted index of each representative's first point
+    loc, blocks = _local_blocks(domain, basis, index, ids)
     ends = []  # per block: its point count and the end of its numbers in ids
-    # the representatives met and the numbers in ids before the block: a
-    # block that comes as numbers has met its new representatives already
-    met = begin = start = 0
     for size, cols, numbers in blocks:
         ids.extend(map(index.__getitem__, zip(*cols) if n else repeat((), size))
                    if numbers is None else numbers)
-        # new representatives are numbered in the order their local ones
-        # come, which a points file's block may repeat: find each's first
-        at = begin
-        for r in range(met, len(index)):
-            at = ids.index(r, at)
-            first.append(start + first_local[at - begin])
-        met, begin = len(index), len(ids)
-        ends.append((size, begin))
-        start += size
-    reps = list(index)
-    del index
-    root = merge_classes_generators(reps, stage1.gens.rotation_generators(), basis, closure_cap)
-    del reps
+        ends.append((size, len(ids)))
+    root = merge_classes_generators(index, stage1.gens.rotation_generators(), basis, closure_cap)
+    del index  # now it holds the merge's cell points too
     class_of_rep: list[int] = []
-    label_at = array("I")
+    classes = 0
     for r, t in enumerate(root):
         if t == r:  # the first representative of its class opens it
-            class_of_rep.append(len(label_at))
-            label_at.append(first[r])
+            class_of_rep.append(classes)
+            classes += 1
         else:
             class_of_rep.append(class_of_rep[t])
     class_of = array("I")
@@ -139,6 +126,11 @@ def run_stage2(
         class_of.extend(cls)
         begin = end
     del ids
+    label_at = array("I")
+    at = -1
+    for c in range(classes):  # each label is its class's first point
+        at = class_of.index(c, at + 1)
+        label_at.append(at)
     return Stage2(domain, class_of, label_at)
 
 
@@ -148,17 +140,16 @@ Block: TypeAlias = "tuple[int, list[list[int]] | None, Sequence[int] | None]"
 
 def _local_blocks(
     domain: Box | SortedPoints, basis: LatticeBasis, index: dict, ids: array,
-) -> tuple[array | None, Sequence[int], Iterator[Block]]:
-    """(loc, first, blocks): blocks yields, for each block in sorted order,
+) -> tuple[array | None, Iterator[Block]]:
+    """(loc, blocks): blocks yields, for each block in sorted order,
     its point count, the reduced columns of its local representatives,
     distinct or not, and None; or, for a box block that takes or fills a
     step map, its point count, None and the numbers those representatives
     have in index, which numbers each distinct representative (as a tuple)
     in the order first met. The caller looks the columns up in index and
     appends the numbers to ids before it asks for the next block. Point i
-    of a block has local representative loc[i], first met at point first[r]
-    of the block; loc None is the identity, where every point is its own
-    local representative and first[r] = r.
+    of a block has local representative loc[i]; loc None is the identity,
+    where every point is its own local representative.
 
     A points list takes the identity: each block is reduced as read. A box
     reduces its first block, the base, and deduplicates it. Every block is
@@ -167,9 +158,9 @@ def _local_blocks(
     are the base's moved by t and reduced again. Distinct base
     representatives differ by no lattice vector, so they stay distinct
     after the move, in the base's order. A block cut short keeps the first
-    m base representatives, those met in its prefix: the r with first[r]
-    below its point count. When the base's points are all distinct
-    representatives, loc is the identity too.
+    m base representatives, those met in its prefix: the r whose first
+    point in the base, first[r], is below its point count. When the base's
+    points are all distinct representatives, loc is the identity too.
 
     Step maps. Every block but the base has a parent: for a head's first
     block (its slice of the cut axis is the first) the first block of the
@@ -192,7 +183,7 @@ def _local_blocks(
             for size, cols in domain.column_blocks():
                 reduce_columns(basis, cols)
                 yield size, cols, None
-        return None, range(len(domain)), read()
+        return None, read()
     base, shifts = domain.shifted_blocks()
     reduce_columns(basis, base)
     points = len(base[0]) if base else 1
@@ -242,7 +233,7 @@ def _local_blocks(
                 numbers = list(map(index.__getitem__, zip(*cols)))
                 deque(map(step.__setitem__, ids[of:of + m], numbers), maxlen=0)
                 yield size, None, numbers
-    return loc, first, moved()
+    return loc, moved()
 
 
 def _moved(col: list[int], s: int) -> list[int]:

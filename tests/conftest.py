@@ -189,12 +189,20 @@ def refines(fine, coarse) -> bool:
     return all(any(cls <= big for big in coarse) for cls in fine)
 
 
+def merge_list(reps, rotation_gens, basis, closure_cap=DEFAULT_CLOSURE_CAP,
+               merge=merge_classes_generators):
+    """merge (the production merge, or a mutant's) on reps numbered 0..R-1
+    in the order given, as stage 2 numbers its representatives; a point
+    listed twice keeps its first place and takes its last number."""
+    return merge(dict(zip(reps, itertools.count())), rotation_gens, basis, closure_cap)
+
+
 def merge_witnesses(reps, rotation_gens, basis, closure_cap=DEFAULT_CLOSURE_CAP):
     """The production merge on the sorted distinct representatives, read as
     a witness dict: in sorted order each representative's root is the
     lexicographically smallest representative of its orbit."""
     order = sorted(set(map(tuple, reps)))
-    root = merge_classes_generators(order, rotation_gens, basis, closure_cap)
+    root = merge_list(order, rotation_gens, basis, closure_cap)
     return {p: order[r] for p, r in zip(order, root)}
 
 

@@ -515,12 +515,13 @@ def test_a_box_of_distinct_representatives_holds_at_most_370_bytes_per_point(tmp
     # every point of 0..0,0..N,0..0,0..0 is its own representative under
     # this rank-2 lattice, so stage 2 moves the first block's points, not
     # its representatives, and holds what the merge of N representatives
-    # holds: 369.6 bytes a point on Python 3.11 (363.8 in a fresh process).
+    # holds: 357.4 bytes a point on Python 3.11 (351.6 in a fresh process).
     # The peak comes while the merge reduces a column of a generator's
-    # images: the representative tuples (76), the merge's dict of them (69),
-    # the quotient column and the new column with their ints (41 each), the
-    # union-find parents (40), the representatives' columns (34) and
-    # coordinate ints (32), and five lists or arrays of 4 to 9 bytes
+    # images: the representative tuples (76) and stage 2's dict of them,
+    # which the merge extends (69), the quotient column and the new column
+    # with their ints (41 each), the union-find parents (40), the
+    # representatives' columns (34) and coordinate ints (32), and three
+    # lists or arrays of 4 to 9 bytes
     gens_doc = {"n": 4, "generators": [
         {"type": "translation", "v": [0, 1, 1, 0]},
         {"type": "negation", "signs": [-1, 1, 1, 1]},

@@ -1,10 +1,12 @@
 import pickle
 from array import array
+from collections import defaultdict
+from itertools import count
 from random import Random
 
 import pytest
 
-from conftest import merge_witnesses, random_sweep_instance
+from conftest import merge_list, merge_witnesses, random_sweep_instance
 from isorbit import (
     Box,
     ClosureCapExceededError,
@@ -119,17 +121,29 @@ def test_merge_roots_are_first_representatives_in_the_order_given():
     for reps, root in [([(0, 1), (0, 0), (0, -1)], [0, 1, 0]),
                        ([(0, -1), (0, 1), (0, 0)], [0, 0, 2]),
                        ([(0, 0), (0, -1), (0, 1)], [0, 1, 1])]:
-        assert merge_classes_generators(reps, [POINT_REFLECTION], basis) == root
-        assert merge_classes_generators(reps, [], basis) == [0, 1, 2]
+        assert merge_list(reps, [POINT_REFLECTION], basis) == root
+        assert merge_list(reps, [], basis) == [0, 1, 2]
 
 
-def test_merge_rejects_a_repeated_representative():
-    # a repeat would be indexed at its last place only, and its first copy
-    # would end up a root of its own
+def test_merge_takes_an_index_numbered_in_order_and_extends_it():
+    # the merge numbers the cell points it finds in the caller's dict, after
+    # the representatives; an index numbered in any other order, as a
+    # point listed twice leaves it, would break its union-find
     basis = diagonal_cell()
     for gens in ([POINT_REFLECTION], []):
-        with pytest.raises(InputError, match="representatives 0 and 2 are the same point"):
-            merge_classes_generators([(0, 1), (0, 0), (0, 1), (0, -1)], gens, basis)
+        for index, message in [({(0, 1): 1, (0, 0): 0}, "representative 0 is numbered 1, not 0"),
+                               ({(0, 0): 0, (0, 1): 2}, "representative 1 is numbered 2, not 1")]:
+            with pytest.raises(InputError, match=message):
+                merge_classes_generators(index, gens, basis)
+        with pytest.raises(InputError, match="representative 0 is numbered 2, not 0"):
+            merge_list([(0, 1), (0, 0), (0, 1), (0, -1)], gens, basis)
+    index = defaultdict(count().__next__)
+    assert [index[0, 1], index[0, 0]] == [0, 1]
+    assert merge_classes_generators(index, [], basis) == [0, 1]
+    assert index == {(0, 1): 0, (0, 0): 1}
+    # the reflection finds (0, -1), the image of (0, 1) in the cell
+    assert merge_classes_generators(index, [POINT_REFLECTION], basis) == [0, 1]
+    assert index == {(0, 1): 0, (0, 0): 1, (0, -1): 2}
 
 
 def test_merge_generators_no_generators():

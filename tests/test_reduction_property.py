@@ -15,6 +15,8 @@ Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
 """
 
+from functools import partial
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -26,12 +28,11 @@ from isorbit import (  # noqa: E402
     Isometry,
     SignedPermutation,
     hnf_reduce,
-    merge_classes_generators,
     run_stage1,
     validate_atomic,
 )
 from isorbit.labeling import DEFAULT_CLOSURE_CAP  # noqa: E402
-from conftest import merge_witnesses, mutant_module  # noqa: E402
+from conftest import merge_list, merge_witnesses, mutant_module  # noqa: E402
 from reference import (  # noqa: E402
     build_pseudoinverse,
     closure_merge_classes,
@@ -161,7 +162,7 @@ def test_merge_roots_are_first_representatives_in_any_order(case, rng):
     reps = sorted(reduce_points(basis, points)[0])
     rng.shuffle(reps)
     gens = stage1.gens.rotation_generators()
-    root = merge_classes_generators(reps, gens, basis)
+    root = merge_list(reps, gens, basis)
     witness = witness_merge_classes(reps, gens, basis)
     first = {}
     for i, p in enumerate(reps):
@@ -170,7 +171,8 @@ def test_merge_roots_are_first_representatives_in_any_order(case, rng):
 
 
 def roots_or_error(merge, reps, gens, basis, closure_cap):
-    """The merge's roots, or the message of the closure cap it tripped."""
+    """The roots that merge gives the list reps, or the message of the
+    closure cap it tripped."""
     try:
         return merge(reps, gens, basis, closure_cap)
     except ClosureCapExceededError as e:
@@ -191,7 +193,7 @@ def test_pruned_merge_matches_the_full_walk(case, rng, closure_cap):
     hypothesis.event("an involution" if any(
         isorbit.labeling._fixes_the_cell(basis, *isorbit.labeling._squared(r)) for r in kept)
         else "no involution")
-    pruned = roots_or_error(merge_classes_generators, reps, gens, basis, closure_cap)
+    pruned = roots_or_error(merge_list, reps, gens, basis, closure_cap)
     hypothesis.event("cap tripped" if isinstance(pruned, str) else "cap kept")
     assert pruned == roots_or_error(full_walk_merge_classes, reps, gens, basis, closure_cap)
 
@@ -206,8 +208,9 @@ def test_a_3_cycle_skipped_as_an_involution_fails():
     cases = [([(0, 1, 2)], hnf_reduce([], 3), cap) for cap in (1, 2, 3, DEFAULT_CLOSURE_CAP)]
     cases += [([(0, 1, 2), (0, 2, 1)], hnf_reduce([(1, 1, 1)], 3), cap) for cap in (2, 3)]
     for reps, basis, cap in cases:
-        assert roots_or_error(merge_classes_generators, reps, gens, basis, cap) == \
+        assert roots_or_error(merge_list, reps, gens, basis, cap) == \
             roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
-    assert any(roots_or_error(mutant.merge_classes_generators, reps, gens, basis, cap)
+    mutant_merge = partial(merge_list, merge=mutant.merge_classes_generators)
+    assert any(roots_or_error(mutant_merge, reps, gens, basis, cap)
                != roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
                for reps, basis, cap in cases)

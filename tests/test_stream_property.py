@@ -36,14 +36,16 @@ piece that takes its chunk's first head), of the grouping of indices by
 class (a chunk-local offset off by one, the last chunk skipped, a mark for
 the chunk a class begins in), of the JSON writer's pieces (a class's first
 chunk taken one late, a one-chunk piece cut one member short), of the TSV
-labels (a label's text read one line early) and of the moved blocks
-(a shift with its sign flipped or taken from the wrong axis, a short block
+labels (a label's text read one line early), of the moved blocks (a
+shift with its sign flipped or taken from the wrong axis, a short block
 that keeps every base representative or takes its classes through the
-whole base's gather) must each make the box bytes differ from its points
-file's or from the whole-list chain's. Mutants of the step maps (a map
-keyed by the absolute shift, a head's first block taking the block before
-it as its parent, a hit that takes all of its parent's numbers, one map
-for every delta) must each change the bytes or move more blocks.
+whole base's gather) and of the labels read off the class array (a
+search that starts one place late) must each make the box bytes differ
+from its points file's or from the whole-list chain's. Mutants of the
+step maps (a map keyed by the absolute shift, a head's first block taking
+the block before it as its parent, a hit that takes all of its parent's
+numbers, one map for every delta) must each change the bytes or move
+more blocks.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -242,7 +244,7 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block):
     basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
     with sizes(block):
         counts = [size for size, _shift in Box(lo, hi).shifted_blocks()[1]]
-        loc, _first, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis, {}, [])
+        loc, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis, {}, [])
     assert not short or counts.count(counts[0]) < len(counts)
     hypothesis.event(f"rank {rank} of n = {n}")
     hypothesis.event("base points moved" if loc is None else "base representatives moved")
@@ -440,7 +442,7 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
     box = Box(lo, hi)
     with sizes(block):
         counts = [size for size, _shift in box.shifted_blocks()[1]]
-        loc, _first, _blocks = isorbit.pipeline._local_blocks(box, stage1.basis, {}, [])
+        loc, _blocks = isorbit.pipeline._local_blocks(box, stage1.basis, {}, [])
         chunk, _texts, _join = box.chunks("%d,%d", ",")
         pieces = chunk_pieces(isorbit.pipeline.run_stage2(stage1, box), chunk)
         tail = box.tail_table("%d,%d", block)[1]
@@ -480,6 +482,8 @@ STAGE2_MUTANTS = {
         isorbit.pipeline, [("m = bisect_left(first, size)", "m = len(first)")]),
     "a short block that takes its classes through the whole base's gather": (
         isorbit.pipeline, [("gather(loc[:size])", "gather(loc)")]),
+    "a label searched for from one place past the previous label": (
+        isorbit.pipeline, [("class_of.index(c, at + 1)", "class_of.index(c, at + 2)")]),
 }
 
 # the box's blocks of 40 points (2 values of axis 1 by 16 of axes 2 and 3)
@@ -500,6 +504,7 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
     module, edits = STAGE2_MUTANTS[name]
     mutant = mutant_module(module, edits)
     lo, hi = (-2, 0, -1, 3), (1, 4, 2, 6)
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
 
     def differs(gens_doc, fmt) -> bool:
         with sizes(40):
@@ -507,7 +512,8 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
                 return True
-        return from_box != from_points
+        # a mutant after the merge writes the box and its points alike
+        return not from_box == from_points == oracle_bytes(gens_doc, points, fmt)
 
     cases = [(gens_doc, fmt) for gens_doc in STAGE2_MUTANT_GENS for fmt in ("json", "tsv")]
     assert not any(differs(*case) for case in cases)
