@@ -289,6 +289,8 @@ def run(args: argparse.Namespace) -> int:
         pieces = (json_chunks(json_head(stage1), stage2) if args.format == "json"
                   else tsv_chunks(stage2))
         if not args.output:
+            if sys.stdout is None:  # the process started with fd 1 closed
+                raise OSError("no standard output to write to")
             sys.stdout.flush()  # text already printed goes first
         with open(args.output or sys.stdout.fileno(), "wb", buffering=1 << 16,
                   closefd=bool(args.output)) as out:

@@ -17,8 +17,10 @@ axis (the cut axis) cut into slices, and one value of each leading axis.
 When the last axis alone is longer than a block, the block cuts that axis.
 So every box block is a translate of a prefix of the first block, and a
 box gives the columns of that block alone, the base, with every block's
-point count and shift (shifted_blocks): stage 2 reduces the base and moves
-its representatives (see pipeline.run_stage2).
+point count, shift and parent, an earlier block of at least as many
+points one cut-axis step or one head carry away (shifted_blocks): stage 2
+reduces the base and moves its representatives, or steps a block's from
+its parent's (see pipeline._numbered_blocks).
 
 The writers take point texts from chunks: all of them in order (TSV),
 or those at some offsets of one chunk of the sorted indices, joined
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
-from operator import add, floordiv, itemgetter
+from operator import add, floordiv, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._record import record
@@ -95,44 +97,49 @@ class Box:
             inner *= len(ranges[k])
         return k, inner
 
-    def _blocks(self) -> Iterator[list[range]]:
-        """Each block as one range per axis, in sorted order."""
-        ranges = self._ranges
-        k, inner = self._split(BLOCK_POINTS)
-        if not k:
-            yield list(ranges)
-            return
-        cut, step, tail = ranges[k - 1], BLOCK_POINTS // inner, ranges[k:]
-        for head in product(*ranges[:k - 1]):
-            for i in range(0, len(cut), step):
-                yield [*[range(v, v + 1) for v in head], cut[i:i + step], *tail]
-
-    def shifted_blocks(self) -> tuple[list[list[int]], Iterator[tuple[int, list[int]]]]:
-        """(base, shifts): the coordinate columns of the first block, the
-        base, and the (point count, shift) of every block in sorted order,
-        the base first with shift 0.
+    def shifted_blocks(self) -> tuple[list[list[int]], Iterator[
+            tuple[int, list[int], tuple[int, tuple[int, ...]] | None]]]:
+        """(base, blocks): the coordinate columns of the first block, the
+        base, and for every block in sorted order its point count, its
+        shift and its parent, the base first with shift 0 and no parent.
 
         Every block is the first point count points of the base moved by
         its shift: only the leading axes and the cut axis move. A block's
         slice of the cut axis is as long as the base's except the last of
-        each value of the leading axes, which may be shorter; the cut axis
-        comes first in a block's order, so that block is a prefix.
+        each head (each value of the leading axes), which may be shorter;
+        the cut axis comes first in a block's order, so that block is a
+        prefix.
+
+        A block's parent is (p, d): block p, an earlier block with at least
+        as many points, and d, the block's shift minus block p's, as a
+        tuple. In the first head block p is the block before it, a whole
+        slice, and d the step of the cut axis; in any later head it is the
+        block of the same slice one head back, and d the head's carry. So
+        there are at most n values of d: the step, and a carry per leading
+        axis.
         """
-        blocks = self._blocks()
-        base = next(blocks)
-        # axis j repeats each of its values once per point of the later
-        # axes, and the whole run once per point of the earlier ones
-        count, outer, cols = prod(map(len, base)), 1, []
-        for r in base:
-            inner = count // (outer * len(r))
-            col = list(r) if inner == 1 else list(
-                chain.from_iterable(map(repeat, r, repeat(inner))))
-            cols.append(col * outer)
-            outer *= len(r)
-        starts = [r.start for r in base]
-        shifts = ((prod(map(len, ranges)), [r.start - a for r, a in zip(ranges, starts)])
-                  for ranges in blocks)
-        return cols, chain([(count, [0] * len(base))], shifts)
+        ranges = self._ranges
+        k, inner = self._split(BLOCK_POINTS)
+        if not k:  # the box is one block
+            return _columns(ranges), iter([(self.size, [0] * len(ranges), None)])
+        cut, step, zeros = ranges[k - 1], BLOCK_POINTS // inner, [0] * (len(ranges) - k)
+        slices = range(0, len(cut), step)  # each slice's shift on the cut axis
+        counts = [len(cut[i:i + step]) * inner for i in slices]
+        along = (*[0] * (k - 1), step, *zeros)
+
+        def blocks() -> Iterator[tuple[int, list[int], tuple[int, tuple[int, ...]] | None]]:
+            heads = product(*map(range, map(len, ranges[:k - 1])))
+            before = next(heads)  # each head's shift on the leading axes
+            for p, (i, count) in enumerate(zip(slices, counts), -1):
+                yield count, [*before, i, *zeros], (p, along) if i else None
+            p = 0  # the block of the same slice one head back
+            for head in heads:
+                carry = (*map(sub, head, before), 0, *zeros)
+                for i, count in zip(slices, counts):
+                    yield count, [*head, i, *zeros], (p, carry)
+                    p += 1
+                before = head
+        return _columns([*(r[:1] for r in ranges[:k - 1]), cut[:step], *ranges[k:]]), blocks()
 
     def at(self, indices: Sequence[int]) -> Iterable[Point]:
         """The points with the given sorted indices, decoded by mixed radix.
@@ -264,6 +271,19 @@ def filled(domain: Box | SortedPoints, template: str, sep: str) -> Chunks:
             lambda: (list(map(fill, domain.at(indices[i:i + BLOCK_POINTS])))
                      for i in indices[::BLOCK_POINTS]),
             lambda q, offsets: sep.join(map(fill, domain.at(offsets))))
+
+
+def _columns(ranges: Sequence[range]) -> list[list[int]]:
+    """The coordinate columns of the product of the ranges, in sorted order:
+    axis j repeats each of its values once per point of the later axes,
+    and the whole run once per point of the earlier ones."""
+    count, outer, cols = prod(map(len, ranges)), 1, []
+    for r in ranges:
+        inner = count // (outer * len(r))
+        col = list(r) if inner == 1 else list(chain.from_iterable(map(repeat, r, repeat(inner))))
+        cols.append(col * outer)
+        outer *= len(r)
+    return cols
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence], Sequence]:

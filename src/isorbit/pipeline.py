@@ -8,8 +8,9 @@ never enumerate the rotation subgroup.
 Stage 2 reads the domain in sorted blocks (see domain.py). A box's blocks
 are translates of its first, so only that one is reduced point by point;
 the others come from its distinct representatives moved by the block's
-shift, or, since a translation permutes the cell Z^n/L, from their parent
-block's through a step map when the cell is small (see _local_blocks).
+shift, or, since a translation permutes the cell Z^n/L, from those of a
+parent block that the box names, through a step map when the cell is
+small (see _numbered_blocks).
 What stage 2 holds is per representative or per block, but for the 4-byte
 class of every point that it returns.
 """
@@ -21,8 +22,8 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from itertools import accumulate, compress, count, repeat
 from math import prod
-from operator import gt, sub
-from typing import Iterable, Iterator, Sequence, TypeAlias
+from operator import gt
+from typing import Iterable, Sequence
 
 from . import domain as domains
 from ._record import record
@@ -77,13 +78,12 @@ def run_stage2(
     Stage2.domain), taken as they are, or any points, which sort_points
     checks, dedupes and sorts. A box or sorted points must have one axis
     per dimension, checked before any point is made.
-    Each block of points comes as the reduced columns of its local
-    representatives, or as their numbers (see _local_blocks), and each of
-    those gets the number of its representative: representatives are
-    numbered in the order first met, so in the order of their first
-    points. The merge gives each representative its root, the first
-    representative of its class, and a class opens at its root: classes
-    are numbered in the order of their labels, their roots' first points.
+    Each block's local representatives get the numbers of their
+    representatives (see _numbered_blocks): representatives are numbered
+    in the order first met, so in the order of their first points. The
+    merge gives each representative its root, the first representative of
+    its class, and a class opens at its root: classes are numbered in the
+    order of their labels, their roots' first points.
     Only then does every point get its class, block by block, through its
     local representative, in one gather a block; a label is then the first
     place of its class in class_of.
@@ -97,15 +97,7 @@ def run_stage2(
         raise DimensionMismatchError(f"{what}, the generators act on Z^{n}")
     basis = stage1.basis
     index = defaultdict(count().__next__)  # representative -> its number
-    # the number of each block's local representatives, block after block,
-    # in one array: one block of memory, freed at once
-    ids = array("I")
-    loc, blocks = _local_blocks(domain, basis, index, ids)
-    ends = []  # per block: its point count and the end of its numbers in ids
-    for size, cols, numbers in blocks:
-        ids.extend(map(index.__getitem__, zip(*cols) if n else repeat((), size))
-                   if numbers is None else numbers)
-        ends.append((size, len(ids)))
+    loc, ids, ends = _numbered_blocks(domain, basis, index)
     root = merge_classes_generators(index, stage1.gens.rotation_generators(), basis, closure_cap)
     del index  # now it holds the merge's cell points too
     class_of_rep: list[int] = []
@@ -134,22 +126,16 @@ def run_stage2(
     return Stage2(domain, class_of, label_at)
 
 
-# a block's point count, and its local representatives' reduced columns or numbers
-Block: TypeAlias = "tuple[int, list[list[int]] | None, Sequence[int] | None]"
-
-
-def _local_blocks(
-    domain: Box | SortedPoints, basis: LatticeBasis, index: dict, ids: array,
-) -> tuple[array | None, Iterator[Block]]:
-    """(loc, blocks): blocks yields, for each block in sorted order,
-    its point count, the reduced columns of its local representatives,
-    distinct or not, and None; or, for a box block that takes or fills a
-    step map, its point count, None and the numbers those representatives
-    have in index, which numbers each distinct representative (as a tuple)
-    in the order first met. The caller looks the columns up in index and
-    appends the numbers to ids before it asks for the next block. Point i
-    of a block has local representative loc[i]; loc None is the identity,
-    where every point is its own local representative.
+def _numbered_blocks(
+    domain: Box | SortedPoints, basis: LatticeBasis, index: dict,
+) -> tuple[array | None, array, list[tuple[int, int]]]:
+    """(loc, ids, ends): ids holds, block after block in sorted order, the
+    numbers in index of each block's local representatives, and ends, for
+    each block, its point count and the end of its numbers in ids. index
+    numbers each distinct representative (as a tuple) in the order first
+    met. Point i of a block has local representative loc[i]; loc None is
+    the identity, where every point is its own local representative. ids
+    is one array, so it is one block of memory, freed at once.
 
     A points list takes the identity: each block is reduced as read. A box
     reduces its first block, the base, and deduplicates it. Every block is
@@ -162,29 +148,27 @@ def _local_blocks(
     point in the base, first[r], is below its point count. When the base's
     points are all distinct representatives, loc is the identity too.
 
-    Step maps. Every block but the base has a parent: for a head's first
-    block (its slice of the cut axis is the first) the first block of the
-    previous head, and for any other block the block just before it. The
-    parent holds at least m numbers, and its r-th representative moved by
-    the delta d, the block's shift minus its parent's, reduces to the
+    Step maps. Every block but the base has a parent block p that holds at
+    least its m numbers (Box.shifted_blocks), and p's r-th representative
+    moved by the delta d, the block's shift minus p's, reduces to the
     block's r-th: reduce(x + d) depends only on reduce(x), so d permutes
     the cell. When the lattice has full rank and its index, the cell's
-    point count, is at most BLOCK_POINTS, a list per delta (one for the
-    cut-axis step and one per carry of the head axes) maps a
-    representative's number to the number of its image. A block whose
-    parent's first m numbers, read from ids, all have known images takes
-    its numbers through the map in one pass; any other block is moved,
-    reduced and looked up, and fills its delta's map from its parent's
-    numbers. A box whose lattice is not of full rank, or of larger index,
-    moves every block.
+    point count, is at most BLOCK_POINTS, a list per delta (at most n of
+    them) maps a representative's number to the number of its image. A
+    block whose parent's first m numbers all have known images takes its
+    numbers through the map in one pass; any other block is moved, reduced
+    and looked up, and fills its delta's map from its parent's numbers. A
+    box whose lattice is not of full rank, or of larger index, moves every
+    block.
     """
+    ids, ends = array("I"), []
     if isinstance(domain, SortedPoints):
-        def read() -> Iterator[Block]:
-            for size, cols in domain.column_blocks():
-                reduce_columns(basis, cols)
-                yield size, cols, None
-        return None, read()
-    base, shifts = domain.shifted_blocks()
+        for size, cols in domain.column_blocks():
+            reduce_columns(basis, cols)
+            ids.extend(map(index.__getitem__, zip(*cols) if cols else repeat((), size)))
+            ends.append((size, len(ids)))
+        return None, ids, ends
+    base, blocks = domain.shifted_blocks()
     reduce_columns(basis, base)
     points = len(base[0]) if base else 1
     local = defaultdict(count().__next__)
@@ -199,41 +183,32 @@ def _local_blocks(
     # delta -> its step map, where the cell is finite and small
     steps = defaultdict(lambda: [None] * cell) if (
         basis.m == domain.n and cell <= domains.BLOCK_POINTS) else None
-    k, _ = domain._split(domains.BLOCK_POINTS)  # axis k - 1, if any, is cut in slices
-
-    def moved() -> Iterator[Block]:
-        # (shift, start of its numbers in ids) of the block before and of
-        # the first block of its head
-        before = head = None
-        for size, t in shifts:
-            m = bisect_left(first, size)
-            if any(t[k - 1:k]):
-                parent = before
-            else:  # the first slice of the cut axis opens a head
-                parent, head = head, (t, len(ids))
-            before = t, len(ids)
-            step = None
-            if steps is not None and parent is not None:
-                step, of = steps[tuple(map(sub, t, parent[0]))], parent[1]
-                try:
-                    numbers = array("I", map(step.__getitem__, ids[of:of + m]))
-                except TypeError:  # an image not yet known: move the block
-                    pass
-                else:
-                    yield size, None, numbers
-                    continue
-            cols = base if m == len(first) else [col[:m] for col in base]
-            if any(t):
-                cols = [col if s == 0 else _moved(col, s) for col, s in zip(cols, t)]
-                reduce_columns(basis, cols)
-            if step is None:
-                yield size, cols, None
-            else:  # the map holds index's own ints, 8 bytes an entry; a
-                # box with no axis is one block, so here cols has columns
-                numbers = list(map(index.__getitem__, zip(*cols)))
-                deque(map(step.__setitem__, ids[of:of + m], numbers), maxlen=0)
-                yield size, None, numbers
-    return loc, moved()
+    for size, t, parent in blocks:
+        m = bisect_left(first, size)
+        step = None
+        if steps is not None and parent is not None:
+            p, d = parent
+            step, of, begin = steps[d], ends[p - 1][1] if p else 0, len(ids)
+            try:
+                ids.extend(map(step.__getitem__, ids[of:of + m]))
+            except TypeError:  # an image not yet known: move the block
+                del ids[begin:]
+            else:
+                ends.append((size, len(ids)))
+                continue
+        cols = base if m == len(first) else [col[:m] for col in base]
+        if any(t):
+            cols = [col if s == 0 else _moved(col, s) for col, s in zip(cols, t)]
+            reduce_columns(basis, cols)
+        if step is None:
+            ids.extend(map(index.__getitem__, zip(*cols) if cols else repeat((), m)))
+        else:  # the map holds index's own ints, 8 bytes an entry; a box
+            # with no axis is one block, so here cols has columns
+            numbers = list(map(index.__getitem__, zip(*cols)))
+            deque(map(step.__setitem__, ids[of:of + m], numbers), maxlen=0)
+            ids.extend(numbers)
+        ends.append((size, len(ids)))
+    return loc, ids, ends
 
 
 def _moved(col: list[int], s: int) -> list[int]:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 from random import Random
@@ -389,6 +390,16 @@ def test_stdout_and_output_file_give_the_same_bytes(tmp_path, capfd, fmt):
     assert code == 0 and printed.encode() == out.read_bytes()
 
 
+def test_no_stdout_gives_an_io_error_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a process started with fd 1 closed (isorbit ... >&-) has sys.stdout
+    # None; the run fails as an IOError object on stderr, not a traceback
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["--gens", gens, "--box", "0..1,0..1"]) == 1
+    assert _single_json_error(capsys) == {
+        "error": "IOError", "message": "no standard output to write to"}
+
+
 def test_the_output_joins_small_pieces_into_64_kb_writes(tmp_path, monkeypatch, capfd):
     # the JSON writer makes pieces of a few bytes to a few KB; the output
     # file's buffer copies them and writes when the next piece does not
@@ -535,9 +546,9 @@ def test_step_maps_hold_at_most_8_bytes_per_cell_point_and_axis(monkeypatch):
     # its two deltas (the step of axis 1 and the carry of axis 0) has a
     # step map of one 8-byte entry per cell point, and there are at most n
     # deltas; against stage 2 without the maps, the traced peak may grow
-    # by no more than that (it fell by 9 KB on Python 3.11, as fewer blocks
-    # are moved). Each runs twice and the second run counts, so caches
-    # filled once are not charged
+    # by no more than that (on Python 3.11 the two peaks are within 0.1 KB,
+    # as the maps spare moving blocks). Each runs twice and the second run
+    # counts, so caches filled once are not charged
     stage1 = run_stage1(parse_generators(json.dumps(CHORDS4_DOC)))
     index, n = math.prod(p for _c, p, _b in stage1.basis.echelon), 4
     assert index == 12 ** 3
@@ -563,10 +574,14 @@ def test_step_maps_hold_at_most_8_bytes_per_cell_point_and_axis(monkeypatch):
             peaks[module] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # 21 heads of 2 blocks; with the maps, stage 2 moves the base, the first
-    # carry and the short blocks (5 values of axis 1) until the map of the
-    # axis-1 step knows the images of all their representatives
-    assert moves == {isorbit.pipeline: 10, gate_off: 21 * 2}
+    # 21 heads of 2 blocks; with the maps, stage 2 moves the base, the
+    # first head's short block (5 values of axis 1, its parent the block
+    # before it) and the second head's first block (its parent the first
+    # head's). That block fills the carry's map for every representative
+    # of the base, which holds all 1,728 cell points, so each later block,
+    # whose parent is the block of its slice one head back, takes its
+    # numbers through the map
+    assert moves == {isorbit.pipeline: 3, gate_off: 21 * 2}
     assert peaks[isorbit.pipeline] - peaks[gate_off] <= 8 * index * n
 
 

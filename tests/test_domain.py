@@ -1,10 +1,12 @@
-"""Box point texts by table: the tail table's bound, the texts of each
+"""Box blocks and point texts by table: the blocks as shifted prefixes of
+the base and their parents, the tail table's bound, the texts of each
 chunk and their joins against a plain %d fill of every point, and ranges
 of sorted indices read as rows."""
 
 import itertools
 import tracemalloc
 from array import array
+from operator import add, sub
 from random import Random
 
 import pytest
@@ -21,6 +23,30 @@ def random_boxes(seed, count):
         n = rng.randint(0, 4)
         lo = [rng.randint(-12, 5) for _ in range(n)]
         yield Box(lo, [a + rng.choice([0, 0, 1, 2, 4, 7]) for a in lo])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 24])
+def test_blocks_are_shifted_prefixes_of_the_base_each_after_its_parent(block, monkeypatch):
+    # the base's first point count points, each block's moved by its shift
+    # and laid end to end, are the box's sorted points; each parent (p, d)
+    # is an earlier block p of at least as many points, whose shift is the
+    # block's less d, and there are at most n values of d
+    monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", block)
+    rng = Random(block)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        lo = [rng.randint(-12, 5) for _ in range(n)]
+        box = Box(lo, [a + rng.choice([0, 1, 2, 3, 5, 8]) for a in lo])
+        base, blocks = box.shifted_blocks()
+        rows, blocks = list(zip(*base)) if base else [()], list(blocks)
+        assert all(count <= len(rows) for count, _t, _parent in blocks)
+        assert [tuple(map(add, x, t)) for count, t, _parent in blocks
+                for x in rows[:count]] == list(box)
+        assert blocks[0][1:] == ([0] * n, None)
+        for b, (count, t, (p, d)) in enumerate(blocks[1:], 1):
+            assert p < b and blocks[p][0] >= count
+            assert d == tuple(map(sub, t, blocks[p][1]))
+        assert len({d for _count, _t, (_p, d) in blocks[1:]}) <= n
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 5, 16, 256])

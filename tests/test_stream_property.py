@@ -45,14 +45,16 @@ from its points file's or from the whole-list chain's. Mutants of the
 step maps (a map keyed by the absolute shift, a head's first block taking
 the block before it as its parent, a hit that takes all of its parent's
 numbers, one map for every delta) must each change the bytes or move
-more blocks.
+more blocks; and the parent rule the box had before it named each
+parent (any block past a head's first stepping from the block before
+it) must move more blocks of a box of many heads, with the same classes.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
 """
 import itertools
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from math import prod
 from unittest import mock
@@ -140,6 +142,11 @@ def sizes(block, module=isorbit.domain):
     """BLOCK_POINTS of isorbit.domain (or of a mutant of it) patched to
     block; the writers read it at each call."""
     return mock.patch.object(module, "BLOCK_POINTS", block)
+
+
+def numbering() -> defaultdict:
+    """An index as run_stage2 makes one: each new key gets the next number."""
+    return defaultdict(itertools.count().__next__)
 
 
 def run_cli(gens_path, domain, fmt, out) -> bytes:
@@ -243,8 +250,8 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block):
     lo, hi = data.draw(short_sliced_boxes(n, block) if short else boxes(n))
     basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
     with sizes(block):
-        counts = [size for size, _shift in Box(lo, hi).shifted_blocks()[1]]
-        loc, _blocks = isorbit.pipeline._local_blocks(Box(lo, hi), basis, {}, [])
+        counts = [size for size, _shift, _parent in Box(lo, hi).shifted_blocks()[1]]
+        loc, _ids, _ends = isorbit.pipeline._numbered_blocks(Box(lo, hi), basis, numbering())
     assert not short or counts.count(counts[0]) < len(counts)
     hypothesis.event(f"rank {rank} of n = {n}")
     hypothesis.event("base points moved" if loc is None else "base representatives moved")
@@ -441,8 +448,8 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
     stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
     box = Box(lo, hi)
     with sizes(block):
-        counts = [size for size, _shift in box.shifted_blocks()[1]]
-        loc, _blocks = isorbit.pipeline._local_blocks(box, stage1.basis, {}, [])
+        counts = [size for size, _shift, _parent in box.shifted_blocks()[1]]
+        loc, _ids, _ends = isorbit.pipeline._numbered_blocks(box, stage1.basis, numbering())
         chunk, _texts, _join = box.chunks("%d,%d", ",")
         pieces = chunk_pieces(isorbit.pipeline.run_stage2(stage1, box), chunk)
         tail = box.tail_table("%d,%d", block)[1]
@@ -473,11 +480,22 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
     assert any(differ) == (name != "a last axis longer than the block (T = 1)")
 
 
-SHIFT = "[r.start - a for r, a in zip(ranges, starts)]"
+def patched_stage2(monkeypatch, module, mutant):
+    """Have the CLI run the mutant's stage 2, or stage 2 on the mutant's
+    blocks of a box."""
+    if module is isorbit.domain:
+        monkeypatch.setattr(isorbit.domain.Box, "shifted_blocks", mutant.Box.shifted_blocks)
+    else:
+        monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
+
+
+# the shifts of the first head's blocks and of every later head's
+SHIFTS = ["[*before, i, *zeros]", "[*head, i, *zeros]"]
 STAGE2_MUTANTS = {
-    "a shift with its sign flipped": (
-        isorbit.domain, [(SHIFT, "[a - r.start for r, a in zip(ranges, starts)]")]),
-    "a shift taken from the wrong axis": (isorbit.domain, [(SHIFT, SHIFT + "[::-1]")]),
+    "a shift with its sign flipped": (isorbit.domain, [
+        (shift, f"[-v for v in {shift}]") for shift in SHIFTS]),
+    "a shift taken from the wrong axis": (isorbit.domain, [
+        (shift, shift + "[::-1]") for shift in SHIFTS]),
     "a short block that keeps all base representatives": (
         isorbit.pipeline, [("m = bisect_left(first, size)", "m = len(first)")]),
     "a short block that takes its classes through the whole base's gather": (
@@ -507,7 +525,7 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
     points = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
 
     def differs(gens_doc, fmt) -> bool:
-        with sizes(40):
+        with sizes(40), sizes(40, mutant) if module is isorbit.domain else nullcontext():
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
@@ -517,22 +535,22 @@ def test_each_moved_block_mutant_makes_a_box_differ_from_its_points(workdir, mon
 
     cases = [(gens_doc, fmt) for gens_doc in STAGE2_MUTANT_GENS for fmt in ("json", "tsv")]
     assert not any(differs(*case) for case in cases)
-    if module is isorbit.domain:
-        monkeypatch.setattr(isorbit.domain.Box, "shifted_blocks", mutant.Box.shifted_blocks)
-    else:
-        monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
+    patched_stage2(monkeypatch, module, mutant)
     for fmt in ("json", "tsv"):
         assert any(differs(*case) for case in cases if case[1] == fmt)
 
 
-STEP = "steps[tuple(map(sub, t, parent[0]))]"
+LATER = "yield count, [*head, i, *zeros], (p, carry)"
+BACK = "(p + len(slices) - 1, {})"  # the block before, its shift the given difference away
+# name: (module, edits)
 STEP_MAP_MUTANTS = {
-    "a map keyed by the block's absolute shift": [(STEP, "steps[tuple(t)]")],
-    "a head's first block whose parent is the block before it": [
-        ("parent, head = head, (t, len(ids))", "parent, head = before, (t, len(ids))")],
-    "a hit that takes all of the parent's numbers": [
-        ("step.__getitem__, ids[of:of + m]", "step.__getitem__, ids[of:of + len(first)]")],
-    "one map shared by every delta": [(STEP, "steps[()]")],
+    "a map keyed by the block's absolute shift": (
+        isorbit.pipeline, [("steps[d]", "steps[tuple(t)]")]),
+    "a head's first block whose parent is the block before it": (isorbit.domain, [
+        (LATER, LATER + " if i else " + BACK.format("(*carry[:k - 1], -slices[-1], *zeros)"))]),
+    "a hit that takes all of the parent's numbers": (isorbit.pipeline, [
+        ("step.__getitem__, ids[of:of + m]", "step.__getitem__, ids[of:of + len(first)]")]),
+    "one map shared by every delta": (isorbit.pipeline, [("steps[d]", "steps[()]")]),
 }
 
 
@@ -540,12 +558,14 @@ STEP_MAP_MUTANTS = {
 def test_each_step_map_mutant_changes_the_bytes_or_moves_more_blocks(workdir, monkeypatch, name):
     # a map keyed by the absolute shift is never read twice, since no two
     # blocks share a shift: its bytes are right, but every block is moved
-    mutant = mutant_module(isorbit.pipeline, STEP_MAP_MUTANTS[name])
+    module, edits = STEP_MAP_MUTANTS[name]
+    mutant = mutant_module(module, edits)
     lo, hi = (-2, 0, -1, 3), (1, 4, 2, 6)
 
-    def outcome(module, gens_doc, fmt):
+    def outcome(stage2, gens_doc, fmt):  # stage2: the module whose stage 2 runs
         calls = Counter()
-        with sizes(40), counted_moves(module, calls):
+        with sizes(40), sizes(40, mutant) if module is isorbit.domain else nullcontext(), \
+                counted_moves(stage2, calls):
             try:
                 from_box, from_points = box_and_points_bytes(workdir, gens_doc, lo, hi, fmt)
             except Exception:  # a mutant may fail outright
@@ -555,7 +575,40 @@ def test_each_step_map_mutant_changes_the_bytes_or_moves_more_blocks(workdir, mo
     cases = [(gens_doc, fmt) for gens_doc in STAGE2_MUTANT_GENS for fmt in ("json", "tsv")]
     right = {i: outcome(isorbit.pipeline, *case) for i, case in enumerate(cases)}
     assert all(same for same, _moves in right.values())
-    monkeypatch.setattr(isorbit.cli, "run_stage2", mutant.run_stage2)
+    patched_stage2(monkeypatch, module, mutant)
+    stage2 = mutant if module is isorbit.pipeline else isorbit.pipeline
     for fmt in ("json", "tsv"):
-        assert any(outcome(mutant, *case) != right[i]
+        assert any(outcome(stage2, *case) != right[i]
                    for i, case in enumerate(cases) if case[1] == fmt)
+
+
+CHORDS4 = {"n": 4, "generators": [
+    {"type": "translation", "v": [12, 0, 0, 0]},
+    {"type": "translation", "v": [1, 1, 1, 1]},
+    {"type": "negation", "signs": [-1, -1, -1, -1]},
+    {"type": "permutation", "perm": [1, 0, 2, 3]},
+    {"type": "permutation", "perm": [1, 2, 3, 0]}]}
+
+
+def test_a_parent_one_block_back_past_a_head_s_first_moves_more_blocks(monkeypatch):
+    # the rule before the box named each parent: a head's first block steps
+    # from the head before's first and any other block from the block before
+    # it, so a head's short block meets the map of the cut-axis step with
+    # images known only for the representatives of the whole blocks before
+    # it. The box is 21 heads (axis 0) of a whole block and a short one over
+    # the 1,728-point cell of chords4's lattice, all of it in the base
+    stage1 = run_stage1(parse_generators(json.dumps(CHORDS4)))
+    box = Box((0, 0, 0, 0), (20, 20, 15, 15))
+
+    def run():
+        calls = Counter()
+        with counted_moves(isorbit.pipeline, calls):
+            stage2 = isorbit.pipeline.run_stage2(stage1, box)
+        return (stage2.class_of, stage2.label_at), calls["moves"]
+
+    right, moves = run()
+    monkeypatch.setattr(Box, "shifted_blocks", mutant_module(isorbit.domain, [
+        (LATER, LATER + " if not i else " + BACK.format("along"))]).Box.shifted_blocks)
+    mutated, more = run()
+    assert mutated == right
+    assert (moves, more) == (3, 10)
