@@ -31,8 +31,9 @@ writes and passes a longer one straight through. Lines end in LF on
 every platform.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
-object is printed on stderr), 2 on bad command lines (argparse), 3 when
---oracle-check found a disagreement.
+object is printed on stderr), 2 on bad command lines (a usage line and an
+"isorbit: error:" line on stderr), 3 when --oracle-check found a
+disagreement.
 
 A CLI run does not run the cyclic garbage collector: main turns it off
 around run and restores it after, since a run allocates a short-lived tuple
@@ -42,17 +43,16 @@ alone.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from operator import add
-from pathlib import Path
-from typing import Iterator, Sequence
+from types import SimpleNamespace
 
 from . import domain
-from .domain import Box
+from .domain import DEFAULT_BOX_CAP, Box
 from .errors import (
     BoxTooLargeError,
     DigitLimitExceededError,
@@ -63,7 +63,6 @@ from .errors import (
 )
 from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validate_atomic
 from .labeling import DEFAULT_CLOSURE_CAP, Stage2
-from .oracle import DEFAULT_BOX_CAP, stabilized_bfs_orbits
 from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, run_stage1, run_stage2
 
@@ -80,7 +79,8 @@ def _int_vector(value, where: str, name: str) -> list[int]:
 def _read_text(path: str, what: str) -> str:
     """The file's text; bytes that are not UTF-8 are an InputError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise InputError(f"{what}: not UTF-8 ({e.reason} at byte {e.start})") from e
 
@@ -273,7 +273,7 @@ def _emit_error(code: str, message: str, **extra) -> None:
     print(json.dumps(obj), file=sys.stderr)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     """Execute one batch run for the parsed command line; returns the
     process exit status."""
     try:
@@ -296,6 +296,8 @@ def run(args: argparse.Namespace) -> int:
                   closefd=bool(args.output)) as out:
             out.writelines(map(str.encode, pieces))
         if args.oracle_check:
+            from .oracle import stabilized_bfs_orbits
+
             reference, _pad = stabilized_bfs_orbits(
                 gens, stage2.domain, args.max_padding, args.box_cap)
             partition = stage2.labeling().partition()
@@ -320,58 +322,119 @@ def _partition_doc(partition) -> list[list[list[int]]]:
     return sorted([list(p) for p in sorted(cls)] for cls in partition)
 
 
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+def _file(value: str) -> str:
+    if not value:
+        raise ValueError("expected a file name, got ''")
+    return value
+
+
+def _cap(value: str) -> int:
+    """A cap: ASCII [0-9]+, at least 1; int() alone would take " +5", "1_0"
+    and other digits."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    number = int(value)
     if number < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {number}")
+        raise ValueError(f"must be positive, got {number}")
     return number
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isorbit",
-        description="Compute the orbit partition of a finite set of lattice "
-        "points under the subgroup generated by atomic isometries.")
-    parser.add_argument("--gens", required=True, metavar="FILE",
-                        help="generator file (JSON)")
-    domain = parser.add_mutually_exclusive_group(required=True)
-    domain.add_argument("--domain", metavar="FILE", help="domain file (JSON)")
-    domain.add_argument("--box", metavar="SPEC",
-                        help='inline box, one lo..hi per axis, e.g. "0..1,0..1"')
-    parser.add_argument("--output", metavar="FILE",
-                        help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--oracle-check", action="store_true",
-                        help="cross-check against the padded-box reference")
-    parser.add_argument("--max-padding", type=_positive_int, default=DEFAULT_MAX_PADDING,
-                        metavar="K", help="padding limit for --oracle-check, positive "
-                        f"(default: {DEFAULT_MAX_PADDING})")
-    parser.add_argument("--max-dimension", type=_positive_int,
-                        default=DEFAULT_MAX_DIMENSION, metavar="N",
-                        help="permutation-group dimension cap, positive "
-                        f"(default: {DEFAULT_MAX_DIMENSION})")
-    parser.add_argument("--closure-cap", type=_positive_int, default=DEFAULT_CLOSURE_CAP,
-                        metavar="N", help="size cap of one orbit's closure, positive "
-                        f"(default: {DEFAULT_CLOSURE_CAP})")
-    parser.add_argument("--box-cap", type=_positive_int, default=DEFAULT_BOX_CAP,
-                        metavar="N", help="point-count cap for boxes, positive "
-                        f"(default: {DEFAULT_BOX_CAP})")
-    return parser
+def _format(value: str) -> str:
+    if value not in ("json", "tsv"):
+        raise ValueError(f"invalid choice: {value!r} (choose from 'json', 'tsv')")
+    return value
+
+
+# option: (metavar, default, reader of its value, help); a flag has no
+# metavar and no reader. --domain and --box are the domain: exactly one.
+OPTIONS = {
+    "--gens": ("FILE", None, _file, "generator file (JSON), required"),
+    "--domain": ("FILE", None, _file, "domain file (JSON)"),
+    "--box": ("SPEC", None, str, 'inline box, one lo..hi per axis, e.g. "0..1,0..1"'),
+    "--output": ("FILE", None, _file, "output path (default: stdout)"),
+    "--format": ("{json,tsv}", "json", _format, "output format"),
+    "--oracle-check": (None, False, None, "cross-check against the padded-box reference"),
+    "--max-padding": ("K", DEFAULT_MAX_PADDING, _cap, "padding limit for --oracle-check"),
+    "--max-dimension": ("N", DEFAULT_MAX_DIMENSION, _cap, "permutation-group dimension cap"),
+    "--closure-cap": ("N", DEFAULT_CLOSURE_CAP, _cap, "size cap of one orbit's closure"),
+    "--box-cap": ("N", DEFAULT_BOX_CAP, _cap, "point-count cap for boxes"),
+}
+
+USAGE = """\
+usage: isorbit [-h] --gens FILE (--domain FILE | --box SPEC) [--output FILE]
+               [--format {json,tsv}] [--oracle-check] [--max-padding K]
+               [--max-dimension N] [--closure-cap N] [--box-cap N]
+"""
+
+
+def _help() -> str:
+    lines = [f"  {'-h, --help':<21} show this help and exit"]
+    for name, (meta, default, _read, text) in OPTIONS.items():
+        flag = f"{name} {meta}" if meta else name
+        lines.append(f"  {flag:<21} {text}" + (f" (default: {default})" if default else ""))
+    return (USAGE + "\nCompute the orbit partition of a finite set of lattice points "
+            "under the\nsubgroup generated by atomic isometries.\n\noptions:\n"
+            + "\n".join(lines) + "\n\nK and N are positive integers in ASCII digits.\n")
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command line as a namespace with one attribute per option, named
+    as the option without its dashes, "-" read as "_". An option takes its
+    value from "=" or from the next argument, whatever that starts with, so
+    --box -1..0,0..1 is a box; an unambiguous prefix names its option, and
+    a repeated option keeps its last value. A bad command line is a
+    ValueError; -h or --help prints the help and exits 0."""
+    values = {name: default for name, (_meta, default, _read, _text) in OPTIONS.items()}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if arg == "-h" or (len(name) > 2 and "--help".startswith(name) and not eq):
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if name in OPTIONS:
+            matches = [name]
+        elif len(name) > 2 and name.startswith("--"):
+            matches = [option for option in OPTIONS if option.startswith(name)]
+        else:
+            matches = []
+        if not matches:
+            raise ValueError(f"unrecognized argument: {arg}")
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        option = matches[0]
+        _meta, _default, read, _text = OPTIONS[option]
+        if read is None:
+            if eq:
+                raise ValueError(f"argument {option}: ignored explicit argument {value!r}")
+            values[option] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise ValueError(f"argument {option}: expected one argument")
+        try:
+            values[option] = read(value)
+        except ValueError as e:
+            raise ValueError(f"argument {option}: {e}") from None
+    if values["--domain"] is not None and values["--box"] is not None:
+        raise ValueError("argument --box: not allowed with argument --domain")
+    if values["--gens"] is None:
+        raise ValueError("the following arguments are required: --gens")
+    if values["--domain"] is None and values["--box"] is None:
+        raise ValueError("one of the arguments --domain --box is required")
+    return SimpleNamespace(**{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse the command line and run it with the cyclic collector off; the
-    collector's state is restored on the way out. A spaced "--box SPEC" is
-    first glued into "--box=SPEC", or argparse would read a spec with a
-    negative first bound, such as -1..0,0..1, as an option."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(len(argv) - 1)):
-        if argv[i] == "--box":
-            argv[i:i + 2] = ["--box=" + argv[i + 1]]
-    args = build_parser().parse_args(argv)
+    collector's state is restored on the way out. A bad command line exits
+    2, with the usage and the error on stderr."""
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except ValueError as e:
+        sys.stderr.write(f"{USAGE}isorbit: error: {e}\n")
+        raise SystemExit(2) from None
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -36,20 +36,26 @@ gather (see Box.chunks).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
 from operator import add, floordiv, itemgetter, sub
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._record import record
 from .errors import DimensionMismatchError, InputError, InvalidDomainError
 from .isometry import Point, int_tuple
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # typing is costly to import, and annotations are never evaluated
+    from typing import NoReturn
+
 BLOCK_POINTS = 4096
 RUN_MEMBERS = 4  # fewest offsets a head, on average, that Box.chunks joins as runs
 
 Chunks = tuple[int, Callable[[], Iterator[list[str]]], Callable[[int, Sequence[int]], str]]
+
+DEFAULT_BOX_CAP = 10_000_000  # most points of a box, the CLI's --box-cap
 
 
 @record(frozen=True)

@@ -8,7 +8,7 @@ operations are single XORs on machine words.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionMismatchError

@@ -13,7 +13,7 @@ arbitrary precision.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionMismatchError, InputError, InvalidRotationError, NotAtomicError

@@ -37,11 +37,11 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
+from collections.abc import Mapping, Sequence
 from functools import cached_property, partial
 from itertools import compress, count, islice, repeat
 from operator import itemgetter, ne, neg
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from ._record import record
 from .domain import Box, SortedPoints, gather

@@ -8,8 +8,8 @@ here is integer arithmetic; no floating point is involved anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionMismatchError, IterationCapExceededError

@@ -12,12 +12,11 @@ padding can only merge classes, never split them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
+from .domain import DEFAULT_BOX_CAP
 from .errors import BoxTooLargeError, DimensionMismatchError, NotStabilizedError
 from .isometry import GeneratingSet, Point, int_tuple
-
-DEFAULT_BOX_CAP = 10_000_000
 
 Partition = set[frozenset[Point]]
 

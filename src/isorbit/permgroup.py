@@ -1,7 +1,7 @@
 """Order of a coordinate-permutation subgroup, without listing its elements."""
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionTooLargeError, InvalidRotationError
 from .isometry import int_tuple

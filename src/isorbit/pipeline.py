@@ -20,10 +20,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, count, repeat
 from math import prod
 from operator import gt
-from typing import Iterable, Sequence
 
 from . import domain as domains
 from ._record import record

@@ -25,7 +25,7 @@ from isorbit import (
 import isorbit.cli
 import isorbit.domain
 import isorbit.pipeline
-from isorbit.cli import build_parser, main, parse_box_spec, parse_domain, parse_generators
+from isorbit.cli import OPTIONS, main, parse_box_spec, parse_domain, parse_generators
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from isorbit.pipeline import run_stage1
 from conftest import mutant_module
@@ -199,7 +199,7 @@ def test_run_json_output(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_box_with_a_negative_first_bound_spaced_or_glued(tmp_path, fmt):
-    # on its own, argparse reads a spaced "-1..0,0..1" as an option
+    # an option takes the next argument as its value, whatever it starts with
     outputs = []
     for name, box in [("spaced", ["--box", "-1..0,0..1"]), ("glued", ["--box=-1..0,0..1"])]:
         code, out = run_main(tmp_path, box + ["--format", fmt], name=name)
@@ -327,12 +327,13 @@ def test_run_oracle_check_not_stabilized(tmp_path, capsys):
 
 
 def test_run_oracle_check_reports_diff(tmp_path, capsys, monkeypatch):
-    import isorbit.cli as cli_module
+    import isorbit.oracle
 
     def wrong_oracle(gens, points, max_padding, box_cap):
         return {frozenset({p}) for p in points}, 0
 
-    monkeypatch.setattr(cli_module, "stabilized_bfs_orbits", wrong_oracle)
+    # the CLI imports the oracle only when --oracle-check asks for it
+    monkeypatch.setattr(isorbit.oracle, "stabilized_bfs_orbits", wrong_oracle)
     code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--oracle-check"])
     assert code == 3
     err = json.loads(capsys.readouterr().err)
@@ -426,7 +427,9 @@ def test_the_output_joins_small_pieces_into_64_kb_writes(tmp_path, monkeypatch, 
                 sizes.append(super().write(b))
                 return sizes[-1]
 
-        def opener(path, mode, buffering=-1, closefd=True):
+        def opener(path, mode="r", buffering=-1, closefd=True, **text):
+            if mode == "r":  # an input file
+                return open(path, **text)
             assert mode == "wb"  # no output is opened in text mode
             buffering = buffering if forced is None else forced
             raw = Counted(path, mode, closefd)
@@ -714,13 +717,85 @@ def test_removed_flags_are_bad_command_lines(tmp_path, flag):
     assert not out.exists() and not (tmp_path / "stage1.json").exists()
 
 
-def test_readme_flag_table_matches_the_parser():
+def _readme_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = {flag for line in readme.splitlines() if line.startswith("| `--")
-             for flag in re.findall(r"--[a-z0-9-]+", line.split(" | ")[0])}
-    options = {opt for action in build_parser()._actions
-               for opt in action.option_strings if opt.startswith("--")} - {"--help"}
-    assert table == options
+    return {flag for line in readme.splitlines() if line.startswith("| `--")
+            for flag in re.findall(r"--[a-z0-9-]+", line.split(" | ")[0])}
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert _readme_flags() == set(OPTIONS)
+
+
+def test_help_exits_0_and_lists_every_readme_flag(capsys):
+    flags = _readme_flags()
+    for argv in (["--help"], ["-h"], ["--gens", "x", "--he"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: isorbit") and not out.err
+        assert flags <= set(re.findall(r"--[a-z0-9-]+", out.out))
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--box", "0..1,0..1", "--bogus"], "unrecognized argument: --bogus"),
+    (["--box", "0..1,0..1", "-x"], "unrecognized argument: -x"),
+    (["--box", "0..1,0..1", "stray"], "unrecognized argument: stray"),
+    (["--box", "0..1,0..1", "--"], "unrecognized argument: --"),
+    (["--box"], "argument --box: expected one argument"),
+    (["--box", "0..1,0..1", "--format"], "argument --format: expected one argument"),
+    ([], "one of the arguments --domain --box is required"),
+    (["--box", "0..1,0..1", "--domain", "d.json"],
+     "argument --box: not allowed with argument --domain"),
+    (["--box", "0..1,0..1", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["--box", "0..1,0..1", "--format="], "argument --format: invalid choice: ''"),
+    (["--box", "0..1,0..1", "--max", "3"],
+     "ambiguous option: --max could match --max-padding, --max-dimension"),
+    (["--box", "0..1,0..1", "--oracle-check=yes"],
+     "argument --oracle-check: ignored explicit argument 'yes'"),
+    (["--box", "0..1,0..1", "--gens="], "argument --gens: expected a file name"),
+    (["--domain", ""], "argument --domain: expected a file name"),
+], ids=["unknown", "single-dash", "positional", "double-dash", "no-value", "no-format",
+        "no-domain", "two-domains", "bad-format", "empty-format", "ambiguous",
+        "flag-value", "empty-gens", "empty-domain"])
+def test_bad_command_line_exits_2_with_the_usage(tmp_path, capsys, argv, error):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--gens", gens, "--output", str(out)] + argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: isorbit ")
+    assert err.splitlines()[-1].startswith(f"isorbit: error: {error}")
+    assert not out.exists()
+
+
+def test_gens_is_required(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--box", "0..1,0..1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "isorbit: error: the following arguments are required: --gens\n")
+
+
+@pytest.mark.parametrize("output", [["--output="], ["--output", ""], ["--out", ""]])
+def test_empty_output_is_a_bad_command_line(tmp_path, capsys, output):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    with pytest.raises(SystemExit) as info:
+        main(["--gens", gens, "--box", "0..1,0..1"] + output)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "isorbit: error: argument --output: expected a file name" in captured.err
+
+
+def test_prefixes_name_their_option_and_the_last_value_wins(tmp_path):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    out = tmp_path / "out"
+    assert main(["--ge", gens, "--box", "9..9,9..9", "--box=0..1,0..1",
+                 "--form", "json", "--format=tsv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["0,0\t0,0", "0,1\t0,1", "1,0\t0,1", "1,1\t0,0"]
 
 
 @pytest.mark.parametrize("flag", ["--closure-cap", "--box-cap", "--max-padding",
@@ -732,6 +807,19 @@ def test_caps_must_be_positive(tmp_path, flag, value):
     with pytest.raises(SystemExit) as info:
         main(["--gens", gens, "--box", "0..1,0..1", flag, value])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--closure-cap", "--box-cap", "--max-padding",
+                                  "--max-dimension"])
+@pytest.mark.parametrize("value", ["1_0", " +5", "+5", "5 ", "\u0663", "0x10", "1e3", ""])
+def test_caps_are_ascii_digits(tmp_path, capsys, flag, value):
+    # int() would read the first five as 10, 5, 5, 5 and 3
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    with pytest.raises(SystemExit) as info:
+        main(["--gens", gens, "--box", "0..1,0..1", f"{flag}={value}"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"isorbit: error: argument {flag}: expected a positive integer, got {value!r}\n")
 
 
 def test_closure_cap_of_one_needs_no_closure_without_rotations(tmp_path):
@@ -855,7 +943,7 @@ def test_output_integer_past_the_digit_limit_is_one_json_error(tmp_path, capsys)
 
 def _gc_states(tmp_path):
     """main's exit status and the collector's state after it, for an
-    exit 0, an exit 1 (a float coordinate) and an exit 2 (argparse)."""
+    exit 0, an exit 1 (a float coordinate) and an exit 2 (two domains)."""
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     bad = write(tmp_path / "bad.json", {"points": [[0, 0], [0, 1.5]]})
     out = ["--output", str(tmp_path / "out")]

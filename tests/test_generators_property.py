@@ -105,7 +105,6 @@ def test_any_generator_document_exits_by_the_error_contract(workdir, document, c
     gens.write_text(text, encoding="utf-8")
     out = workdir / "out.json"
     out.unlink(missing_ok=True)
-    # "--box=" keeps argparse from reading a box like -2..0 as an option
     argv = ["--gens", str(gens), f"--box={box}", "--output", str(out)]
     if cap is not None:
         argv += ["--closure-cap", str(cap)]
