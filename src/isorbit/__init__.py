@@ -26,7 +26,6 @@ from .errors import (
     IsorbitError,
     IterationCapExceededError,
     NotAtomicError,
-    NotStabilizedError,
 )
 from .gf2 import Gf2Basis, negation_basis_from_generators, rref
 from .isometry import (
@@ -39,7 +38,6 @@ from .isometry import (
 from .domain import Box
 from .labeling import OrbitLabeling, Stage2, merge_classes_generators
 from .lattice import LatticeBasis, hnf_reduce, translation_basis_from_generators
-from .oracle import bfs_orbits, stabilized_bfs_orbits
 from .permgroup import perm_group_order
 from .pipeline import Stage1, compute_labeling, compute_orbits, run_stage1, run_stage2
 
@@ -62,13 +60,11 @@ __all__ = [
     "IterationCapExceededError",
     "LatticeBasis",
     "NotAtomicError",
-    "NotStabilizedError",
     "OrbitLabeling",
     "Point",
     "SignedPermutation",
     "Stage1",
     "Stage2",
-    "bfs_orbits",
     "compute_labeling",
     "compute_orbits",
     "hnf_reduce",
@@ -78,7 +74,6 @@ __all__ = [
     "rref",
     "run_stage1",
     "run_stage2",
-    "stabilized_bfs_orbits",
     "translation_basis_from_generators",
     "validate_atomic",
 ]

@@ -32,8 +32,9 @@ every platform.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
 object is printed on stderr), 2 on bad command lines (a usage line and an
-"isorbit: error:" line on stderr), 3 when --oracle-check found a
-disagreement.
+"isorbit: error:" line on stderr), 3 when --oracle-check, an exact check
+of the written run (check.py), fails: one "OracleMismatch" object whose
+"check" field names the failed check.
 
 A CLI run does not run the cyclic garbage collector: main turns it off
 around run and restores it after, since a run allocates a short-lived tuple
@@ -65,8 +66,6 @@ from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validat
 from .labeling import DEFAULT_CLOSURE_CAP, Stage2
 from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, run_stage1, run_stage2
-
-DEFAULT_MAX_PADDING = 6
 
 
 def _int_vector(value, where: str, name: str) -> list[int]:
@@ -296,18 +295,11 @@ def run(args: SimpleNamespace) -> int:
                   closefd=bool(args.output)) as out:
             out.writelines(map(str.encode, pieces))
         if args.oracle_check:
-            from .oracle import stabilized_bfs_orbits
+            from .check import first_failure
 
-            reference, _pad = stabilized_bfs_orbits(
-                gens, stage2.domain, args.max_padding, args.box_cap)
-            partition = stage2.labeling().partition()
-            if reference != partition:
-                _emit_error(
-                    "OracleMismatch",
-                    "reference partition disagrees with the pipeline",
-                    pipeline=_partition_doc(partition),
-                    reference=_partition_doc(reference),
-                )
+            failed = first_failure(stage1, stage2, args.closure_cap)
+            if failed:
+                _emit_error("OracleMismatch", "%s: %s" % failed, check=failed[0])
                 return 3
     except IsorbitError as e:
         _emit_error(e.code, str(e))
@@ -316,10 +308,6 @@ def run(args: SimpleNamespace) -> int:
         _emit_error("IOError", str(e))
         return 1
     return 0
-
-
-def _partition_doc(partition) -> list[list[list[int]]]:
-    return sorted([list(p) for p in sorted(cls)] for cls in partition)
 
 
 def _file(value: str) -> str:
@@ -353,8 +341,7 @@ OPTIONS = {
     "--box": ("SPEC", None, str, 'inline box, one lo..hi per axis, e.g. "0..1,0..1"'),
     "--output": ("FILE", None, _file, "output path (default: stdout)"),
     "--format": ("{json,tsv}", "json", _format, "output format"),
-    "--oracle-check": (None, False, None, "cross-check against the padded-box reference"),
-    "--max-padding": ("K", DEFAULT_MAX_PADDING, _cap, "padding limit for --oracle-check"),
+    "--oracle-check": (None, False, None, "check the finished run exactly, exit 3 if it fails"),
     "--max-dimension": ("N", DEFAULT_MAX_DIMENSION, _cap, "permutation-group dimension cap"),
     "--closure-cap": ("N", DEFAULT_CLOSURE_CAP, _cap, "size cap of one orbit's closure"),
     "--box-cap": ("N", DEFAULT_BOX_CAP, _cap, "point-count cap for boxes"),
@@ -362,8 +349,8 @@ OPTIONS = {
 
 USAGE = """\
 usage: isorbit [-h] --gens FILE (--domain FILE | --box SPEC) [--output FILE]
-               [--format {json,tsv}] [--oracle-check] [--max-padding K]
-               [--max-dimension N] [--closure-cap N] [--box-cap N]
+               [--format {json,tsv}] [--oracle-check] [--max-dimension N]
+               [--closure-cap N] [--box-cap N]
 """
 
 
@@ -374,7 +361,7 @@ def _help() -> str:
         lines.append(f"  {flag:<21} {text}" + (f" (default: {default})" if default else ""))
     return (USAGE + "\nCompute the orbit partition of a finite set of lattice points "
             "under the\nsubgroup generated by atomic isometries.\n\noptions:\n"
-            + "\n".join(lines) + "\n\nK and N are positive integers in ASCII digits.\n")
+            + "\n".join(lines) + "\n\nN is a positive integer in ASCII digits.\n")
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:

@@ -39,21 +39,6 @@ class BoxTooLargeError(IsorbitError):
     code = "BoxTooLarge"
 
 
-class NotStabilizedError(IsorbitError):
-    """The padded-box reference never produced two agreeing partitions.
-
-    Carries the partition at the largest padding tried, so callers can still
-    run one-directional (soundness) checks against it.
-    """
-
-    code = "NotStabilized"
-
-    def __init__(self, message, partition=None, padding=None):
-        super().__init__(message)
-        self.partition = partition
-        self.padding = padding
-
-
 class DigitLimitExceededError(IsorbitError):
     """An integer to be written has more decimal digits than Python converts
     to text (sys.get_int_max_str_digits(); the limit guards against

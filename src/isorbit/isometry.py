@@ -115,10 +115,6 @@ class Isometry:
     def rotation(cls, r: SignedPermutation) -> "Isometry":
         return cls((0,) * r.n, r)
 
-    def apply(self, x: Sequence[int]) -> Point:
-        _require_same_dim(len(x), self.n, "isometry applied to point")
-        return tuple(s * x[p] + c for s, p, c in zip(self.r.signs, self.r.perm, self.v))
-
     def is_translation(self) -> bool:
         return self.r.is_identity()
 
@@ -140,9 +136,6 @@ class GeneratingSet:
     translations: tuple[Isometry, ...]
     negations: tuple[Isometry, ...]
     permutations: tuple[Isometry, ...]
-
-    def members(self) -> tuple[Isometry, ...]:
-        return self.translations + self.negations + self.permutations
 
     def translation_vectors(self) -> list[Point]:
         return [g.v for g in self.translations]

@@ -35,7 +35,10 @@ finalisation, which sorts each class and then the classes.
 The end of this file keeps the whole-list stage 2 that the streamed one
 replaced (reduce_points, finalize_labels, render_json, render_tsv), the
 byte oracle of tests/test_stream_property.py, and the adapters that feed
-any labeling to the chunk writers.
+any labeling to the chunk writers, then the padded-box reference that
+--oracle-check ran before its exact check (bfs_orbits and
+stabilized_bfs_orbits), with the isometry algebra only it used (apply,
+members).
 """
 
 from __future__ import annotations
@@ -49,11 +52,14 @@ from operator import add, itemgetter, neg
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 from isorbit import (
+    BoxTooLargeError,
     DigitLimitExceededError,
     DimensionMismatchError,
     GeneratingSet,
     Gf2Basis,
     InputError,
+    Isometry,
+    IsorbitError,
     LatticeBasis,
     OrbitLabeling,
     ClosureCapExceededError,
@@ -65,7 +71,8 @@ from isorbit import (
     rref,
 )
 from isorbit.cli import json_chunks, json_head, tsv_chunks
-from isorbit.domain import SortedPoints
+from isorbit.domain import DEFAULT_BOX_CAP, SortedPoints
+from isorbit.isometry import int_tuple
 from isorbit.gf2 import mask_of, permute_mask
 from isorbit.labeling import DEFAULT_CLOSURE_CAP
 from isorbit.quotient import reduce_columns
@@ -743,3 +750,129 @@ def streamed_tsv(labeling: OrbitLabeling) -> str:
     """The CLI's TSV chunk writer on a labeling, joined."""
     n = len(labeling.points[0]) if labeling.points else 0
     return "".join(tsv_chunks(stage2_of(labeling, n)))
+
+
+# The padded-box reference: orbit discovery inside a padded bounding box.
+#
+# It walks the generator edges between points of an axis-aligned box around
+# the input set and reads off connected components, then restricts back to
+# the input. It is blind to every algebraic structure, so agreement with
+# the pipeline is independent evidence. It is only correct when the box is
+# large enough: some orbits connect only through points far outside the
+# input window, and in the worst case no finite padding suffices. Growing
+# the padding can only merge classes, never split them. The CLI's
+# --oracle-check used it until an exact check replaced it.
+
+Partition = set[frozenset[Point]]
+
+DEFAULT_MAX_PADDING = 6  # the padding limit --oracle-check had
+
+
+class NotStabilizedError(IsorbitError):
+    """The padded-box reference never produced two agreeing partitions.
+
+    Carries the partition at the largest padding tried, so callers can still
+    run one-directional (soundness) checks against it.
+    """
+
+    code = "NotStabilized"
+
+    def __init__(self, message, partition=None, padding=None):
+        super().__init__(message)
+        self.partition = partition
+        self.padding = padding
+
+
+def apply(h: Isometry, x: Sequence[int]) -> Point:
+    """h(x) = R*x + v: rotate first, translate second."""
+    if len(x) != h.n:
+        raise DimensionMismatchError(
+            f"isometry applied to point: dimension {len(x)} does not match {h.n}")
+    return tuple(s * x[p] + c for s, p, c in zip(h.r.signs, h.r.perm, h.v))
+
+
+def members(gens: GeneratingSet) -> tuple[Isometry, ...]:
+    """Every generator: the translations, negations and permutations."""
+    return gens.translations + gens.negations + gens.permutations
+
+
+def bfs_orbits(
+    gens: GeneratingSet,
+    points: Iterable[Point],
+    padding: int,
+    box_cap: int = DEFAULT_BOX_CAP,
+) -> Partition:
+    """Partition of the points by connectivity through generator edges that
+    stay inside the bounding box of the points, widened by ``padding``."""
+    pts = {int_tuple(p, "point") for p in points}
+    if not pts:
+        return set()
+    n = gens.n
+    for p in pts:
+        if len(p) != n:
+            raise DimensionMismatchError(f"point {p} not in Z^{n}")
+    los = [min(p[i] for p in pts) - padding for i in range(n)]
+    his = [max(p[i] for p in pts) + padding for i in range(n)]
+    size = 1
+    for lo, hi in zip(los, his):
+        size *= hi - lo + 1
+        if size > box_cap:
+            raise BoxTooLargeError(
+                f"padded box exceeds the cap of {box_cap} points")
+    box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))))
+    index = {p: i for i, p in enumerate(box)}
+    parent = list(range(len(box)))
+
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    ops = members(gens)
+    for p in box:
+        i = index[p]
+        for op in ops:
+            j = index.get(apply(op, p))
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    clusters: dict[int, set[Point]] = {}
+    for p in pts:
+        clusters.setdefault(find(index[p]), set()).add(p)
+    return {frozenset(c) for c in clusters.values()}
+
+
+def stabilized_bfs_orbits(
+    gens: GeneratingSet,
+    points: Iterable[Point],
+    max_padding: int = DEFAULT_MAX_PADDING,
+    box_cap: int = DEFAULT_BOX_CAP,
+) -> tuple[Partition, int]:
+    """Increase the padding until two consecutive partitions agree.
+
+    Returns (partition, padding) with padding the first of the agreeing
+    pair. Raises NotStabilized, carrying the largest-padding partition, if
+    max_padding is reached first. Agreement is a heuristic: it does not
+    prove the partition correct, it only stops refining it.
+    """
+    pts = list(points)
+    prev: Partition | None = None
+    for pad in range(max_padding + 1):
+        part = bfs_orbits(gens, pts, pad, box_cap)
+        if prev is not None and part == prev:
+            return part, pad - 1
+        prev = part
+    raise NotStabilizedError(
+        f"no two consecutive paddings up to {max_padding} agreed",
+        partition=prev,
+        padding=max_padding,
+    )
+
+
+def partition_doc(partition: Partition) -> list[list[list[int]]]:
+    """A partition as sorted lists of sorted points, as JSON holds them."""
+    return sorted([list(p) for p in sorted(cls)] for cls in partition)

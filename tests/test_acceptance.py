@@ -16,25 +16,26 @@ from conftest import random_origin_window_instance
 from isorbit import (
     GeneratingSet,
     Isometry,
-    NotStabilizedError,
     OrbitLabeling,
     SignedPermutation,
-    bfs_orbits,
     compute_labeling,
     compute_orbits,
     hnf_reduce,
     run_stage1,
-    stabilized_bfs_orbits,
     validate_atomic,
 )
 from isorbit.cli import main
-from isorbit.oracle import Partition
 from reference import (
+    DEFAULT_MAX_PADDING,
+    NotStabilizedError,
+    Partition,
+    bfs_orbits,
     lattice_contains,
     reduce_mod_lattice,
     reference_labeling,
     reference_stage1,
     rotation_group,
+    stabilized_bfs_orbits,
 )
 
 
@@ -141,7 +142,7 @@ def sweep():
         lab_reference = reference_labeling(stage_ref, points)
         lab_pipeline = compute_labeling(stage1, points)
         try:
-            oracle_part, _pad = stabilized_bfs_orbits(gens, points, 6)
+            oracle_part, _pad = stabilized_bfs_orbits(gens, points, DEFAULT_MAX_PADDING)
             stabilized = True
         except NotStabilizedError as e:
             oracle_part, stabilized = e.partition, False

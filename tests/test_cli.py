@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 from random import Random
 
@@ -13,22 +14,30 @@ import pytest
 
 from isorbit import (
     BoxTooLargeError,
+    ClosureCapExceededError,
     DimensionMismatchError,
     InputError,
     InvalidDomainError,
     InvalidRotationError,
+    LatticeBasis,
     NotAtomicError,
     Box,
     SignedPermutation,
     Stage2,
 )
+import isorbit.check
 import isorbit.cli
 import isorbit.domain
+import isorbit.labeling
+import isorbit.lattice
 import isorbit.pipeline
+from isorbit.check import first_failure
 from isorbit.cli import OPTIONS, main, parse_box_spec, parse_domain, parse_generators
+from isorbit.lattice import hnf_reduce
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from isorbit.pipeline import run_stage1
 from conftest import mutant_module
+from reference import bfs_orbits, partition_doc
 
 DIAGONAL_DOC = {
     "n": 2,
@@ -54,7 +63,7 @@ def test_parse_generators_diagonal_instance():
 
 def test_parse_generators_empty():
     gens = parse_generators('{"n": 3, "generators": []}')
-    assert gens.n == 3 and gens.members() == ()
+    assert gens.n == 3 and gens.translations == gens.negations == gens.permutations == ()
 
 
 def test_parse_generators_repeated_permutation_index():
@@ -303,7 +312,7 @@ def test_run_full_signed_shift_collapses_the_cube(tmp_path):
         {"type": "translation", "v": [1, 0, 0]},
     ]}
     code, out = run_main(
-        tmp_path, ["--box", "0..1,0..1,0..1", "--oracle-check", "--max-padding", "4"],
+        tmp_path, ["--box", "0..1,0..1,0..1", "--oracle-check"],
         gens_doc=gens_doc)
     assert code == 0
     doc = json.loads(out.read_text())
@@ -318,28 +327,104 @@ def test_run_oracle_check_passes(tmp_path):
     assert code == 0
 
 
-def test_run_oracle_check_not_stabilized(tmp_path, capsys):
-    code, _ = run_main(
-        tmp_path, ["--box", "0..1,0..1", "--oracle-check", "--max-padding", "1"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "NotStabilized"
+FOUR_CYCLE_DOC = {"n": 4, "generators": [{"type": "permutation", "perm": [1, 2, 3, 0]}]}
 
 
 def test_run_oracle_check_reports_diff(tmp_path, capsys, monkeypatch):
-    import isorbit.oracle
+    # (2, 3, 0, 1) is two 4-cycle steps from (0, 1, 2, 3) either way, so a
+    # merge that stops after its first round prints them apart
+    mutant = mutant_module(isorbit.labeling, [
+        ("frontier.append((k, fresh, fresh_ids))", "pass")])
+    monkeypatch.setattr(isorbit.pipeline, "merge_classes_generators",
+                        mutant.merge_classes_generators)
+    points = [(0, 1, 2, 3), (2, 3, 0, 1)]
+    domain = write(tmp_path / "domain.json", {"points": points})
+    code, out = run_main(tmp_path, ["--domain", domain, "--oracle-check"],
+                         gens_doc=FOUR_CYCLE_DOC)
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OracleMismatch", "check": "split",
+        "message": "split: one orbit holds sorted points 0 and 1 in two classes"}
+    # the output is written before the check, and the padded box, given
+    # room, also finds one orbit where the mutant printed two
+    printed = sorted(c["members"] for c in json.loads(out.read_text())["classes"])
+    assert printed == [[[0, 1, 2, 3]], [[2, 3, 0, 1]]]
+    reference = bfs_orbits(parse_generators(json.dumps(FOUR_CYCLE_DOC)), points, 1)
+    assert partition_doc(reference) == [[[0, 1, 2, 3], [2, 3, 0, 1]]]
 
-    def wrong_oracle(gens, points, max_padding, box_cap):
-        return {frozenset({p}) for p in points}, 0
 
-    # the CLI imports the oracle only when --oracle-check asks for it
-    monkeypatch.setattr(isorbit.oracle, "stabilized_bfs_orbits", wrong_oracle)
-    code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--oracle-check"])
+def _with_basis(rows):
+    """A run_stage1 that puts the lattice of the rows in place of the basis."""
+    def run(gens, max_dimension):
+        s = run_stage1(gens, max_dimension)
+        return isorbit.pipeline.Stage1(gens, s.neg_basis, s.perm_order, hnf_reduce(rows, gens.n))
+    return run
+
+
+def _with_classes(edit):
+    """A run_stage2 whose (class_of, label_at) lists pass through edit."""
+    real = isorbit.pipeline.run_stage2
+
+    def run(stage1, domain, closure_cap):
+        s = real(stage1, domain, closure_cap)
+        class_of, label_at = edit(list(s.class_of), list(s.label_at))
+        return Stage2(s.domain, array("I", class_of), array("I", label_at))
+    return run
+
+
+SWAP_DOC = {"n": 2, "generators": [{"type": "translation", "v": [1, 0]},
+                                   {"type": "permutation", "perm": [1, 0]}]}
+
+
+# The one-round merge is test_run_oracle_check_reports_diff. Under
+# DIAGONAL_DOC the box 0..1,0..1 has the classes 0 = {(0, 0), (1, 1)} and
+# 1 = {(0, 1), (1, 0)}, at sorted indices 0, 3 and 1, 2.
+@pytest.mark.parametrize("gens_doc,module,name,replacement,check", [
+    (DIAGONAL_DOC, isorbit.cli, "run_stage1", _with_basis([(2, 2)]), "translations"),
+    (DIAGONAL_DOC, isorbit.cli, "run_stage1", _with_basis([(1, 0), (0, 1)]), "span"),
+    (SWAP_DOC, isorbit.pipeline, "translation_basis_from_generators", mutant_module(
+        isorbit.lattice, [("rows.add(r.apply(b))", "pass")]).translation_basis_from_generators,
+     "rotations"),
+    (DIAGONAL_DOC, isorbit.cli, "run_stage2",
+     _with_classes(lambda c, at: ([0, 1, 1, 2], [0, 1, 3])), "split"),
+    (DIAGONAL_DOC, isorbit.cli, "run_stage2", _with_classes(lambda c, at: ([0] * 4, [0])),
+     "joined"),
+    (DIAGONAL_DOC, isorbit.cli, "run_stage2", _with_classes(lambda c, at: (c, [3, 1])), "labels"),
+], ids=["translation-outside", "z-n-basis", "missing-rotated-row", "split-class", "joined-orbits", "label-moved"])
+def test_oracle_check_names_the_failed_check(
+        tmp_path, capsys, monkeypatch, gens_doc, module, name, replacement, check):
+    monkeypatch.setattr(module, name, replacement)
+    code, out = run_main(tmp_path, ["--box", "0..1,0..1"], gens_doc=gens_doc)
+    assert code == 0 and out.exists()  # without the check the run passes
+    code, _ = run_main(tmp_path, ["--box", "0..1,0..1", "--oracle-check"], gens_doc=gens_doc)
     assert code == 3
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "OracleMismatch"
-    assert err["pipeline"] == [[[0, 0], [1, 1]], [[0, 1], [1, 0]]]
-    assert err["reference"] == [[[0, 0]], [[0, 1]], [[1, 0]], [[1, 1]]]
+    assert err["error"] == "OracleMismatch" and err["check"] == check
+    assert err["message"].startswith(check + ": ")
+
+
+def test_oracle_check_rejects_a_row_that_is_not_its_combination(monkeypatch):
+    # a fixed-point step whose first row carries a coefficient one off
+    real = isorbit.check.hnf_reduce
+
+    def one_off(rows, n):
+        first, *rest = real(rows, n).hnf_rows
+        return LatticeBasis(n, (first[:-1] + (first[-1] + 1,), *rest))
+    monkeypatch.setattr(isorbit.check, "hnf_reduce", one_off)
+    stage1 = run_stage1(parse_generators(json.dumps(DIAGONAL_DOC)))
+    stage2 = isorbit.pipeline.run_stage2(stage1, [(0, 0)])
+    assert first_failure(stage1, stage2) == (
+        "span", "a Hermite row is not the combination it carries")
+
+
+def test_oracle_check_walk_is_bounded_by_the_closure_cap():
+    # the merge and the check's walk each hold the 4 cell points of the
+    # orbit of (0, 1, 2, 3): a cap of 3 stops the walk as it stops the merge
+    stage1 = run_stage1(parse_generators(json.dumps(FOUR_CYCLE_DOC)))
+    stage2 = isorbit.pipeline.run_stage2(stage1, [(0, 1, 2, 3)])
+    assert first_failure(stage1, stage2, 4) is None
+    with pytest.raises(ClosureCapExceededError, match="exceeded 3 cell points"):
+        first_failure(stage1, stage2, 3)
 
 
 def test_run_domain_dimension_mismatch(tmp_path, capsys):
@@ -750,15 +835,16 @@ def test_help_exits_0_and_lists_every_readme_flag(capsys):
      "argument --box: not allowed with argument --domain"),
     (["--box", "0..1,0..1", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
     (["--box", "0..1,0..1", "--format="], "argument --format: invalid choice: ''"),
-    (["--box", "0..1,0..1", "--max", "3"],
-     "ambiguous option: --max could match --max-padding, --max-dimension"),
+    (["--box", "0..1,0..1", "--o", "x"],
+     "ambiguous option: --o could match --output, --oracle-check"),
     (["--box", "0..1,0..1", "--oracle-check=yes"],
      "argument --oracle-check: ignored explicit argument 'yes'"),
     (["--box", "0..1,0..1", "--gens="], "argument --gens: expected a file name"),
     (["--domain", ""], "argument --domain: expected a file name"),
+    (["--box", "0..1,0..1", "--max-padding", "6"], "unrecognized argument: --max-padding"),
 ], ids=["unknown", "single-dash", "positional", "double-dash", "no-value", "no-format",
         "no-domain", "two-domains", "bad-format", "empty-format", "ambiguous",
-        "flag-value", "empty-gens", "empty-domain"])
+        "flag-value", "empty-gens", "empty-domain", "removed-flag"])
 def test_bad_command_line_exits_2_with_the_usage(tmp_path, capsys, argv, error):
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     out = tmp_path / "out"
@@ -798,19 +884,25 @@ def test_prefixes_name_their_option_and_the_last_value_wins(tmp_path):
     assert out.read_text().splitlines() == ["0,0\t0,0", "0,1\t0,1", "1,0\t0,1", "1,1\t0,0"]
 
 
-@pytest.mark.parametrize("flag", ["--closure-cap", "--box-cap", "--max-padding",
-                                  "--max-dimension"])
+# --max-padding went with the padded-box check: whatever its value, it is
+# an unknown option now, and still a bad command line
+CAP_FLAGS = ["--closure-cap", "--box-cap", "--max-padding", "--max-dimension"]
+
+
+@pytest.mark.parametrize("flag", CAP_FLAGS)
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_caps_must_be_positive(tmp_path, flag, value):
+def test_caps_must_be_positive(tmp_path, capsys, flag, value):
     gens = write(tmp_path / "gens.json", {"n": 2, "generators": [
         {"type": "translation", "v": [1, 0]}]})
     with pytest.raises(SystemExit) as info:
         main(["--gens", gens, "--box", "0..1,0..1", flag, value])
     assert info.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("isorbit: error: unrecognized argument: --max-padding"
+                            if flag == "--max-padding" else f"isorbit: error: argument {flag}: ")
 
 
-@pytest.mark.parametrize("flag", ["--closure-cap", "--box-cap", "--max-padding",
-                                  "--max-dimension"])
+@pytest.mark.parametrize("flag", CAP_FLAGS)
 @pytest.mark.parametrize("value", ["1_0", " +5", "+5", "5 ", "\u0663", "0x10", "1e3", ""])
 def test_caps_are_ascii_digits(tmp_path, capsys, flag, value):
     # int() would read the first five as 10, 5, 5, 5 and 3
@@ -818,8 +910,9 @@ def test_caps_are_ascii_digits(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as info:
         main(["--gens", gens, "--box", "0..1,0..1", f"{flag}={value}"])
     assert info.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        f"isorbit: error: argument {flag}: expected a positive integer, got {value!r}\n")
+    error = (f"unrecognized argument: {flag}={value}" if flag == "--max-padding"
+             else f"argument {flag}: expected a positive integer, got {value!r}")
+    assert capsys.readouterr().err.endswith(f"isorbit: error: {error}\n")
 
 
 def test_closure_cap_of_one_needs_no_closure_without_rotations(tmp_path):

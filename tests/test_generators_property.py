@@ -18,8 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from conftest import refines  # noqa: E402
-from isorbit import bfs_orbits  # noqa: E402
 from isorbit.cli import main, parse_box_spec, parse_generators  # noqa: E402
+from reference import bfs_orbits  # noqa: E402
 
 INTEGERS = st.one_of(
     st.integers(-3, 3),

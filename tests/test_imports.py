@@ -1,7 +1,9 @@
 """Import footprint: the package and its CLI start without the dataclasses
 module and what it drags in (inspect, and with it ast, dis and tokenize),
 and neither an import nor a whole CLI run loads argparse, typing or
-pathlib, each of which costs milliseconds at every start.
+pathlib, each of which costs milliseconds at every start. The exact
+check of --oracle-check (isorbit.check) loads only when the flag asks
+for it.
 
 Each check runs in a fresh interpreter, so modules that pytest or other
 tests have already imported cannot hide a new dependency. The checks of
@@ -35,7 +37,7 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
                           env=env, capture_output=True, text=True, check=True)
     loaded = set(done.stdout.split())
     assert module in loaded  # the import happened here, not at start-up
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "isorbit.check"}
 
 
 # What no start of isorbit may load: argparse, gettext and locale (which
@@ -67,14 +69,15 @@ def _run_without_site(code, cwd):
 def test_import_without_site_loads_no_slow_module(tmp_path, module):
     _, loaded = _run_without_site(f"import {module}", tmp_path)
     assert module in loaded
-    assert not loaded & SLOW
+    assert not loaded & (SLOW | {"isorbit.check"})
 
 
 @pytest.mark.parametrize("argv,status", [
     (["--gens", "gens.json", "--box", "-1..0,0..1", "--output", "out"], "0"),
     (["--gens", "gens.json", "--box=-1..0,0..1", "--format", "tsv", "--output", "out"], "0"),
     (["--gens", "gens.json", "--output", "out"], "2"),
-], ids=["json", "tsv", "usage"])
+    (["--gens", "gens.json", "--box", "-1..0,0..1", "--output", "out", "--oracle-check"], "0"),
+], ids=["json", "tsv", "usage", "oracle-check"])
 def test_run_without_site_loads_no_slow_module(tmp_path, argv, status):
     (tmp_path / "gens.json").write_text(
         '{"n": 2, "generators": [{"type": "translation", "v": [1, 1]}, '
@@ -83,3 +86,4 @@ def test_run_without_site_loads_no_slow_module(tmp_path, argv, status):
     assert printed == [status]
     assert (tmp_path / "out").exists() == (status == "0")
     assert not loaded & SLOW
+    assert ("isorbit.check" in loaded) == ("--oracle-check" in argv)

@@ -7,13 +7,11 @@ from isorbit import (
     BoxTooLargeError,
     InputError,
     Isometry,
-    NotStabilizedError,
     SignedPermutation,
-    bfs_orbits,
     compute_orbits,
-    stabilized_bfs_orbits,
     validate_atomic,
 )
+from reference import NotStabilizedError, bfs_orbits, stabilized_bfs_orbits
 
 UNIT_SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

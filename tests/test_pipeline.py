@@ -12,7 +12,6 @@ import isorbit.pipeline
 from isorbit import (
     Isometry,
     SignedPermutation,
-    bfs_orbits,
     compute_labeling,
     compute_orbits,
     run_stage1,
@@ -20,7 +19,7 @@ from isorbit import (
 )
 from isorbit.domain import SortedPoints
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
-from reference import reference_labeling, reference_stage1, rotation_group
+from reference import bfs_orbits, reference_labeling, reference_stage1, rotation_group
 
 UNIT_SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -148,11 +147,10 @@ def test_public_api_is_what_a_run_calls():
         "DimensionMismatchError", "DimensionTooLargeError", "GeneratingSet", "Gf2Basis",
         "InputError", "InvalidDomainError", "InvalidRotationError", "Isometry",
         "IsorbitError", "IterationCapExceededError", "LatticeBasis", "NotAtomicError",
-        "NotStabilizedError", "OrbitLabeling", "Point", "SignedPermutation", "Stage1",
-        "Stage2", "bfs_orbits", "compute_labeling", "compute_orbits",
-        "hnf_reduce", "merge_classes_generators", "negation_basis_from_generators",
-        "perm_group_order", "rref", "run_stage1", "run_stage2",
-        "stabilized_bfs_orbits", "translation_basis_from_generators", "validate_atomic",
+        "OrbitLabeling", "Point", "SignedPermutation", "Stage1", "Stage2",
+        "compute_labeling", "compute_orbits", "hnf_reduce", "merge_classes_generators",
+        "negation_basis_from_generators", "perm_group_order", "rref", "run_stage1",
+        "run_stage2", "translation_basis_from_generators", "validate_atomic",
     ]
     for name in isorbit.__all__:
         assert getattr(isorbit, name) is not None
@@ -168,6 +166,13 @@ def test_public_api_is_what_a_run_calls():
     assert not hasattr(isorbit.labeling, "finalize_labels")
     assert not hasattr(isorbit.cli, "render_json")
     assert not hasattr(isorbit.cli, "render_tsv")
+    # and the padded-box reference, with the isometry algebra only it used:
+    # --oracle-check runs an exact check, and the box is tests/reference.py's
+    assert not hasattr(isorbit, "bfs_orbits")
+    assert not hasattr(isorbit.errors, "NotStabilizedError")
+    assert not hasattr(isorbit.cli, "DEFAULT_MAX_PADDING")
+    assert not hasattr(isorbit.Isometry, "apply")
+    assert not hasattr(isorbit.GeneratingSet, "members")
 
 
 def test_sorted_points_are_taken_as_they_are(monkeypatch):

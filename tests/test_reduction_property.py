@@ -9,7 +9,8 @@ tests/reference.py, and in any order of the representatives it roots each
 orbit at its first one. The edges it skips join nothing: it gives the
 roots of the walk that skips none, or trips the closure cap with the same
 message, and a mutant that skips a 3-cycle's edges as an involution's
-does not.
+does not. The exact check of --oracle-check passes every run, at every
+lattice rank.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -29,8 +30,10 @@ from isorbit import (  # noqa: E402
     SignedPermutation,
     hnf_reduce,
     run_stage1,
+    run_stage2,
     validate_atomic,
 )
+from isorbit.check import first_failure  # noqa: E402
 from isorbit.labeling import DEFAULT_CLOSURE_CAP  # noqa: E402
 from conftest import merge_list, merge_witnesses, mutant_module  # noqa: E402
 from reference import (  # noqa: E402
@@ -168,6 +171,14 @@ def test_merge_roots_are_first_representatives_in_any_order(case, rng):
     for i, p in enumerate(reps):
         first.setdefault(witness[p], i)
     assert root == [first[witness[p]] for p in reps]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(ranked_generators_and_points())
+def test_the_exact_check_passes_every_run(case):
+    stage1, points = case
+    hypothesis.event(f"lattice rank {stage1.basis.m} in Z^{stage1.gens.n}")
+    assert first_failure(stage1, run_stage2(stage1, points)) is None
 
 
 def roots_or_error(merge, reps, gens, basis, closure_cap):
