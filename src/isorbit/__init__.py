@@ -11,7 +11,10 @@ Typical use::
          Isometry.rotation(SignedPermutation.negation((-1, -1)))],
         n=2)
     labeling = compute_orbits(gens, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    labeling.classes
+    labeling.points, labeling.point_labels
+    # (((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 0), (0, 1), (0, 1), (0, 0)))
+    dict(labeling.classes)
+    # {(0, 0): ((0, 0), (1, 1)), (0, 1): ((0, 1), (1, 0))}
 """
 
 from .errors import (

@@ -21,9 +21,8 @@ from operator import mul
 from .domain import BLOCK_POINTS
 from .errors import ClosureCapExceededError
 from .labeling import DEFAULT_CLOSURE_CAP, Stage2
-from .lattice import LatticeBasis, hnf_reduce
+from .lattice import LatticeBasis, hnf_reduce, reduce_columns
 from .pipeline import Stage1
-from .quotient import reduce_columns
 
 
 def first_failure(stage1: Stage1, stage2: Stage2,

@@ -22,6 +22,18 @@ points file goes to pipeline.run_stage2 as read, duplicates included, and
 domain.sort_points checks each point once, naming the first bad one by its
 index. A box is never listed: stage 2 reads its points in blocks.
 
+All output text is made here. The writers take point texts from one
+function for every domain (_point_texts): all of them in order (TSV), or
+those at some offsets of one chunk of the sorted indices, joined (JSON).
+A points list, or a box whose trailing axes that fit in a block have one
+point (as when its last axis alone is longer than a block), has no table
+of texts: it is one chunk, and each point fills a %d template. Any other
+box's point text is a head text and a tail text from a table of its
+trailing axes (_tail_table), and a chunk is whole heads, so the offsets
+of a class in a chunk find their tails in one gather. The JSON writer
+takes each class's offsets, chunk by chunk, from one pass over stage 2's
+class array a chunk at a time (_grouped).
+
 The output is opened only once stage 2 is done and, for JSON, the head is
 formatted, so a run that fails writes nothing. It is then written in
 pieces, chunk by chunk (TSV) or class by class (JSON), as UTF-8 bytes
@@ -47,13 +59,17 @@ from __future__ import annotations
 import gc
 import json
 import sys
+from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
-from operator import add
+from collections import defaultdict, deque
+from collections.abc import Callable, Iterator, Sequence
+from functools import partial
+from itertools import chain, repeat
+from operator import add, floordiv
 from types import SimpleNamespace
 
 from . import domain
-from .domain import DEFAULT_BOX_CAP, Box
+from .domain import DEFAULT_BOX_CAP, Box, SortedPoints, gather
 from .errors import (
     BoxTooLargeError,
     DigitLimitExceededError,
@@ -66,6 +82,8 @@ from .isometry import GeneratingSet, Isometry, Point, SignedPermutation, validat
 from .labeling import DEFAULT_CLOSURE_CAP, Stage2
 from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, run_stage1, run_stage2
+
+RUN_MEMBERS = 4  # fewest offsets a head, on average, that _point_texts joins as runs
 
 
 def _int_vector(value, where: str, name: str) -> list[int]:
@@ -223,8 +241,8 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
     """The document, byte for byte as json.dumps(doc, indent=2) + "\\n"
     would write it, in pieces: the head from json_head, then class by
     class its label and its members, a piece per chunk of the domain that
-    holds them (the domain's chunks, Stage2.grouped) and at most
-    BLOCK_POINTS per piece, for a %d template laid out for them.
+    holds them (_point_texts, _grouped) and at most BLOCK_POINTS per
+    piece, for a %d template laid out for them.
 
     With indent set, the json module falls back to its pure-Python
     encoder, so only the small head goes through it.
@@ -233,8 +251,8 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
         yield head + "\n"
         return
     n = stage2.domain.n
-    chunk, _texts, join = stage2.domain.chunks("        " + _point_template(n, 4), ",\n")
-    members, later = stage2.grouped(chunk)
+    chunk, _texts, join = _point_texts(stage2.domain, "        " + _point_template(n, 4), ",\n")
+    members, later = _grouped(stage2, chunk)
     opening = '    {\n      "label": ' + _point_template(n, 3) + ',\n      "members": [\n'
     yield head[:-len("[]\n}")] + "[\n"
     for c, (label, first) in enumerate(zip(stage2.domain.at(stage2.label_at), stage2.label_at)):
@@ -253,10 +271,10 @@ def json_chunks(head: str, stage2: Stage2) -> Iterator[str]:
 
 def tsv_chunks(stage2: Stage2) -> Iterator[str]:
     """One "point TAB label" line per point, in sorted order, a piece per
-    list of the domain's texts (its chunks). A label, its class's first
+    list of the domain's texts (_point_texts). A label, its class's first
     point, takes its text from that list: one bisect of label_at a list."""
     points, class_of, label_at, tails = stage2.domain, stage2.class_of, stage2.label_at, []
-    _chunk, texts, _join = points.chunks(",".join(["%d"] * points.n), "")
+    _chunk, texts, _join = _point_texts(points, ",".join(["%d"] * points.n), "")
     start = 0
     for lines in texts():
         end = start + len(lines)
@@ -264,6 +282,118 @@ def tsv_chunks(stage2: Stage2) -> Iterator[str]:
         tails.extend(["\t" + lines[i - start] + "\n" for i in held])
         yield "".join(map(add, lines, map(tails.__getitem__, class_of[start:end])))
         start = end
+
+
+def _tail_table(box: Box, template: str) -> tuple[int, list[str]]:
+    """(k, table): axes k.. are the trailing axes with at most BLOCK_POINTS
+    points, and table holds the texts of their points in sorted order,
+    each filled into the template's slots past the k-th (one %d per
+    axis, no other conversion), made by adding an axis's texts at a time."""
+    k, table = box.split(domain.BLOCK_POINTS)[0], [""]
+    for r, piece in zip(box.ranges[k:], template.split("%d")[k + 1:]):
+        texts = list(map(add, map(str, r), repeat(piece)))
+        table = list(map(add, chain.from_iterable(map(repeat, table, repeat(len(r)))),
+                         texts * len(table)))
+    return k, table
+
+
+def _point_texts(points: Box | SortedPoints, template: str, sep: str) -> tuple[
+        int, Callable[[], Iterator[list[str]]], Callable[[int, Sequence[int]], str]]:
+    """(chunk, texts, join) for the points, each filling the template (one
+    %d per axis, no other conversion): texts() gives the points' texts in
+    sorted order, in lists; join(q, offsets) joins by sep the texts at
+    ascending offsets (at least one) in chunk q of the sorted indices, cut
+    every `chunk`.
+
+    A points list, or a box with one tail text (T = 1), has no table of
+    texts: it is one chunk, so offsets are sorted indices, and each point
+    fills the template, read through points.at a range of BLOCK_POINTS at
+    a time.
+
+    Any other box takes T tail texts from _tail_table: a chunk and a list
+    are BLOCK_POINTS // T heads, index i having head i // T, so offset o
+    has the tail chunk_table[o]; texts adds each head's text to every
+    tail. join writes a head's offsets as H + (sep + H).join(their tails),
+    H the head's text, but offsets under RUN_MEMBERS a head as each one's
+    head text and tail. Head texts come from a table of every head's (93
+    bytes a head for a 4-axis JSON template) when there are at most
+    BLOCK_POINTS heads, else by decode."""
+    k, table = _tail_table(points, template) if type(points) is Box else (0, [""])
+    t = len(table)
+    if t == 1:
+        indices, fill = range(len(points)), template.__mod__
+        return (max(len(points), 1),
+                lambda: (list(map(fill, points.at(indices[i:i + domain.BLOCK_POINTS])))
+                         for i in indices[::domain.BLOCK_POINTS]),
+                lambda q, offsets: sep.join(map(fill, points.at(offsets))))
+    per, heads = domain.BLOCK_POINTS // t, len(points) // t  # heads a chunk, and in all
+    chunk_table = table * per
+    head = "%d".join(template.split("%d")[:k + 1])
+    leading = Box(points.lo[:k], points.hi[:k])
+
+    # at most BLOCK_POINTS head texts, as the tail table holds at most as many tails
+    every = list(map(head.__mod__, leading.at(range(heads)))) if (
+        heads <= domain.BLOCK_POINTS) else None
+
+    def heads_of(q: int, first: int = 0, last: int = per - 1) -> range:
+        return range(q * per + first, min(q * per + last + 1, heads))
+
+    def head_texts(these: Sequence[int]) -> list[str]:
+        return list(map(every.__getitem__, these) if every else map(
+            head.__mod__, leading.at(these)))
+
+    def texts() -> Iterator[list[str]]:
+        for q in range(-(-heads // per)):
+            yield list(map(add, chain.from_iterable(map(
+                repeat, head_texts(heads_of(q)), repeat(t))), chunk_table))
+
+    def join(q: int, offsets: Sequence[int]) -> str:
+        first, last = offsets[0] // t, offsets[-1] // t
+        tails = gather(offsets)(chunk_table)
+        if len(offsets) < RUN_MEMBERS * (last - first + 1):
+            return sep.join(map(add, head_texts(list(map(
+                add, map(floordiv, offsets, repeat(t)), repeat(q * per)))), tails))
+        if first == last:
+            h = head_texts(heads_of(q, first, first))[0]
+            return h + (sep + h).join(tails)
+        # the run of head h ends before the first offset of h + 1
+        runs = [*map(bisect_left, repeat(offsets), range((first + 1) * t, (last + 1) * t, t)),
+                len(offsets)]
+        return sep.join([h + (sep + h).join(tails[a:b]) for h, a, b in zip(
+            head_texts(heads_of(q, first, last)), [0, *runs], runs) if a < b])
+    return per * t, texts, join
+
+
+def _grouped(stage2: Stage2, chunk: int) -> tuple[list[array], dict[int, array]]:
+    """(members, later) for the sorted indices cut into chunks of `chunk`:
+    members[c] holds class c's offsets in their chunks, in order. Its
+    first chunk holds its label; later[c] holds each other chunk that
+    holds it, its number and where its offsets start. The offsets of one
+    chunk are the sorted indices, 4 bytes each, from one C-level pass;
+    else a pass a chunk (at most 2^16 points) copies each point's 2-byte
+    offset into its class, and one marks the classes it holds that began
+    earlier, since those that begin in it are a range."""
+    class_of, label_at = stage2.class_of, stage2.label_at
+    if chunk >= len(class_of):
+        members = [array("I") for _ in label_at]
+        deque(map(array.append, map(members.__getitem__, class_of), range(len(class_of))),
+              maxlen=0)
+        return members, {}
+    members = [array("H") for _ in label_at]
+    later: dict[int, array] = defaultdict(partial(array, "I"))
+    # offsets as their 2 bytes: array.frombytes copies, array.append parses
+    offsets = list(map(int.to_bytes, range(chunk), repeat(2), repeat(sys.byteorder)))
+    new = 0  # the first class with no point before this chunk
+    for q, start in enumerate(range(0, len(class_of), chunk)):
+        classes, end = class_of[start:start + chunk], bisect_left(label_at, start + chunk, new)
+        if new:
+            old = set(classes)
+            old.difference_update(range(new, end))
+            deque(map(array.extend, map(later.__getitem__, old),
+                      zip(repeat(q), map(len, map(members.__getitem__, old)))), maxlen=0)
+        deque(map(array.frombytes, gather(classes)(members), offsets), maxlen=0)
+        new = end
+    return members, dict(later)
 
 
 def _emit_error(code: str, message: str, **extra) -> None:

@@ -1,4 +1,4 @@
-"""The point set of a run: sorted blocks for stage 2, chunks for writing.
+"""The point set of a run: its points in sorted order, in blocks and by index.
 
 A domain is one of two kinds:
 
@@ -22,25 +22,18 @@ points one cut-axis step or one head carry away (shifted_blocks): stage 2
 reduces the base and moves its representatives, or steps a block's from
 its parent's (see pipeline._numbered_blocks).
 
-The writers take point texts from chunks: all of them in order (TSV),
-or those at some offsets of one chunk of the sorted indices, joined
-(JSON). A points list, or a box whose trailing axes that fit in a block
-have one point (as when its last axis alone is longer than a block), has
-no table of texts: it is one chunk, and each point fills a %d template
-in one function for both (filled). Any other box's point text is a head
-text and a tail text from a table of its trailing axes, and a chunk is
-whole heads, so the offsets of a class in a chunk find their tails in one
-gather (see Box.chunks).
+A box's geometry is public: its ranges, one per axis, and the split of
+its trailing axes that fit in a given number of points (split), which
+both its blocks and the CLI's text tables use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import prod
-from operator import add, floordiv, itemgetter, sub
+from operator import itemgetter, sub
 
 from ._record import record
 from .errors import DimensionMismatchError, InputError, InvalidDomainError
@@ -51,9 +44,6 @@ if TYPE_CHECKING:  # typing is costly to import, and annotations are never evalu
     from typing import NoReturn
 
 BLOCK_POINTS = 4096
-RUN_MEMBERS = 4  # fewest offsets a head, on average, that Box.chunks joins as runs
-
-Chunks = tuple[int, Callable[[], Iterator[list[str]]], Callable[[int, Sequence[int]], str]]
 
 DEFAULT_BOX_CAP = 10_000_000  # most points of a box, the CLI's --box-cap
 
@@ -80,23 +70,23 @@ class Box:
         return len(self.lo)
 
     @cached_property
-    def _ranges(self) -> tuple[range, ...]:
+    def ranges(self) -> tuple[range, ...]:
         return tuple(map(range, self.lo, [b + 1 for b in self.hi]))
 
     @cached_property
     def size(self) -> int:
-        return prod(map(len, self._ranges))
+        return prod(map(len, self.ranges))
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[Point]:
-        return product(*self._ranges)
+        return product(*self.ranges)
 
-    def _split(self, bound: int) -> tuple[int, int]:
+    def split(self, bound: int) -> tuple[int, int]:
         """(k, inner): axes k.. are the longest run of trailing axes whose
         point count, inner, is at most bound."""
-        ranges = self._ranges
+        ranges = self.ranges
         k, inner = len(ranges), 1
         while k and inner * len(ranges[k - 1]) <= bound:
             k -= 1
@@ -124,8 +114,8 @@ class Box:
         there are at most n values of d: the step, and a carry per leading
         axis.
         """
-        ranges = self._ranges
-        k, inner = self._split(BLOCK_POINTS)
+        ranges = self.ranges
+        k, inner = self.split(BLOCK_POINTS)
         if not k:  # the box is one block
             return _columns(ranges), iter([(self.size, [0] * len(ranges), None)])
         cut, step, zeros = ranges[k - 1], BLOCK_POINTS // inner, [0] * (len(ranges) - k)
@@ -153,8 +143,8 @@ class Box:
         more than one value, each row a product of ranges."""
         if not self.lo:
             return repeat((), len(indices))
-        ranges = self._ranges
-        k = type(indices) is range and indices.step == 1 and self._split(1)[0]
+        ranges = self.ranges
+        k = type(indices) is range and indices.step == 1 and self.split(1)[0]
         if k:  # a range, and axes k.. hold one value each
             a, b, row = indices.start, indices.stop, ranges[k - 1]
             size = len(row)
@@ -168,70 +158,6 @@ class Box:
             cols.append([lo + i // stride % size for i in indices])
             stride *= size
         return zip(*reversed(cols))
-
-    def tail_table(self, template: str, bound: int) -> tuple[int, list[str]]:
-        """(k, table): axes k.. are the trailing axes with at most bound
-        points, and table holds the texts of their points in sorted order,
-        each filled into the template's slots past the k-th (one %d per
-        axis, no other conversion), made by adding an axis's texts at a time."""
-        k, table = self._split(bound)[0], [""]
-        for r, piece in zip(self._ranges[k:], template.split("%d")[k + 1:]):
-            texts = list(map(add, map(str, r), repeat(piece)))
-            table = list(map(add, chain.from_iterable(map(repeat, table, repeat(len(r)))),
-                             texts * len(table)))
-        return k, table
-
-    def chunks(self, template: str, sep: str) -> Chunks:
-        """As filled, but from a table of texts when there is one: with T
-        tail texts from tail_table(template, BLOCK_POINTS), a chunk and a
-        list are BLOCK_POINTS // T heads, index i having head i // T, so
-        offset o has the tail chunk_table[o]; texts adds each head's text
-        to every tail. When T = 1 there is no table, and this is filled.
-        join writes a head's offsets as H + (sep + H).join(their tails), H
-        the head's text, but offsets under RUN_MEMBERS a head as each one's
-        head text and tail. Head texts come from a table of every head's
-        (93 bytes a head for a 4-axis JSON template) when there are at most
-        BLOCK_POINTS heads, else by decode."""
-        k, table = self.tail_table(template, BLOCK_POINTS)
-        t = len(table)
-        if t == 1:
-            return filled(self, template, sep)
-        per, heads = BLOCK_POINTS // t, self.size // t  # heads a chunk, and in all
-        chunk_table = table * per
-        head = "%d".join(template.split("%d")[:k + 1])
-        leading = Box(self.lo[:k], self.hi[:k])
-
-        # at most BLOCK_POINTS head texts, as the tail table holds at most as many tails
-        every = list(map(head.__mod__, leading.at(range(heads)))) if (
-            heads <= BLOCK_POINTS) else None
-
-        def heads_of(q: int, first: int = 0, last: int = per - 1) -> range:
-            return range(q * per + first, min(q * per + last + 1, heads))
-
-        def head_texts(these: Sequence[int]) -> list[str]:
-            return list(map(every.__getitem__, these) if every else map(
-                head.__mod__, leading.at(these)))
-
-        def texts() -> Iterator[list[str]]:
-            for q in range(-(-heads // per)):
-                yield list(map(add, chain.from_iterable(map(
-                    repeat, head_texts(heads_of(q)), repeat(t))), chunk_table))
-
-        def join(q: int, offsets: Sequence[int]) -> str:
-            first, last = offsets[0] // t, offsets[-1] // t
-            tails = gather(offsets)(chunk_table)
-            if len(offsets) < RUN_MEMBERS * (last - first + 1):
-                return sep.join(map(add, head_texts(list(map(
-                    add, map(floordiv, offsets, repeat(t)), repeat(q * per)))), tails))
-            if first == last:
-                h = head_texts(heads_of(q, first, first))[0]
-                return h + (sep + h).join(tails)
-            # the run of head h ends before the first offset of h + 1
-            runs = [*map(bisect_left, repeat(offsets), range((first + 1) * t, (last + 1) * t, t)),
-                    len(offsets)]
-            return sep.join([h + (sep + h).join(tails[a:b]) for h, a, b in zip(
-                head_texts(heads_of(q, first, last)), [0, *runs], runs) if a < b])
-        return per * t, texts, join
 
 
 @record
@@ -258,25 +184,6 @@ class SortedPoints:
         if type(indices) is range:
             return self.points[indices.start:indices.stop]
         return map(self.points.__getitem__, indices)
-
-    def chunks(self, template: str, sep: str) -> Chunks:
-        """filled: a points list has no table of texts."""
-        return filled(self, template, sep)
-
-
-def filled(domain: Box | SortedPoints, template: str, sep: str) -> Chunks:
-    """(chunk, texts, join) for a domain with no table of texts, each point
-    filling the template (one %d per axis, no other conversion): texts()
-    gives the points' texts in sorted order, in lists of BLOCK_POINTS read
-    through domain.at a range at a time; join(q, offsets) joins by sep the
-    texts at ascending offsets (at least one) in chunk q of the sorted
-    indices, cut every `chunk`. Here the domain is one chunk, so offsets
-    are sorted indices."""
-    indices, fill = range(len(domain)), template.__mod__
-    return (max(len(domain), 1),
-            lambda: (list(map(fill, domain.at(indices[i:i + BLOCK_POINTS])))
-                     for i in indices[::BLOCK_POINTS]),
-            lambda q, offsets: sep.join(map(fill, domain.at(offsets))))
 
 
 def _columns(ranges: Sequence[range]) -> list[list[int]]:

@@ -4,14 +4,14 @@ After stage 1 every point has a representative in the fundamental cell of
 the translation lattice. Two representatives belong to the same orbit of
 the full subgroup exactly when some rotation, projected back into the cell,
 maps one to the other; the functions here compute that coarser partition
-and write out the final labeling.
+and record the final labeling.
 
 The merge closes every orbit at once. The frontier starts as all the
 representatives and then holds the cell points first seen in the previous
 round. Each round applies every rotation generator to the whole frontier
 over coordinate columns (a signed permutation only reorders and negates
 columns) and projects the images back into the cell with the column walk
-of quotient.reduce_columns. A union-find joins each point with its images,
+of lattice.reduce_columns. A union-find joins each point with its images,
 always keeping the smaller number as the root. Points are numbered by
 stage 2's own dict of the representatives, which holds 0..R-1 in the
 order stage 2 first met them; the merge adds the cell points it finds to
@@ -33,22 +33,18 @@ OrbitLabeling is the same partition with the points listed.
 
 from __future__ import annotations
 
-import sys
 from array import array
-from bisect import bisect_left
-from collections import defaultdict, deque
 from collections.abc import Mapping, Sequence
-from functools import cached_property, partial
-from itertools import compress, count, islice, repeat
+from functools import cached_property
+from itertools import compress, count, islice
 from operator import itemgetter, ne, neg
 from types import MappingProxyType
 
 from ._record import record
-from .domain import Box, SortedPoints, gather
+from .domain import Box, SortedPoints
 from .errors import ClosureCapExceededError, DimensionMismatchError, InputError
 from .isometry import Point, SignedPermutation
-from .lattice import LatticeBasis
-from .quotient import reduce_columns
+from .lattice import LatticeBasis, reduce_columns
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 
@@ -246,37 +242,6 @@ class Stage2:
     domain: Box | SortedPoints
     class_of: array
     label_at: array
-
-    def grouped(self, chunk: int) -> tuple[list[array], dict[int, array]]:
-        """(members, later) for the sorted indices cut into chunks of
-        `chunk`: members[c] holds class c's offsets in their chunks, in
-        order. Its first chunk holds its label; later[c] holds each other
-        chunk that holds it, its number and where its offsets start. The
-        offsets of one chunk are the sorted indices, 4 bytes each, from one
-        C-level pass; else a pass a chunk (at most 2^16 points) copies each
-        point's 2-byte offset into its class, and one marks the classes it
-        holds that began earlier, since those that begin in it are a range."""
-        class_of, label_at = self.class_of, self.label_at
-        if chunk >= len(class_of):
-            members = [array("I") for _ in label_at]
-            deque(map(array.append, map(members.__getitem__, class_of), range(len(class_of))),
-                  maxlen=0)
-            return members, {}
-        members = [array("H") for _ in label_at]
-        later: dict[int, array] = defaultdict(partial(array, "I"))
-        # offsets as their 2 bytes: array.frombytes copies, array.append parses
-        offsets = list(map(int.to_bytes, range(chunk), repeat(2), repeat(sys.byteorder)))
-        new = 0  # the first class with no point before this chunk
-        for q, start in enumerate(range(0, len(class_of), chunk)):
-            classes, end = class_of[start:start + chunk], bisect_left(label_at, start + chunk, new)
-            if new:
-                old = set(classes)
-                old.difference_update(range(new, end))
-                deque(map(array.extend, map(later.__getitem__, old),
-                          zip(repeat(q), map(len, map(members.__getitem__, old)))), maxlen=0)
-            deque(map(array.frombytes, gather(classes)(members), offsets), maxlen=0)
-            new = end
-        return members, dict(later)
 
     def labeling(self) -> OrbitLabeling:
         labels = tuple(self.domain.at(self.label_at))

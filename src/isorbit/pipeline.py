@@ -32,9 +32,8 @@ from .errors import DimensionMismatchError
 from .gf2 import Gf2Basis, negation_basis_from_generators
 from .isometry import GeneratingSet
 from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling, Stage2, merge_classes_generators
-from .lattice import LatticeBasis, translation_basis_from_generators
+from .lattice import LatticeBasis, reduce_columns, translation_basis_from_generators
 from .permgroup import DEFAULT_MAX_DIMENSION, perm_group_order
-from .quotient import reduce_columns
 
 
 @record

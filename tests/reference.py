@@ -75,7 +75,7 @@ from isorbit.domain import DEFAULT_BOX_CAP, SortedPoints
 from isorbit.isometry import int_tuple
 from isorbit.gf2 import mask_of, permute_mask
 from isorbit.labeling import DEFAULT_CLOSURE_CAP
-from isorbit.quotient import reduce_columns
+from isorbit.lattice import reduce_columns
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def translation_basis_from_group(
 
 def reduce_mod_lattice(basis: LatticeBasis, x: Sequence[int]) -> Point:
     """Canonical representative of x modulo the basis lattice, one point at
-    a time: the single-point form of isorbit.quotient.reduce_columns.
+    a time: the single-point form of isorbit.lattice.reduce_columns.
 
     The result is the unique lattice translate of x whose pivot
     coordinates lie in [0, p_k); with an empty basis it is x itself.

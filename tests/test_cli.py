@@ -438,8 +438,9 @@ def _fail_if_listed(monkeypatch):
     """Make every way of reading a Box's points fail the test."""
     def listed(self, *args):
         raise AssertionError("a box point was made")
-    for name in ("__iter__", "shifted_blocks", "at", "tail_table", "chunks"):
+    for name in ("__iter__", "shifted_blocks", "at"):
         monkeypatch.setattr(Box, name, listed)
+    monkeypatch.setattr(isorbit.cli, "_point_texts", listed)  # and the texts of its points
 
 
 @pytest.mark.parametrize("box,axes", [

@@ -1,7 +1,7 @@
-"""Box blocks and point texts by table: the blocks as shifted prefixes of
-the base and their parents, the tail table's bound, the texts of each
-chunk and their joins against a plain %d fill of every point, and ranges
-of sorted indices read as rows."""
+"""Box blocks, and the CLI's point texts by table: the blocks as shifted
+prefixes of the base and their parents, the tail table's bound, the texts
+of each chunk and their joins against a plain %d fill of every point, and
+ranges of sorted indices read as rows."""
 
 import itertools
 import tracemalloc
@@ -13,6 +13,7 @@ import pytest
 
 import isorbit.domain
 from isorbit import Box
+from isorbit.cli import _point_texts, _tail_table
 
 TEMPLATE_OF = {n: "[" + ", ".join(["%d"] * n) + "]" for n in range(5)}
 
@@ -50,11 +51,13 @@ def test_blocks_are_shifted_prefixes_of_the_base_each_after_its_parent(block, mo
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 5, 16, 256])
-def test_the_tail_table_holds_at_most_its_bound(bound):
+def test_the_tail_table_holds_at_most_its_bound(bound, monkeypatch):
+    # the table is bounded by the block size, read at each call
+    monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", bound)
     for box in random_boxes(bound, 300):
         template = TEMPLATE_OF[box.n]
-        k, table = box.tail_table(template, bound)
-        ranges = box._ranges
+        k, table = _tail_table(box, template)
+        ranges = box.ranges
         assert len(table) <= bound
         # the longest run of trailing axes within the bound, and its texts
         assert k == 0 or len(ranges[k - 1]) * len(table) > bound
@@ -69,7 +72,7 @@ def test_texts_of_a_box_past_any_list_cost_a_table_and_a_chunk():
     template = TEMPLATE_OF[4]
     tracemalloc.start()
     try:
-        chunk, texts, join = box.chunks(template, ";")
+        chunk, texts, join = _point_texts(box, template, ";")
         dense = next(texts())
         sparse = [join(p, array("H", [7])) for p in range(0, 10 ** 12 // chunk, 10 ** 8)]
         peak = tracemalloc.get_traced_memory()[1]
@@ -83,7 +86,7 @@ def test_texts_of_a_box_past_any_list_cost_a_table_and_a_chunk():
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 16, 256])
 def test_texts_are_the_filled_template_of_each_point(bound, monkeypatch):
-    # under blocks of bound points, chunks cuts the indices into chunks of
+    # under blocks of bound points, _point_texts cuts the indices into chunks of
     # whole heads of a table of at most bound texts, or into one chunk when
     # the table would hold one text: texts makes every point's text, in
     # lists of a chunk or of bound points, and join writes a chunk's dense
@@ -93,10 +96,10 @@ def test_texts_are_the_filled_template_of_each_point(bound, monkeypatch):
     monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", bound)
     for box in random_boxes(100 + bound, 150):
         template = TEMPLATE_OF[box.n]
-        chunk, texts, join = box.chunks(template, ";")
+        chunk, texts, join = _point_texts(box, template, ";")
         points = list(box)
         size = len(points)
-        t = len(box.tail_table(template, bound)[1])
+        t = len(_tail_table(box, template)[1])
         assert chunk == (bound // t * t if t > 1 else size)
         lists = list(texts())
         assert [len(x) for x in lists[:-1]] == [min(chunk, bound)] * (len(lists) - 1)

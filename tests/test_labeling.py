@@ -19,6 +19,7 @@ from isorbit import (
     Isometry,
     Stage2,
 )
+from isorbit.cli import _grouped
 from reference import (
     closure_merge_classes,
     apply,
@@ -334,7 +335,7 @@ def test_grouped_is_a_stable_sort_of_the_indices_by_class():
         class_of = array("I", (number.setdefault(rng.randrange(classes), len(number))
                                for _ in range(size)))
         label_at = array("I", map(class_of.index, range(len(number))))
-        members, later = Stage2(Box((0,), (size,)), class_of, label_at).grouped(chunk)
+        members, later = _grouped(Stage2(Box((0,), (size,)), class_of, label_at), chunk)
         assert [a.typecode for a in members] == ["I" if chunk >= size else "H"] * len(number)
         indices = []
         for c, offsets in enumerate(members):

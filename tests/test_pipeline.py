@@ -162,7 +162,7 @@ def test_public_api_is_what_a_run_calls():
     assert not hasattr(isorbit.permgroup, "generate_perm_group")
     # and the whole-list stage 2: run_stage2 and the CLI's chunk writers
     # replaced it, and its reference form is tests/reference.py
-    assert not hasattr(isorbit.quotient, "reduce_points")
+    assert not hasattr(isorbit.lattice, "reduce_points")
     assert not hasattr(isorbit.labeling, "finalize_labels")
     assert not hasattr(isorbit.cli, "render_json")
     assert not hasattr(isorbit.cli, "render_tsv")

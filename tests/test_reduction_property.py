@@ -10,7 +10,7 @@ orbit at its first one. The edges it skips join nothing: it gives the
 roots of the walk that skips none, or trips the closure cap with the same
 message, and a mutant that skips a 3-cycle's edges as an involution's
 does not. The exact check of --oracle-check passes every run, at every
-lattice rank.
+lattice rank, and at n = 6 to 12 with a lattice rank below n.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -178,6 +178,47 @@ def test_merge_roots_are_first_representatives_in_any_order(case, rng):
 def test_the_exact_check_passes_every_run(case):
     stage1, points = case
     hypothesis.event(f"lattice rank {stage1.basis.m} in Z^{stage1.gens.n}")
+    assert first_failure(stage1, run_stage2(stage1, points)) is None
+
+
+@st.composite
+def wide_generators_and_points(draw):
+    """As ranked_generators_and_points, in Z^n for n from 6 to 12 with a
+    lattice rank below n, and a small rotation group: up to two swaps of
+    disjoint coordinate pairs, each pair inside the lattice's coordinates
+    or outside them, and up to two flips. So every orbit holds at most
+    2^8 * 4 cell points, far under the default closure cap."""
+    n = draw(st.integers(6, 12))
+    rank = draw(st.integers(0, n - 1))
+    coords = draw(st.permutations(range(n)))
+    inside, outside = coords[:rank], coords[rank:]
+    raw = []
+    for _ in range(draw(st.integers(rank, rank + 1))):
+        v = [0] * n
+        for c in inside:
+            v[c] = draw(st.integers(-3, 3))
+        raw.append(Isometry.translation(tuple(v)))
+    pairs = [tuple(block[i:i + 2]) for block in (inside, outside) for i in range(0, len(block) - 1, 2)]
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        raw.append(Isometry.rotation(SignedPermutation.permutation(perm)))
+    for _ in range(draw(st.integers(0, 2))):
+        signs = draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+        raw.append(Isometry.rotation(SignedPermutation.negation(signs)))
+    stage1 = run_stage1(validate_atomic(draw(st.permutations(raw)), n))
+    hypothesis.assume(stage1.basis.m == rank)
+    points = draw(st.lists(st.tuples(*[st.integers(-8, 8)] * n), min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(points), max_size=3))
+    return stage1, points + repeats
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(wide_generators_and_points())
+def test_the_exact_check_passes_wide_runs_of_lower_rank(case):
+    stage1, points = case
+    hypothesis.event(f"lattice rank {stage1.basis.m} in Z^{stage1.gens.n}")
+    assert stage1.basis.m < stage1.gens.n
     assert first_failure(stage1, run_stage2(stage1, points)) is None
 
 

@@ -223,22 +223,25 @@ def short_sliced_boxes(draw, n, block, heads=0):
 
 
 def json_paths(paths: Counter):
-    """Box.chunks patched to count, in paths, the pieces its join writes as
-    runs and those it writes from per-point texts, by its rule: offsets
-    that average fewer than RUN_MEMBERS a head over the heads they span."""
-    chunks = isorbit.domain.Box.chunks
+    """The CLI's point texts patched to count, in paths, the pieces a box's
+    join writes as runs and those it writes from per-point texts, by its
+    rule: offsets that average fewer than RUN_MEMBERS a head over the
+    heads they span."""
+    point_texts = isorbit.cli._point_texts
 
-    def counted_chunks(self, template, sep):
-        chunk, texts, join = chunks(self, template, sep)
-        t = len(self.tail_table(template, isorbit.domain.BLOCK_POINTS)[1])
+    def counted_texts(points, template, sep):
+        chunk, texts, join = point_texts(points, template, sep)
+        if type(points) is not Box:
+            return chunk, texts, join
+        t = len(isorbit.cli._tail_table(points, template)[1])
 
         def counted(q, offsets):
             heads = offsets[-1] // t - offsets[0] // t + 1
-            dense = len(offsets) >= isorbit.domain.RUN_MEMBERS * heads
+            dense = len(offsets) >= isorbit.cli.RUN_MEMBERS * heads
             paths.update(["runs" if dense else "per point"])
             return join(q, offsets)
         return chunk, texts, counted
-    return mock.patch.object(isorbit.domain.Box, "chunks", counted_chunks)
+    return mock.patch.object(isorbit.cli, "_point_texts", counted_texts)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -320,33 +323,33 @@ RUN_HEADS = "head_texts(heads_of(q, first, last))"
 NEW_CLASSES = "old.difference_update(range(new, end))"
 # name: (module, edits, the writers that run the edited code)
 MUTANTS = {
-    "tail table one axis short": (isorbit.domain, [
-        ('zip(self._ranges[k:], template.split("%d")[k + 1:])',
-         'zip(self._ranges[k + 1:], template.split("%d")[k + 2:])')], BOTH),
+    "tail table one axis short": (isorbit.cli, [
+        ('zip(box.ranges[k:], template.split("%d")[k + 1:])',
+         'zip(box.ranges[k + 1:], template.split("%d")[k + 2:])')], BOTH),
     "head decode without its modulus": (isorbit.domain, [
         ("lo + i // stride % size", "lo + i // stride")], JSON),
-    "head text reused across a head boundary": (isorbit.domain, [
+    "head text reused across a head boundary": (isorbit.cli, [
         ("repeat, head_texts(heads_of(q)), repeat(t)",
          "repeat, head_texts(heads_of(q))[:1], repeat(per * t)")], TSV),
-    "a run that ends at h * T instead of (h + 1) * T": (isorbit.domain, [
+    "a run that ends at h * T instead of (h + 1) * T": (isorbit.cli, [
         (RUN_ENDS, "range(first * t, last * t, t)")], JSON),
-    "a run split one index early": (isorbit.domain, [
+    "a run split one index early": (isorbit.cli, [
         (RUN_ENDS, "range((first + 1) * t - 1, (last + 1) * t - 1, t)")], JSON),
-    "one head text used for a whole piece": (isorbit.domain, [
+    "one head text used for a whole piece": (isorbit.cli, [
         (RUN_HEADS, f"repeat({RUN_HEADS}[0])")], JSON),
-    "a one-head piece that takes its chunk's first head": (isorbit.domain, [
+    "a one-head piece that takes its chunk's first head": (isorbit.cli, [
         ("heads_of(q, first, first)", "heads_of(q, 0, 0)")], JSON),
-    "a chunk table not repeated for each head of a chunk": (isorbit.domain, [
+    "a chunk table not repeated for each head of a chunk": (isorbit.cli, [
         ("chunk_table = table * per", "chunk_table = table")], JSON),
-    "table-less lists cut one point short at the bound": (isorbit.domain, [
-        ("indices[i:i + BLOCK_POINTS]", "indices[i:i + BLOCK_POINTS - 1]")], TSV),
+    "table-less lists cut one point short at the bound": (isorbit.cli, [
+        ("indices[i:i + domain.BLOCK_POINTS]", "indices[i:i + domain.BLOCK_POINTS - 1]")], TSV),
     "a table-less join that fills its first offset's point for every member": (
-        isorbit.domain, [("domain.at(offsets)", "domain.at(offsets[:1] * len(offsets))")], JSON),
-    "a chunk-local offset off by one": (isorbit.labeling, [
+        isorbit.cli, [("points.at(offsets)", "points.at(offsets[:1] * len(offsets))")], JSON),
+    "a chunk-local offset off by one": (isorbit.cli, [
         ("range(chunk), repeat(2)", "range(1, chunk + 1), repeat(2)")], JSON),
-    "grouping that skips the last chunk of indices": (isorbit.labeling, [
+    "grouping that skips the last chunk of indices": (isorbit.cli, [
         ("range(0, len(class_of), chunk)", "range(0, len(class_of) - chunk, chunk)")], JSON),
-    "a mark for the chunk a class begins in": (isorbit.labeling, [
+    "a mark for the chunk a class begins in": (isorbit.cli, [
         (NEW_CLASSES, "old.difference_update(range(new, new))")], JSON),
     "a class's first chunk taken as the chunk after its label's": (isorbit.cli, [
         ("first // chunk, 0", "first // chunk + 1, 0")], JSON),
@@ -397,10 +400,7 @@ def test_each_table_mutant_makes_a_box_differ_from_its_points(workdir, monkeypat
 
     assert not any(differs(*case) for case in cases)  # the writers pass every case
     if module is isorbit.domain:
-        for method in ("at", "tail_table", "chunks"):
-            monkeypatch.setattr(isorbit.domain.Box, method, getattr(mutant.Box, method))
-    elif module is isorbit.labeling:
-        monkeypatch.setattr(isorbit.labeling.Stage2, "grouped", mutant.Stage2.grouped)
+        monkeypatch.setattr(isorbit.domain.Box, "at", mutant.Box.at)
     else:
         monkeypatch.setattr(isorbit.cli, "json_chunks", mutant.json_chunks)
         monkeypatch.setattr(isorbit.cli, "tsv_chunks", mutant.tsv_chunks)
@@ -433,7 +433,7 @@ ONE_INDEX_GATHERS = {
 def chunk_pieces(stage2: isorbit.labeling.Stage2, chunk: int) -> list[int]:
     """The member count of every piece the JSON writer joins, at most
     BLOCK_POINTS each."""
-    members, later = stage2.grouped(chunk)
+    members, later = isorbit.cli._grouped(stage2, chunk)
     bound, pieces = isorbit.domain.BLOCK_POINTS, []
     for c, offsets in enumerate(members):
         starts = [*later.get(c, ())[1::2], len(offsets)]
@@ -450,9 +450,9 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
     with sizes(block):
         counts = [size for size, _shift, _parent in box.shifted_blocks()[1]]
         loc, _ids, _ends = isorbit.pipeline._numbered_blocks(box, stage1.basis, numbering())
-        chunk, _texts, _join = box.chunks("%d,%d", ",")
+        chunk, _texts, _join = isorbit.cli._point_texts(box, "%d,%d", ",")
         pieces = chunk_pieces(isorbit.pipeline.run_stage2(stage1, box), chunk)
-        tail = box.tail_table("%d,%d", block)[1]
+        tail = isorbit.cli._tail_table(box, "%d,%d")[1]
     heads = len(box) // len(tail)
     assert {
         "a short block of 1 point": loc is not None and min(counts) == 1,
@@ -474,7 +474,7 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
         assert out == (oracle_bytes(gens_doc, points, fmt),) * 2
     # the same runs with gathers that give the item itself for one index
     mutant = mutant_module(isorbit.domain, [("if len(indices) == 1:", "if False:")])
-    for module in (isorbit.domain, isorbit.pipeline, isorbit.labeling):
+    for module in (isorbit.pipeline, isorbit.cli):
         monkeypatch.setattr(module, "gather", mutant.gather)
     differ = [out != (oracle_bytes(gens_doc, points, fmt),) * 2 for fmt, out in outputs()]
     assert any(differ) == (name != "a last axis longer than the block (T = 1)")
