@@ -50,12 +50,18 @@ of the written run (check.py), fails: one "OracleMismatch" object whose
 
 A CLI run does not run the cyclic garbage collector: main turns it off
 around run and restores it after, since a run allocates a short-lived tuple
-per point and forms no reference cycles. Library calls leave the collector
-alone.
+per point and forms no reference cycles. main also registers gc.freeze,
+once, as an exit handler. Exit handlers run before the interpreter's
+shutdown collections, and those skip every frozen object, so a CLI
+process does not walk the objects its imports made as it exits. An
+in-process caller sees no freeze until its own process exits. CPython
+does not promise __del__ for objects still alive at exit, and a frozen
+one's may not run. Library calls leave the collector alone.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import sys
@@ -84,6 +90,20 @@ from .permgroup import DEFAULT_MAX_DIMENSION
 from .pipeline import Stage1, run_stage1, run_stage2
 
 RUN_MEMBERS = 4  # fewest offsets a head, on average, that _point_texts joins as runs
+
+
+# generator type: the one field it takes besides "type"
+GENERATOR_FIELDS = {"translation": "v", "negation": "signs", "permutation": "perm"}
+
+
+def _only_fields(obj: dict, fields: tuple[str, ...], where: str, what: str) -> None:
+    """An InputError naming obj's first key, in file order, not in fields:
+    a field the run would ignore would give another group or domain than
+    the file asks for."""
+    for key in obj:
+        if key not in fields:
+            raise InputError(f"{where}: unknown field {key!r}; {what} takes only "
+                             + " and ".join(map(repr, fields)))
 
 
 def _int_vector(value, where: str, name: str) -> list[int]:
@@ -134,21 +154,21 @@ def _parse_generator(entry, idx: int) -> Isometry:
     if not isinstance(entry, dict) or "type" not in entry:
         raise InputError(f"{where}: expected an object with a 'type' field")
     kind = entry["type"]
+    field = GENERATOR_FIELDS.get(kind) if type(kind) is str else None
+    if field is None:
+        raise NotAtomicError(
+            f"{where}: unknown type {kind!r}; "
+            f"must be translation, negation or permutation")
+    _only_fields(entry, ("type", field), where, f"a {kind}")
+    vector = _int_vector(entry.get(field), where, field)
     try:
         if kind == "translation":
-            v = _int_vector(entry.get("v"), where, "v")
-            return Isometry.translation(v)
+            return Isometry.translation(vector)
         if kind == "negation":
-            signs = _int_vector(entry.get("signs"), where, "signs")
-            return Isometry.rotation(SignedPermutation.negation(signs))
-        if kind == "permutation":
-            perm = _int_vector(entry.get("perm"), where, "perm")
-            return Isometry.rotation(SignedPermutation.permutation(perm))
+            return Isometry.rotation(SignedPermutation.negation(vector))
+        return Isometry.rotation(SignedPermutation.permutation(vector))
     except InvalidRotationError as e:
         raise InvalidRotationError(f"{where}: {e}") from e
-    raise NotAtomicError(
-        f"{where}: unknown type {kind!r}; "
-        f"must be translation, negation or permutation")
 
 
 def make_box(lo: Sequence[int], hi: Sequence[int], box_cap: int) -> Box:
@@ -185,6 +205,7 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> Box | list[Point]
     box = doc["box"]
     if not isinstance(box, dict) or "min" not in box or "max" not in box:
         raise InputError('box must be {"min": [...], "max": [...]}')
+    _only_fields(box, ("min", "max"), "box", "a box")
     lo = _int_vector(box["min"], "box", "min")
     hi = _int_vector(box["max"], "box", "max")
     return make_box(lo, hi, box_cap)
@@ -546,7 +567,13 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse the command line and run it with the cyclic collector off; the
     collector's state is restored on the way out. A bad command line exits
-    2, with the usage and the error on stderr."""
+    2, with the usage and the error on stderr.
+
+    Every call, whatever its exit, leaves gc.freeze registered once as an
+    exit handler, so the shutdown collections of the process skip the
+    objects alive at its exit (see the module docstring)."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except ValueError as e:

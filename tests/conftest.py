@@ -1,4 +1,5 @@
-"""Shared test helpers: dense-matrix oracles and random instance generators.
+"""Shared test helpers: dense-matrix oracles, random instance generators,
+and a check that every test leaves the collector's state as it found it.
 
 The matrix helpers deliberately re-derive everything from dense integer
 matrices so that agreement with the compact sign/permutation representation
@@ -7,12 +8,15 @@ is independent evidence, not a tautology.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+
+import pytest
 
 from isorbit import (
     GeneratingSet,
@@ -37,6 +41,15 @@ else:
     set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "isorbit-hypothesis")
 
 Matrix = list[list[int]]
+
+
+@pytest.fixture(autouse=True)
+def _keeps_the_gc_state():
+    """Every test, and every in-process main it runs, leaves the collector
+    as it found it: on or off, and with as many objects frozen."""
+    state = gc.isenabled(), gc.get_freeze_count()
+    yield
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
 def mat_vec(m: Matrix, x) -> list[int]:

@@ -3,7 +3,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from array import array
@@ -90,6 +92,39 @@ def test_parse_generators_unknown_type():
     doc = {"n": 2, "generators": [{"type": "glide", "v": [1, 0]}]}
     with pytest.raises(NotAtomicError):
         parse_generators(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry,field", [
+    ({"type": "permutation", "perm": [1, 0], "signs": [-1, 1]}, "signs"),
+    ({"type": "negation", "signs": [-1, 1], "perm": [1, 0]}, "perm"),
+    ({"type": "translation", "perm": [1, 0], "v": [1, 0]}, "perm"),
+    ({"type": "translation", "v": [1, 0], "V": [0, 1]}, "V"),
+], ids=["permutation-signs", "negation-perm", "translation-perm-first", "translation-V"])
+def test_a_generator_field_its_type_does_not_take_is_a_parse_error(tmp_path, capsys, entry, field):
+    # each would otherwise run a different group from the one the file asks for
+    gens = write(tmp_path / "gens.json", {"n": 2, "generators": [
+        {"type": "translation", "v": [0, 2]}, entry]})
+    out = tmp_path / "out"
+    assert main(["--gens", gens, "--box", "0..1,0..1", "--output", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"generator 1: unknown field {field!r}; a {entry['type']} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("box,field", [
+    ({"min": [0, 0], "max": [3, 3], "step": [2, 2]}, "step"),
+    ({"lo": [0, 0], "min": [0, 0], "max": [1, 1]}, "lo"),
+], ids=["step", "lo"])
+def test_a_box_field_other_than_min_and_max_is_a_parse_error(tmp_path, capsys, box, field):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    domain = write(tmp_path / "domain.json", {"box": box})
+    out = tmp_path / "out"
+    assert main(["--gens", gens, "--domain", domain, "--output", str(out)]) == 1
+    err = _single_json_error(capsys)
+    assert err == {"error": "ParseError", "message":
+                   f"box: unknown field {field!r}; a box takes only 'min' and 'max'"}
+    assert not out.exists()
 
 
 def test_parse_generators_bad_json_reports_position():
@@ -1036,16 +1071,19 @@ def test_output_integer_past_the_digit_limit_is_one_json_error(tmp_path, capsys)
 
 
 def _gc_states(tmp_path):
-    """main's exit status and the collector's state after it, for an
-    exit 0, an exit 1 (a float coordinate) and an exit 2 (two domains)."""
+    """main's exit status and the collector's state after it (enabled, and
+    the number of frozen objects), for an exit 0, an exit 1 (a float
+    coordinate) and an exit 2 (two domains)."""
     gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
     bad = write(tmp_path / "bad.json", {"points": [[0, 0], [0, 1.5]]})
     out = ["--output", str(tmp_path / "out")]
-    states = [(main(["--gens", gens, "--box", "0..1,0..1"] + out), gc.isenabled()),
-              (main(["--gens", gens, "--domain", bad] + out), gc.isenabled())]
+    states = [(main(["--gens", gens, "--box", "0..1,0..1"] + out),
+               gc.isenabled(), gc.get_freeze_count()),
+              (main(["--gens", gens, "--domain", bad] + out),
+               gc.isenabled(), gc.get_freeze_count())]
     with pytest.raises(SystemExit) as info:
         main(["--gens", gens, "--box", "0..1,0..1", "--domain", bad])
-    return states + [(info.value.code, gc.isenabled())]
+    return states + [(info.value.code, gc.isenabled(), gc.get_freeze_count())]
 
 
 @pytest.fixture
@@ -1065,7 +1103,9 @@ def test_main_hands_back_the_gc_state(tmp_path, capsys, keep_gc_state, enabled):
         gc.enable()
     else:
         gc.disable()
-    assert _gc_states(tmp_path) == [(0, enabled), (1, enabled), (2, enabled)]
+    frozen = gc.get_freeze_count()  # the freeze waits for this process's exit
+    assert _gc_states(tmp_path) == [(0, enabled, frozen), (1, enabled, frozen),
+                                    (2, enabled, frozen)]
 
 
 def test_run_goes_without_the_cyclic_gc(tmp_path, monkeypatch, keep_gc_state):
@@ -1081,3 +1121,64 @@ def test_run_goes_without_the_cyclic_gc(tmp_path, monkeypatch, keep_gc_state):
     with pytest.raises(RuntimeError):
         main(["--gens", gens, "--box", "0..1,0..1"])
     assert seen == [False] and gc.isenabled()
+
+
+SRC = str(Path(isorbit.__file__).resolve().parent.parent)
+
+# An exit handler registered before main runs after main's (they run last
+# registered first), so it sees what main left behind.
+FROZEN_AT_EXIT = """\
+import atexit, gc, sys
+def report():
+    with open(sys.argv[1], "w", encoding="ascii") as f:
+        f.write(str(gc.get_freeze_count()))
+atexit.register(report)
+from isorbit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _python(code, *args):
+    """A fresh interpreter, with isorbit on its path, run on code and args."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("status", [0, 1, 2])
+def test_a_cli_process_freezes_the_collector_at_exit(tmp_path, capfdbinary, status):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    bad = write(tmp_path / "bad.json", {"points": [[0, 0], [0, 1.5]]})
+    argv = {0: ["--gens", gens, "--box", "0..1,0..1"],
+            1: ["--gens", gens, "--domain", bad],
+            2: ["--gens", gens, "--box", "0..1,0..1", "--domain", bad]}[status]
+    done = _python(FROZEN_AT_EXIT, tmp_path / "frozen", *argv)
+    assert done.returncode == status
+    assert int((tmp_path / "frozen").read_text(encoding="ascii")) > 0
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capfdbinary.readouterr()
+    assert code == status
+    # the process's stdout, flushed at its exit, and its stderr, byte for byte
+    assert (done.stdout, done.stderr) == (captured.out, captured.err)
+    assert (bool(done.stdout), bool(done.stderr)) == (status == 0, status != 0)
+
+
+def test_two_runs_in_one_process_freeze_once_at_exit(tmp_path):
+    gens = write(tmp_path / "gens.json", DIAGONAL_DOC)
+    done = _python("""\
+import atexit, gc, sys
+calls, freeze = [], gc.freeze
+def counted():
+    calls.append(None)
+    freeze()
+gc.freeze = counted
+atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))
+from isorbit.cli import main
+print(main(sys.argv[1:]), main(sys.argv[1:]), len(calls))
+""", "--gens", gens, "--box", "0..1,0..1", "--output", tmp_path / "out")
+    assert done.returncode == 0 and not done.stderr
+    assert done.stdout.decode().splitlines() == ["0 0 0", "1 True"]
