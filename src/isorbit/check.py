@@ -9,7 +9,9 @@ each row then carrying its integer coefficients, checked by plain integer
 arithmetic; it must end at L's basis: L lies in S. Then the classes must
 be the orbits of the cell Z^n/L, none split or joined, each numbered and
 labelled at its first point, as a walk one point at a time from each domain
-point's reduction finds them with its own dict, bounded as the merge is.
+point's reduction finds them with its own dict. The dict holds at most the
+domain's point count plus the closure cap: a run the merge finished holds
+no more, as the merge holds at most R + cap, R the distinct reductions.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ def _reduced(basis: LatticeBasis, points) -> list[tuple[int, ...]]:
 
 def _class_failure(basis, rotations, stage2: Stage2, closure_cap: int) -> tuple[str, str] | None:
     orbit_of, orbit, first = {}, array("I"), []  # by cell point, sorted point, orbit
+    limit = len(stage2.domain) + closure_cap
     points = iter(stage2.domain)
     while block := list(islice(points, BLOCK_POINTS)):
         for rep in _reduced(basis, block):
@@ -78,12 +81,13 @@ def _class_failure(basis, rotations, stage2: Stage2, closure_cap: int) -> tuple[
                 for p in todo:  # todo grows as the walk finds cell points
                     for q in _reduced(basis, [r.apply(p) for r in rotations]):
                         if q not in orbit_of:
+                            if len(orbit_of) >= limit:
+                                raise ClosureCapExceededError(
+                                    f"the orbit walk passed the closure cap of {closure_cap} "
+                                    f"cell points beyond the D = {len(stage2.domain)} "
+                                    "domain points")
                             orbit_of[q] = o
                             todo.append(q)
-                            if len(todo) > closure_cap:
-                                raise ClosureCapExceededError(
-                                    f"the orbit of sorted point {first[o]} exceeded "
-                                    f"{closure_cap} cell points")
             orbit.append(orbit_of[rep])
     if stage2.class_of == orbit and stage2.label_at == array("I", first):
         return None

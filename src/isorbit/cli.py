@@ -139,6 +139,7 @@ def parse_generators(text: str) -> GeneratingSet:
     doc = _loads(text, "generator file")
     if not isinstance(doc, dict) or "n" not in doc or "generators" not in doc:
         raise InputError('generator file must be {"n": ..., "generators": [...]}')
+    _only_fields(doc, ("n", "generators"), "generator file", "a generator file")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
@@ -194,7 +195,9 @@ def parse_domain(text: str, box_cap: int = DEFAULT_BOX_CAP) -> Box | list[Point]
     doc = _loads(text, "domain file")
     if not isinstance(doc, dict) or ("points" in doc) == ("box" in doc):
         raise InputError('domain file must contain exactly one of "points" or "box"')
-    if "points" in doc:
+    kind = "points" if "points" in doc else "box"
+    _only_fields(doc, (kind,), "domain file", f"a {kind} file")
+    if kind == "points":
         pts = doc["points"]
         if not isinstance(pts, list):
             raise InputError("points must be a list of integer vectors")
@@ -493,8 +496,8 @@ OPTIONS = {
     "--output": ("FILE", None, _file, "output path (default: stdout)"),
     "--format": ("{json,tsv}", "json", _format, "output format"),
     "--oracle-check": (None, False, None, "check the finished run exactly, exit 3 if it fails"),
-    "--max-dimension": ("N", DEFAULT_MAX_DIMENSION, _cap, "permutation-group dimension cap"),
-    "--closure-cap": ("N", DEFAULT_CLOSURE_CAP, _cap, "size cap of one orbit's closure"),
+    "--max-dimension": ("N", DEFAULT_MAX_DIMENSION, _cap, "cap on the axes permutations move"),
+    "--closure-cap": ("N", DEFAULT_CLOSURE_CAP, _cap, "cap on the cell points the merge adds"),
     "--box-cap": ("N", DEFAULT_BOX_CAP, _cap, "point-count cap for boxes"),
 }
 

@@ -16,8 +16,9 @@ always keeping the smaller number as the root. Points are numbered by
 stage 2's own dict of the representatives, which holds 0..R-1 in the
 order stage 2 first met them; the merge adds the cell points it finds to
 it with larger numbers, so the root of every orbit is its first
-representative. The closure cap bounds the cell points of one union-find
-component, hence of one orbit; memory holds all visited orbits together.
+representative. The closure cap bounds the cell points the merge adds
+beyond the representatives, over all orbits together, so it bounds what
+the merge holds.
 
 Two kinds of edge are known to join nothing, and the merge skips them
 without changing a root or where the cap trips: every edge of a generator
@@ -36,7 +37,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count
 from operator import itemgetter, ne, neg
 from types import MappingProxyType
 
@@ -71,12 +72,12 @@ def merge_classes_generators(
 
     Every component lies inside one orbit, and when the frontier is empty
     each component is a whole orbit. The cell is infinite when the lattice
-    rank is below n, so closure_cap (a positive bound) guards the size of
-    one orbit: ClosureCapExceededError is raised as soon as one component
-    holds more than closure_cap cell points. Orbits are finite (each lies
-    in one rotation-subgroup orbit), and many small ones never trip the
-    cap. Memory grows with the union of the orbits visited, all of them
-    held at once, not with one orbit at a time.
+    rank is below n, so closure_cap bounds the work: before a new cell
+    point is stored, ClosureCapExceededError is raised if the merge already
+    holds closure_cap cell points beyond the R representatives, counted
+    over all orbits. Orbits are finite (each lies in one rotation-subgroup
+    orbit), and a merge that visits v new cell points passes under a cap
+    of v; memory grows with those v points, all held at once.
 
     Edges that would join nothing are skipped, so the roots, the cap's trip
     point and its message are those of the full walk:
@@ -99,8 +100,8 @@ def merge_classes_generators(
     if wrong:
         raise InputError("representative {0} is numbered {1!r}, not {0}".format(*wrong))
     reps = len(index)  # numbered 0..reps-1
+    limit = reps + closure_cap  # the most cell points the merge may hold
     parent = list(range(reps))
-    size = [1] * reps  # by root; every root is a representative
 
     def find(x: int) -> int:
         root = x
@@ -110,16 +111,6 @@ def merge_classes_generators(
             parent[x], x = root, parent[x]
         return root
 
-    def too_big(root: int) -> ClosureCapExceededError:
-        try:
-            around = str(next(islice(index, root, None)))
-        except ValueError:  # a coordinate past the int-to-str digit limit
-            around = f"representative {root} (too many digits to print)"
-        return ClosureCapExceededError(
-            f"class closure around {around} exceeded {closure_cap} elements")
-
-    if gens and index and closure_cap < 1:
-        raise too_big(0)
     gens = [r for r in gens if not _fixes_the_cell(basis, r.signs, r.perm)]
     # R is an involution on the cell: R^2 fixes it, and R maps every
     # Hermite row b into the lattice
@@ -135,7 +126,7 @@ def merge_classes_generators(
         frontier = []
         for k, r in enumerate(gens):
             fresh: list[Point] = []
-            fresh_ids: list[int] = []
+            start = len(parent)  # the pass numbers its new points from here on
             for g, cols, ids in groups:
                 if g == k and involution[k]:  # r maps each back to its finder
                     continue
@@ -149,13 +140,13 @@ def merge_classes_generators(
                         a = find(i)
                     j = index.get(q)
                     if j is None:
-                        index[q] = j = len(parent)
+                        if len(parent) >= limit:
+                            raise ClosureCapExceededError(
+                                f"the class merge passed the closure cap of {closure_cap} "
+                                f"cell points beyond its R = {reps} representatives")
+                        index[q] = len(parent)
                         parent.append(a)
-                        size[a] += 1
-                        if size[a] > closure_cap:
-                            raise too_big(a)
                         fresh.append(q)
-                        fresh_ids.append(j)
                         continue
                     b = parent[j]
                     if parent[b] != b:
@@ -164,11 +155,8 @@ def merge_classes_generators(
                         if b < a:
                             a, b = b, a
                         parent[b] = a
-                        size[a] += size[b]
-                        if size[a] > closure_cap:
-                            raise too_big(a)
             if fresh:
-                frontier.append((k, fresh, fresh_ids))
+                frontier.append((k, fresh, range(start, len(parent))))
     for _ in map(find, range(reps)):  # now parent[i] is i's root
         pass
     return parent[:reps]  # its ints are parent's: a root list adds no int

@@ -54,8 +54,8 @@ def run_stage1(gens: GeneratingSet, max_dimension: int = DEFAULT_MAX_DIMENSION) 
     """Compute the negation basis, permutation subgroup order and
     translation-lattice basis for the generating set.
 
-    Without a permutation generator the subgroup is the identity alone and
-    no stabilizer chain is built, so the work does not grow with n.
+    The stabilizer chain acts only on the axes the permutation generators
+    move (see perm_group_order), so its work does not grow with n.
     """
     n = gens.n
     perm_tuples = [g.r.perm for g in gens.permutations]

@@ -318,8 +318,8 @@ def full_walk_merge_classes(
     cell and joins each point with its images in a union-find that keeps
     the smaller index as the root. Cell points found later get larger
     indices, so every root is the first representative of its component.
-    closure_cap bounds one component, and the error names the same point
-    as the production merge's.
+    closure_cap bounds the cell points found beyond the representatives,
+    over all components, with the production merge's message.
     """
     n = basis.n
     gens = list(rotation_gens)
@@ -331,7 +331,6 @@ def full_walk_merge_classes(
         i = next(i for i, p in enumerate(reps) if index[p] != i)
         raise InputError(f"representatives {i} and {index[reps[i]]} are the same point")
     parent = list(range(len(reps)))
-    size = [1] * len(reps)
 
     def find(x: int) -> int:
         root = x
@@ -341,16 +340,6 @@ def full_walk_merge_classes(
             parent[x], x = root, parent[x]
         return root
 
-    def too_big(root: int) -> ClosureCapExceededError:
-        try:
-            around = str(reps[root])
-        except ValueError:
-            around = f"representative {root} (too many digits to print)"
-        return ClosureCapExceededError(
-            f"class closure around {around} exceeded {closure_cap} elements")
-
-    if gens and reps and closure_cap < 1:
-        raise too_big(0)
     frontier, ids = reps, range(len(reps))
     while frontier and gens:
         cols = [list(map(itemgetter(j), frontier)) for j in range(n)]
@@ -364,11 +353,12 @@ def full_walk_merge_classes(
                 a = find(i)
                 j = index.get(q)
                 if j is None:
+                    if len(parent) - len(reps) >= closure_cap:
+                        raise ClosureCapExceededError(
+                            f"the class merge passed the closure cap of {closure_cap} "
+                            f"cell points beyond its R = {len(reps)} representatives")
                     index[q] = j = len(parent)
                     parent.append(a)
-                    size[a] += 1
-                    if size[a] > closure_cap:
-                        raise too_big(a)
                     fresh.append(q)
                     fresh_ids.append(j)
                     continue
@@ -377,9 +367,6 @@ def full_walk_merge_classes(
                     if b < a:
                         a, b = b, a
                     parent[b] = a
-                    size[a] += size[b]
-                    if size[a] > closure_cap:
-                        raise too_big(a)
         frontier, ids = fresh, fresh_ids
     return list(map(find, range(len(reps))))
 

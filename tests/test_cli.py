@@ -127,6 +127,29 @@ def test_a_box_field_other_than_min_and_max_is_a_parse_error(tmp_path, capsys, b
     assert not out.exists()
 
 
+GENERATOR_TYPO_DOC = {"n": 2, "generators": [{"type": "translation", "v": [1, 1]}],
+                      "generator": [{"type": "permutation", "perm": [1, 0]}]}
+
+
+@pytest.mark.parametrize("gens_doc,domain_doc,message", [
+    (GENERATOR_TYPO_DOC, {"points": [[0, 0], [1, 1]]},
+     "generator file: unknown field 'generator'; a generator file takes only 'n' and 'generators'"),
+    (DIAGONAL_DOC, {"points": [[0, 0], [1, 1]], "pionts": [[2, 2]]},
+     "domain file: unknown field 'pionts'; a points file takes only 'points'"),
+    (DIAGONAL_DOC, {"comment": "two points", "box": {"min": [0, 0], "max": [1, 1]}},
+     "domain file: unknown field 'comment'; a box file takes only 'box'"),
+], ids=["generator-file", "points-file", "box-file"])
+def test_an_unknown_top_level_key_is_a_parse_error(tmp_path, capsys, gens_doc, domain_doc, message):
+    # the entries under a misspelled key were once dropped, and the run
+    # exited 0 without the swap or the point (2, 2)
+    gens = write(tmp_path / "gens.json", gens_doc)
+    domain = write(tmp_path / "domain.json", domain_doc)
+    out = tmp_path / "out"
+    assert main(["--gens", gens, "--domain", domain, "--output", str(out)]) == 1
+    assert _single_json_error(capsys) == {"error": "ParseError", "message": message}
+    assert not out.exists()
+
+
 def test_parse_generators_bad_json_reports_position():
     with pytest.raises(InputError) as info:
         parse_generators('{"n": 2,\n "generators": [}')
@@ -369,7 +392,7 @@ def test_run_oracle_check_reports_diff(tmp_path, capsys, monkeypatch):
     # (2, 3, 0, 1) is two 4-cycle steps from (0, 1, 2, 3) either way, so a
     # merge that stops after its first round prints them apart
     mutant = mutant_module(isorbit.labeling, [
-        ("frontier.append((k, fresh, fresh_ids))", "pass")])
+        ("frontier.append((k, fresh, range(start, len(parent))))", "pass")])
     monkeypatch.setattr(isorbit.pipeline, "merge_classes_generators",
                         mutant.merge_classes_generators)
     points = [(0, 1, 2, 3), (2, 3, 0, 1)]
@@ -453,13 +476,22 @@ def test_oracle_check_rejects_a_row_that_is_not_its_combination(monkeypatch):
 
 
 def test_oracle_check_walk_is_bounded_by_the_closure_cap():
-    # the merge and the check's walk each hold the 4 cell points of the
-    # orbit of (0, 1, 2, 3): a cap of 3 stops the walk as it stops the merge
+    # the orbit of (0, 1, 2, 3) holds 4 cell points, 3 beyond its one
+    # representative; the check's walk holds at most the domain's points
+    # plus the cap, so a cap of 3 passes both and a cap of 2 stops both
     stage1 = run_stage1(parse_generators(json.dumps(FOUR_CYCLE_DOC)))
-    stage2 = isorbit.pipeline.run_stage2(stage1, [(0, 1, 2, 3)])
-    assert first_failure(stage1, stage2, 4) is None
-    with pytest.raises(ClosureCapExceededError, match="exceeded 3 cell points"):
-        first_failure(stage1, stage2, 3)
+    stage2 = isorbit.pipeline.run_stage2(stage1, [(0, 1, 2, 3)], 3)
+    assert first_failure(stage1, stage2, 3) is None
+    with pytest.raises(ClosureCapExceededError, match="cap of 2 cell points beyond its R = 1 "):
+        isorbit.pipeline.run_stage2(stage1, [(0, 1, 2, 3)], 2)
+    with pytest.raises(ClosureCapExceededError) as info:
+        first_failure(stage1, stage2, 2)
+    assert str(info.value) == (
+        "the orbit walk passed the closure cap of 2 cell points beyond the D = 1 domain points")
+    # four domain points of one orbit: the merge adds none, and the walk
+    # never refuses a run the merge accepted, at the smallest cap
+    points = [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)]
+    assert first_failure(stage1, isorbit.pipeline.run_stage2(stage1, points, 0), 0) is None
 
 
 def test_run_domain_dimension_mismatch(tmp_path, capsys):
@@ -755,24 +787,33 @@ def _swap_doc(n):
         {"type": "permutation", "perm": [1, 0] + list(range(2, n))}]}
 
 
+def _cycle_doc(n, k):
+    """A k-cycle of axes 0..k-1 in Z^n: it moves k axes."""
+    return {"n": n, "generators": [
+        {"type": "permutation", "perm": [*range(1, k), 0, *range(k, n)]}]}
+
+
 def test_dimension_cap_flag(tmp_path, capsys):
-    # one past the default permutation-group cap; raising the cap unblocks it
-    n = DEFAULT_MAX_DIMENSION + 1
+    # a cycle of 33 axes, one past the default permutation-group cap;
+    # raising the cap unblocks it
+    n = k = DEFAULT_MAX_DIMENSION + 1
     box = ",".join(["0..0"] * n)
-    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n), name="capped")
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_cycle_doc(n, k), name="capped")
     assert code == 1
     assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
     code, out = run_main(
-        tmp_path, ["--box", box, "--max-dimension", str(n)],
-        gens_doc=_swap_doc(n), name="uncapped")
+        tmp_path, ["--box", box, "--max-dimension", str(k)],
+        gens_doc=_cycle_doc(n, k), name="uncapped")
     assert code == 0
     doc = json.loads(out.read_text())
-    assert len(doc["classes"]) == 1 and doc["rotation_order"] == 2
+    assert len(doc["classes"]) == 1 and doc["rotation_order"] == k
 
 
 def test_dimension_cap_only_where_a_closure_is_built(tmp_path, capsys):
-    # without a permutation generator there is no group to build, past the cap
-    n = DEFAULT_MAX_DIMENSION + 1
+    # the cap counts the axes the permutations move, not n: without a
+    # permutation generator there is no group to build, and a swap at
+    # n = 40 moves 2 axes; generators moving 33 axes there are refused
+    n = 40
     e0 = [1] + [0] * (n - 1)
     flip0 = [-1] + [1] * (n - 1)
     gens_doc = {"n": n, "generators": [
@@ -782,16 +823,27 @@ def test_dimension_cap_only_where_a_closure_is_built(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["classes"] == [
         {"label": [0] * n, "members": [[0] * n, e0]}]
-    code, _ = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n), name="swap")
+    box = ",".join(["0..1"] * 2 + ["0..0"] * (n - 2))
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n), name="swap")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["rotation_order"] == 2 and len(doc["classes"]) == 3
+    moved = DEFAULT_MAX_DIMENSION + 1
+    gens_doc = {"n": n, "generators": [_swap_doc(n)["generators"][0],
+                                       _cycle_doc(n, moved)["generators"][0]]}
+    code, _ = run_main(tmp_path, ["--box", box], gens_doc=gens_doc, name="moved")
     assert code == 1
-    assert _single_json_error(capsys)["error"] == "DimensionTooLarge"
+    assert _single_json_error(capsys) == {
+        "error": "DimensionTooLarge",
+        "message": f"the permutation generators move {moved} axes, "
+                   f"past the permutation-group cap {DEFAULT_MAX_DIMENSION}"}
 
 
 def test_dimension_far_past_the_cap_is_one_json_error(tmp_path, capsys):
     # the message once printed n!, which has more than 4,300 digits here
     n = 2000
     box = ",".join(["0..0"] * n)
-    code, out = run_main(tmp_path, ["--box", box], gens_doc=_swap_doc(n))
+    code, out = run_main(tmp_path, ["--box", box], gens_doc=_cycle_doc(n, n))
     assert code == 1 and not out.exists()
     err = _single_json_error(capsys)
     assert err["error"] == "DimensionTooLarge" and len(err["message"]) < 100
@@ -963,23 +1015,25 @@ def test_closure_cap_of_one_needs_no_closure_without_rotations(tmp_path):
 
 def test_closure_cap_exceeded_is_one_json_error(tmp_path, capsys):
     # rank 0: the orbit of (1, 2) under the signed swaps has 8 cell points,
-    # 7 of them outside the one-point domain
+    # 7 of them beyond the one-point domain's representative
     gens_doc = {"n": 2, "generators": [
         {"type": "negation", "signs": [-1, 1]},
         {"type": "permutation", "perm": [1, 0]}]}
     box = ["--box", "1..1,2..2"]
-    code, _ = run_main(tmp_path, box + ["--closure-cap", "7"], gens_doc=gens_doc)
+    code, _ = run_main(tmp_path, box + ["--closure-cap", "6"], gens_doc=gens_doc)
     assert code == 1
     err = _single_json_error(capsys)
     assert err == {"error": "ClosureCapExceeded",
-                   "message": "class closure around (1, 2) exceeded 7 elements"}
-    code, _ = run_main(tmp_path, box + ["--closure-cap", "8"], gens_doc=gens_doc)
+                   "message": "the class merge passed the closure cap of 6 cell points "
+                              "beyond its R = 1 representatives"}
+    code, _ = run_main(tmp_path, box + ["--closure-cap", "7"], gens_doc=gens_doc)
     assert code == 0
 
 
 def test_closure_cap_past_the_digit_limit_is_one_json_error(tmp_path, capsys):
-    # each literal is under the 4,300-digit parse limit, but the representative
-    # whose orbit trips the cap has a coordinate of about 6,000 digits
+    # each literal is under the 4,300-digit parse limit, but the cell point
+    # the negation takes (1, 0) or (2, 0) to has a coordinate of about
+    # 6,000 digits; the error names the cap and R, no point
     big = "1" + "0" * 3000
     gens = tmp_path / "gens.json"
     gens.write_text('{"n": 2, "generators": [{"type": "translation", "v": [%s, 1]}, '
@@ -987,12 +1041,16 @@ def test_closure_cap_past_the_digit_limit_is_one_json_error(tmp_path, capsys):
                     '{"type": "negation", "signs": [-1, -1]}]}' % (big, big),
                     encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["--gens", str(gens), "--box", "0..1,0..0", "--closure-cap", "1",
-                 "--format", "tsv", "--output", str(out)]) == 1
+    argv = ["--gens", str(gens), "--closure-cap", "1", "--format", "tsv", "--output", str(out)]
+    # (0, 0) is fixed, so the merge adds one cell point for 0..1 and two for 0..2
+    assert main(argv + ["--box", "0..2,0..0"]) == 1
     assert not out.exists()
     err = _single_json_error(capsys)
-    assert err["error"] == "ClosureCapExceeded"
-    assert "too many digits to print" in err["message"]
+    assert err == {"error": "ClosureCapExceeded",
+                   "message": "the class merge passed the closure cap of 1 cell points "
+                              "beyond its R = 3 representatives"}
+    assert main(argv + ["--box", "0..1,0..0"]) == 0
+    assert out.read_text() == "0,0\t0,0\n1,0\t1,0\n"
 
 
 def _single_json_error(capsys):

@@ -168,10 +168,14 @@ def test_merge_generators_even_grid_with_swap():
 
 
 def test_merge_generators_closure_cap():
+    # the reflection takes (0, 1) to the new cell point (0, -1) and (1, 0)
+    # to (0, 1): the merge adds one cell point
     basis = diagonal_cell()
     reps = {(0, 1), (1, 0)}
+    assert merge_witnesses(reps, [POINT_REFLECTION], basis, closure_cap=1) == \
+        {(0, 1): (0, 1), (1, 0): (0, 1)}
     with pytest.raises(ClosureCapExceededError):
-        merge_witnesses(reps, [POINT_REFLECTION], basis, closure_cap=1)
+        merge_witnesses(reps, [POINT_REFLECTION], basis, closure_cap=0)
 
 
 # Z^3 with lattice Z(1,0,0), rotated by the signed swaps of coordinates 1
@@ -182,30 +186,43 @@ SIGNED_SWAP_GENS = [SignedPermutation.negation((1, -1, 1)),
 
 
 def test_merge_generators_closure_cap_boundary():
+    # the orbit of (0, 1, 2) adds 7 cell points to its representative
     basis = hnf_reduce([(1, 0, 0)], 3)
     reps = {(0, 1, 2)}
-    assert merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+    assert merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=7) == \
         {(0, 1, 2): (0, 1, 2)}
     with pytest.raises(ClosureCapExceededError) as info:
-        merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=7)
-    assert str(info.value) == "class closure around (0, 1, 2) exceeded 7 elements"
-    # below 1 every representative alone exceeds the cap, a fixed point too;
-    # without rotations there is no closure to cap
-    with pytest.raises(ClosureCapExceededError):
-        merge_witnesses({(0, 0, 0)}, SIGNED_SWAP_GENS, basis, closure_cap=0)
+        merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=6)
+    assert str(info.value) == (
+        "the class merge passed the closure cap of 6 cell points beyond its R = 1 representatives")
+    # a merge that adds no cell point passes at a cap of 0, a fixed point
+    # under rotations or any point without them, and fails below it
+    assert merge_witnesses({(0, 0, 0)}, SIGNED_SWAP_GENS, basis, closure_cap=0) == \
+        {(0, 0, 0): (0, 0, 0)}
     assert merge_witnesses(reps, [], basis, closure_cap=0) == {(0, 1, 2): (0, 1, 2)}
+    with pytest.raises(ClosureCapExceededError):
+        merge_witnesses({(0, 0, 0), (0, 1, 1)}, SIGNED_SWAP_GENS, basis, closure_cap=0)
 
 
-def test_merge_generators_cap_bounds_one_orbit_not_their_union():
+def test_merge_generators_cap_bounds_the_union_of_the_orbits():
     basis = hnf_reduce([(1, 0, 0)], 3)
     reps = {(0, a, b) for a in range(1, 30) for b in range(a + 1, 30)}
-    witness = merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=8)
-    # 406 orbits of 8 cell points each: 3,248 visited under a cap of 8
+    # 406 orbits of 8 cell points each, one representative in each: the
+    # merge adds 406 * 7 = 2,842 cell points, which no cap of one orbit's
+    # size lets through
     assert len(reps) == 406
+    witness = merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=2842)
     assert witness == {p: p for p in reps}
+    with pytest.raises(ClosureCapExceededError, match="of 2841 cell points beyond its R = 406 "):
+        merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=2841)
+    with pytest.raises(ClosureCapExceededError):
+        merge_witnesses(reps, SIGNED_SWAP_GENS, basis, closure_cap=8)
+    # three representatives an orbit: 406 * 5 = 2,030 cell points added
     mixed = reps | {(0, b, a) for (_, a, b) in reps} | {(0, -a, b) for (_, a, b) in reps}
-    assert merge_witnesses(mixed, SIGNED_SWAP_GENS, basis, closure_cap=8) == \
+    assert merge_witnesses(mixed, SIGNED_SWAP_GENS, basis, closure_cap=2030) == \
         closure_merge_classes(mixed, SIGNED_SWAP_GENS, basis)
+    with pytest.raises(ClosureCapExceededError):
+        merge_witnesses(mixed, SIGNED_SWAP_GENS, basis, closure_cap=2029)
 
 
 def test_finalize_diagonal_reflection_classes():

@@ -85,17 +85,25 @@ def test_deterministic_across_runs():
 
 
 def test_dimension_cap():
+    # the cap counts the axes the generators move, not n
     over = DEFAULT + 1
-    swap = cycle(over, [0, 1])
+    moving = cycle(over, list(range(over)))
+    with pytest.raises(DimensionTooLargeError, match=f"move {over} axes"):
+        perm_group_order([moving], over)
     with pytest.raises(DimensionTooLargeError):
-        perm_group_order([swap], over)
+        perm_group_order([cycle(64, list(range(over))), cycle(64, [0, 1])], 64)
+    assert perm_group_order([cycle(64, list(range(DEFAULT)))], 64) == DEFAULT
+    assert perm_group_order([cycle(over, [0, 1])], over) == 2
+    assert perm_group_order([cycle(64, [7, 50]), cycle(64, [50, 63])], 64) == 6
     # the cap is a knob, not a constant
-    assert perm_group_order([swap], over, max_dimension=over) == 2
+    assert perm_group_order([moving], over, max_dimension=over) == over
     with pytest.raises(DimensionTooLargeError):
-        perm_group_order([(1, 0, 2)], 3, max_dimension=2)
-    # no generator, no chain to build: the cap does not apply
+        perm_group_order([(1, 2, 0)], 3, max_dimension=2)
+    assert perm_group_order([(1, 0, 2)], 3, max_dimension=2) == 2
+    # no moved axis, no chain to build: the cap does not apply
     assert perm_group_order([], over) == 1
     assert perm_group_order([], 10**6) == 1
+    assert perm_group_order([tuple(range(over))], over, max_dimension=1) == 1
 
 
 def test_rejects_non_permutations():

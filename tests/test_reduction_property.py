@@ -9,14 +9,17 @@ tests/reference.py, and in any order of the representatives it roots each
 orbit at its first one. The edges it skips join nothing: it gives the
 roots of the walk that skips none, or trips the closure cap with the same
 message, and a mutant that skips a 3-cycle's edges as an involution's
-does not. The exact check of --oracle-check passes every run, at every
-lattice rank, and at n = 6 to 12 with a lattice rank below n.
+does not. The closure cap counts the cell points the merge adds: a cap
+of that count passes, through the merge, stage 2 and the exact check, and
+one less fails. The exact check of --oracle-check passes every run, at
+every lattice rank, and at n = 6 to 12 with a lattice rank below n.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
 """
 
 from functools import partial
+from itertools import count
 
 import pytest
 
@@ -222,6 +225,34 @@ def test_the_exact_check_passes_wide_runs_of_lower_rank(case):
     assert first_failure(stage1, run_stage2(stage1, points)) is None
 
 
+def added_cell_points(reps, gens, basis):
+    """(roots, v): the uncapped merge's roots of the list reps, and v, the
+    cell points it adds beyond them."""
+    index = dict(zip(reps, count()))
+    roots = isorbit.labeling.merge_classes_generators(index, gens, basis, DEFAULT_CLOSURE_CAP)
+    return roots, len(index) - len(reps)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.one_of(ranked_generators_and_points(), wide_generators_and_points()))
+def test_a_cap_of_the_added_cell_points_passes_and_one_less_fails(case):
+    stage1, points = case
+    basis, gens = stage1.basis, stage1.gens.rotation_generators()
+    reps = sorted(reduce_points(basis, points)[0])
+    roots, v = added_cell_points(reps, gens, basis)
+    hypothesis.event("no cell point added" if v == 0 else "cell points added")
+    assert merge_list(reps, gens, basis, v) == roots
+    assert full_walk_merge_classes(reps, gens, basis, v) == roots
+    stage2 = run_stage2(stage1, points, v)
+    assert first_failure(stage1, stage2, v) is None
+    if v:
+        for merge in (merge_list, full_walk_merge_classes):
+            with pytest.raises(ClosureCapExceededError):
+                merge(reps, gens, basis, v - 1)
+        with pytest.raises(ClosureCapExceededError):
+            run_stage2(stage1, points, v - 1)
+
+
 def roots_or_error(merge, reps, gens, basis, closure_cap):
     """The roots that merge gives the list reps, or the message of the
     closure cap it tripped."""
@@ -248,20 +279,31 @@ def test_pruned_merge_matches_the_full_walk(case, rng, closure_cap):
     pruned = roots_or_error(merge_list, reps, gens, basis, closure_cap)
     hypothesis.event("cap tripped" if isinstance(pruned, str) else "cap kept")
     assert pruned == roots_or_error(full_walk_merge_classes, reps, gens, basis, closure_cap)
+    # both walks pass at the count v of cell points added and fail below it
+    roots, v = added_cell_points(reps, gens, basis)
+    assert isinstance(pruned, str) == (closure_cap < v)
+    for cap in (v - 1, v) if v else (0,):
+        pruned = roots_or_error(merge_list, reps, gens, basis, cap)
+        assert pruned == roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
+        assert pruned == (roots if cap == v else
+                          "the class merge passed the closure cap of %d cell points "
+                          "beyond its R = %d representatives" % (cap, len(reps)))
 
 
 def test_a_3_cycle_skipped_as_an_involution_fails():
     # the orbit of (0, 1, 2) under the 3-cycle has three cell points at
     # rank 0 and at rank 1, and the walk reaches the third only as the
-    # cycle's image of a point the cycle found itself
+    # cycle's image of a point the cycle found itself; the full walk adds
+    # 2 cell points for the one representative, 4 for the two at rank 1
     mutant = mutant_module(isorbit.labeling, [
         ("_fixes_the_cell(basis, *_squared(r))", "_fixes_the_cell(basis, (1,) * n, range(n))")])
     gens = [SignedPermutation.permutation((1, 2, 0))]
     cases = [([(0, 1, 2)], hnf_reduce([], 3), cap) for cap in (1, 2, 3, DEFAULT_CLOSURE_CAP)]
-    cases += [([(0, 1, 2), (0, 2, 1)], hnf_reduce([(1, 1, 1)], 3), cap) for cap in (2, 3)]
+    cases += [([(0, 1, 2), (0, 2, 1)], hnf_reduce([(1, 1, 1)], 3), cap) for cap in (2, 3, 4)]
     for reps, basis, cap in cases:
-        assert roots_or_error(merge_list, reps, gens, basis, cap) == \
-            roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
+        full = roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
+        assert roots_or_error(merge_list, reps, gens, basis, cap) == full
+        assert isinstance(full, str) == (cap < 2 * len(reps))
     mutant_merge = partial(merge_list, merge=mutant.merge_classes_generators)
     assert any(roots_or_error(mutant_merge, reps, gens, basis, cap)
                != roots_or_error(full_walk_merge_classes, reps, gens, basis, cap)
