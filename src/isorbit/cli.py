@@ -43,7 +43,8 @@ writes and passes a longer one straight through. Lines end in LF on
 every platform.
 
 Exit status: 0 on success, 1 on any error (a machine-readable JSON error
-object is printed on stderr), 2 on bad command lines (a usage line and an
+object is printed on stderr; running out of memory is one too, an
+"OutOfMemory" object), 2 on bad command lines (a usage line and an
 "isorbit: error:" line on stderr), 3 when --oracle-check, an exact check
 of the written run (check.py), fails: one "OracleMismatch" object whose
 "check" field names the failed check.
@@ -461,7 +462,12 @@ def run(args: SimpleNamespace) -> int:
     except OSError as e:
         _emit_error("IOError", str(e))
         return 1
-    return 0
+    except MemoryError:
+        pass  # reported below, once the frames the error holds are freed
+    else:
+        return 0
+    _emit_error("OutOfMemory", "the run ran out of memory")
+    return 1
 
 
 def _file(value: str) -> str:

@@ -24,6 +24,19 @@ Two kinds of edge are known to join nothing, and the merge skips them
 without changing a root or where the cap trips: every edge of a generator
 that fixes each cell point, and the edge from a generator R back to the
 points R found the round before, when R is an involution on the cell.
+Both tests take (R - I)·e_j, of at most two nonzero entries, for each axis
+j that R moves or negates, and reduce it sparsely (lattice.in_lattice), so
+they cost what R moves and the rows they use, not n^2.
+
+When the generators split the axes into blocks that none of them couples
+(pipeline.axis_blocks), G is the direct product of the blocks' groups and
+L the direct sum of their lattices, so two representatives share an orbit
+exactly when their projections do in every block. merge_classes_blocks
+then runs the merge above on each block's distinct projections, only in
+the blocks whose rotations move their cells, and never walks the product
+orbit; a representative's root is the first one whose roots agree with
+its own in every block. With one block stage 2 calls
+merge_classes_generators itself.
 
 Stage 2 then opens a class at each root, which numbers the classes in
 the order of their smallest points (see pipeline.run_stage2), and records
@@ -35,17 +48,18 @@ OrbitLabeling is the same partition with the points listed.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import compress, count
-from operator import itemgetter, ne, neg
+from itertools import compress, count, repeat
+from operator import add, itemgetter, mul, ne, neg
 from types import MappingProxyType
 
 from ._record import record
 from .domain import Box, SortedPoints
 from .errors import ClosureCapExceededError, DimensionMismatchError, InputError
 from .isometry import Point, SignedPermutation
-from .lattice import LatticeBasis, reduce_columns
+from .lattice import LatticeBasis, in_lattice, reduce_columns
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 
@@ -93,12 +107,7 @@ def merge_classes_generators(
     """
     n = basis.n
     gens = list(rotation_gens)
-    for k in set(map(len, index)) | {r.n for r in gens}:
-        if k != n:
-            raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
-    wrong = next(compress(enumerate(index.values()), map(ne, index.values(), count())), None)
-    if wrong:
-        raise InputError("representative {0} is numbered {1!r}, not {0}".format(*wrong))
+    _check_numbering(index, gens, n)
     reps = len(index)  # numbered 0..reps-1
     limit = reps + closure_cap  # the most cell points the merge may hold
     parent = list(range(reps))
@@ -112,11 +121,10 @@ def merge_classes_generators(
         return root
 
     gens = [r for r in gens if not _fixes_the_cell(basis, r.signs, r.perm)]
-    # R is an involution on the cell: R^2 fixes it, and R maps every
-    # Hermite row b into the lattice
-    involution = [_fixes_the_cell(basis, *_squared(r)) and _reduce_to_zero(
-        basis, [[s * b[p] for b in basis.hnf_rows] for s, p in zip(r.signs, r.perm)])
-        for r in gens]
+    # R is an involution on the cell: R^2 fixes it, and R maps the lattice
+    # into itself
+    involution = [_fixes_the_cell(basis, *_squared(r)) and _maps_the_lattice_into_itself(basis, r)
+                  for r in gens]
     # (finder, points, ids): the points each generator found last round, by
     # its index in gens (None for the representatives), in id order
     frontier = [(None, index, range(reps))]
@@ -141,9 +149,7 @@ def merge_classes_generators(
                     j = index.get(q)
                     if j is None:
                         if len(parent) >= limit:
-                            raise ClosureCapExceededError(
-                                f"the class merge passed the closure cap of {closure_cap} "
-                                f"cell points beyond its R = {reps} representatives")
+                            raise _cap_error(closure_cap, reps)
                         index[q] = len(parent)
                         parent.append(a)
                         fresh.append(q)
@@ -162,20 +168,113 @@ def merge_classes_generators(
     return parent[:reps]  # its ints are parent's: a root list adds no int
 
 
-def _reduce_to_zero(basis: LatticeBasis, cols: list[list[int]]) -> bool:
-    """Whether every point held as coordinate columns reduces to 0."""
-    if cols:
-        reduce_columns(basis, cols)
-    return not any(map(any, cols))
+@record(frozen=True)
+class AxisBlock:
+    """Axes that no generator couples with the others (see
+    pipeline.axis_blocks). rotations are the rotation generators that touch
+    the block, and basis the Hermite rows whose pivots lie in it, all
+    restricted to its axes: the block's own group and lattice, in Z^k for
+    its k axes."""
+
+    axes: tuple[int, ...]
+    rotations: tuple[SignedPermutation, ...]
+    basis: LatticeBasis
+
+
+def merge_classes_blocks(
+    index: dict[Point, int],
+    blocks: Sequence[AxisBlock],
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> array:
+    """The roots of merge_classes_generators, found block by block.
+
+    Every generator lies in one block, so G is the direct product of the
+    blocks' groups and L the direct sum of their lattices: two
+    representatives share an orbit exactly when their projections share
+    one in every block, and a representative's projection on a block is
+    already reduced in the block's lattice. index numbers the
+    representatives 0..R-1, as for merge_classes_generators, and is left
+    empty.
+
+    Each block whose rotations move its cell is a part, merged on its own
+    distinct projections, numbered in the order first met, by
+    merge_classes_generators; the axes of all the other blocks form one
+    more part, whose projection's number is its root. A part's projections
+    stream out of index into a 4-byte number a representative, and only
+    its distinct projections are held, one part at a time. closure_cap
+    bounds the cell points added over all parts, and the error names the
+    whole merge's cap and R. Once index is cleared, one pass gives each
+    representative the first one whose roots agree with its own in every
+    part, keyed by one int that holds them all: the sum of each part's
+    root times the product of the earlier parts' sizes.
+    """
+    reps = len(index)
+    _check_numbering(index, (), sum(len(b.axes) for b in blocks))
+    parts, rest = [], []  # (axes, rotations, basis) of the blocks merged; the others' axes
+    for b in blocks:
+        if all(_fixes_the_cell(b.basis, r.signs, r.perm) for r in b.rotations):
+            rest += b.axes
+        else:
+            parts.append((b.axes, b.rotations, b.basis))
+    if rest:
+        parts.append((rest, (), None))
+    added = 0
+    key, stride = None, 1
+    for axes, rotations, basis in parts:
+        ids: dict[Point, int] = defaultdict(count().__next__)
+        root = array("I", map(ids.__getitem__, zip(*[map(itemgetter(a), index) for a in axes])))
+        size = len(ids)
+        if rotations:
+            try:
+                roots = merge_classes_generators(ids, rotations, basis, closure_cap - added)
+            except ClosureCapExceededError:
+                raise _cap_error(closure_cap, reps) from None
+            added += len(ids) - size
+            root = array("I", map(roots.__getitem__, root))
+        del ids
+        term = root if stride == 1 else map(mul, root, repeat(stride))
+        key = term if key is None else map(add, key, term)
+        stride *= size
+    index.clear()
+    first: dict[int, int] = {}
+    return array("I", map(first.setdefault, key, count()))
+
+
+def _check_numbering(index: dict[Point, int], rotations: Sequence[SignedPermutation],
+                     n: int) -> None:
+    """Every point and rotation is in Z^n, and index numbers its points
+    0..R-1 in insertion order."""
+    for k in set(map(len, index)) | {r.n for r in rotations}:
+        if k != n:
+            raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
+    wrong = next(compress(enumerate(index.values()), map(ne, index.values(), count())), None)
+    if wrong:
+        raise InputError("representative {0} is numbered {1!r}, not {0}".format(*wrong))
+
+
+def _cap_error(closure_cap: int, reps: int) -> ClosureCapExceededError:
+    return ClosureCapExceededError(f"the class merge passed the closure cap of {closure_cap} "
+                                   f"cell points beyond its R = {reps} representatives")
 
 
 def _fixes_the_cell(basis: LatticeBasis, signs: Sequence[int], perm: Sequence[int]) -> bool:
     """Whether the rotation y[i] = signs[i] * x[perm[i]] fixes every cell
-    point: (R - I)·e_j reduces to 0 for every axis j, so (R - I)·x does
-    for every point x. Column i holds coordinate i of each (R - I)·e_j."""
-    axes = range(basis.n)
-    return _reduce_to_zero(basis, [[s * (p == j) - (i == j) for j in axes]
-                                   for i, (s, p) in enumerate(zip(signs, perm))])
+    point: (R - I)·e_j lies in the lattice for every axis j, so (R - I)·x
+    does for every point x. R sends axis j = perm[i] to signs[i]·e_i, so
+    (R - I)·e_j is zero where R fixes axis i, and otherwise has at most two
+    nonzero entries, signs[i] at i and -1 at j, tested sparsely."""
+    return all(in_lattice(basis, {i: s - 1} if p == i else {i: s, p: -1})
+               for i, (s, p) in enumerate(zip(signs, perm)) if p != i or s != 1)
+
+
+def _maps_the_lattice_into_itself(basis: LatticeBasis, r: SignedPermutation) -> bool:
+    """Whether R·b lies in the lattice for every Hermite row b; R·b holds
+    signs[i]·b[perm[i]] at the axis i that R sends each nonzero b[perm[i]] to."""
+    sent_to = [0] * len(r.perm)
+    for i, p in enumerate(r.perm):
+        sent_to[p] = i
+    return all(in_lattice(basis, {sent_to[a]: r.signs[sent_to[a]] * b for a, b in entries})
+               for _c, _p, entries in basis.echelon)
 
 
 def _squared(r: SignedPermutation) -> tuple[list[int], list[int]]:

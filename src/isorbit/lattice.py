@@ -66,6 +66,16 @@ class LatticeBasis:
             out.append((c, row[c], tuple((i, b) for i, b in enumerate(row) if b)))
         return tuple(out)
 
+    @cached_property
+    def by_pivot(self) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+        """Pivot column c -> (pivot p, the row's nonzero (index, entry) pairs)."""
+        return {c: (p, entries) for c, p, entries in self.echelon}
+
+    @cached_property
+    def support(self) -> frozenset[int]:
+        """The axes where some Hermite row is nonzero."""
+        return frozenset(i for _c, _p, entries in self.echelon for i, _b in entries)
+
 
 def reduce_columns(basis: LatticeBasis, cols: list[list[int]]) -> None:
     """Reduce every point held as coordinate columns, in place.
@@ -85,6 +95,36 @@ def reduce_columns(basis: LatticeBasis, cols: list[list[int]]) -> None:
                 else:
                     cols[i] = [a - k * b for a, k in zip(cols[i], q)]
         cols[c] = [v % p for v in pivot] if p != 1 else [0] * len(pivot)
+
+
+def in_lattice(basis: LatticeBasis, w: dict[int, int]) -> bool:
+    """Whether the vector w, held as {axis: nonzero entry}, lies in the
+    lattice; w is used up. An entry on an axis where every Hermite row is
+    zero decides at once. Otherwise w is reduced through the rows whose
+    pivots fall in its support, in pivot order: its first nonzero axis must
+    be a pivot column c and its entry there a multiple of the pivot, or w
+    is outside the lattice; subtracting that multiple of c's row clears c
+    and changes only axes right of it. So the work grows with the rows
+    used, not with n.
+    """
+    if not basis.support.issuperset(w):
+        return False
+    rows = basis.by_pivot
+    while w:
+        c = min(w)
+        if c not in rows:
+            return False
+        p, entries = rows[c]
+        q, rest = divmod(w.pop(c), p)
+        if rest:
+            return False
+        for i, b in entries[1:]:  # entries[0] is the pivot
+            v = w.get(i, 0) - q * b
+            if v:
+                w[i] = v
+            else:
+                del w[i]
+    return True
 
 
 def _pivot_col(row: Sequence[int]) -> int:

@@ -3,7 +3,10 @@
 Stage 1 depends only on the generating set and is reusable across point
 sets; stage 2 projects the points and merges translation classes under the
 rotation action. Both stages run fixed-point loops over the generators and
-never enumerate the rotation subgroup.
+never enumerate the rotation subgroup. Stage 1 also splits the axes into
+the blocks that no generator couples (axis_blocks); with several blocks,
+stage 2 merges the classes block by block (labeling.merge_classes_blocks),
+and with one it runs labeling.merge_classes_generators on them all.
 
 Stage 2 reads the domain in sorted blocks (see domain.py). A box's blocks
 are translates of its first, so only that one is reduced point by point;
@@ -21,17 +24,24 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, filterfalse, repeat
 from math import prod
-from operator import gt
+from operator import gt, ne, or_
 
 from . import domain as domains
 from ._record import record
 from .domain import Box, SortedPoints, gather, sort_points
 from .errors import DimensionMismatchError
 from .gf2 import Gf2Basis, negation_basis_from_generators
-from .isometry import GeneratingSet
-from .labeling import DEFAULT_CLOSURE_CAP, OrbitLabeling, Stage2, merge_classes_generators
+from .isometry import GeneratingSet, SignedPermutation
+from .labeling import (
+    DEFAULT_CLOSURE_CAP,
+    AxisBlock,
+    OrbitLabeling,
+    Stage2,
+    merge_classes_blocks,
+    merge_classes_generators,
+)
 from .lattice import LatticeBasis, reduce_columns, translation_basis_from_generators
 from .permgroup import DEFAULT_MAX_DIMENSION, perm_group_order
 
@@ -44,6 +54,7 @@ class Stage1:
     neg_basis: Gf2Basis
     perm_order: int
     basis: LatticeBasis
+    blocks: tuple[AxisBlock, ...]
 
     @property
     def rotation_order(self) -> int:
@@ -63,7 +74,78 @@ def run_stage1(gens: GeneratingSet, max_dimension: int = DEFAULT_MAX_DIMENSION) 
     neg_basis = negation_basis_from_generators(gens.negation_rotations(), perm_tuples, n)
     basis = translation_basis_from_generators(
         gens.translation_vectors(), gens.rotation_generators(), n)
-    return Stage1(gens, neg_basis, perm_order, basis)
+    return Stage1(gens, neg_basis, perm_order, basis, axis_blocks(gens, basis))
+
+
+def axis_blocks(gens: GeneratingSet, basis: LatticeBasis) -> tuple[AxisBlock, ...]:
+    """The finest split of the axes into blocks that no generator couples,
+    in the order of their first axes, from one union-find over the axes
+    each generator touches: a translation's nonzero entries, and all the
+    axes a negation or a permutation moves or negates. A permutation's
+    cycles share a block: (1 2)(3 4) is one generator, and the group it
+    makes is not the product of the groups of its two swaps. The axes
+    that no generator touches form one block when the touched axes make
+    two or more; with at most one, all the axes are one block.
+
+    Each block gets the rotation generators that touch it and the Hermite
+    rows whose pivots lie in it, restricted to its axes. The lattice is the
+    span of G·V, V the translations, and the part of G outside a
+    translation's block fixes it, so L is the direct sum of the blocks'
+    lattices. Their Hermite rows, sorted by pivot, form a Hermite form,
+    since entries above a pivot from another block are 0; Hermite forms
+    are unique, so those are L's rows, and each lies in its pivot's block.
+    One block, of axes range(n), keeps the rotation generators and the
+    basis as they are, and lists no axis. The work is O(n) a generator,
+    and with several blocks O(n) a Hermite row and for the untouched axes.
+    """
+    n = gens.n
+    parent: dict[int, int] = {}  # over the touched axes; the smallest root wins
+
+    def find(a: int) -> int:
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    def join(axes: list[int]) -> None:
+        for b in axes:
+            a, b = sorted((find(axes[0]), find(b)))
+            parent[b] = a
+
+    rotations = gens.rotation_generators()
+    moved_axes = [_moved_axes(r) for r in rotations]
+    for v in gens.translation_vectors():
+        join(list(compress(count(), v)))
+    for touched in moved_axes:
+        join(touched)
+    axes: dict[int, list[int]] = defaultdict(list)  # by the block's first axis
+    for a in sorted(parent):
+        axes[find(a)].append(a)
+    if len(axes) <= 1:  # with the untouched axes, one block: no list of them
+        return (AxisBlock(range(n), tuple(rotations), basis),)
+    if len(parent) < n:
+        untouched = list(filterfalse(parent.__contains__, range(n)))
+        axes[untouched[0]] = untouched
+    rows, moved = defaultdict(list), defaultdict(list)
+    for (c, _p, _e), row in zip(basis.echelon, basis.hnf_rows):
+        rows[find(c)].append(row)  # a pivot is a touched axis
+    for r, touched in zip(rotations, moved_axes):
+        moved[find(touched[0])].append(r)
+    blocks = []
+    for first in sorted(axes):
+        ax = axes[first]
+        at = {a: i for i, a in enumerate(ax)} if moved[first] else {}
+        blocks.append(AxisBlock(
+            tuple(ax),
+            tuple(SignedPermutation(tuple(r.signs[a] for a in ax), tuple(at[r.perm[a]] for a in ax))
+                  for r in moved[first]),
+            LatticeBasis(len(ax), tuple(tuple(row[a] for a in ax) for row in rows[first]))))
+    return tuple(blocks)
+
+
+def _moved_axes(r: SignedPermutation) -> list[int]:
+    """The axes r moves or negates, in order."""
+    return list(compress(count(), map(or_, map(ne, r.perm, count()), map(ne, r.signs, repeat(1)))))
 
 
 def run_stage2(
@@ -97,8 +179,11 @@ def run_stage2(
     basis = stage1.basis
     index = defaultdict(count().__next__)  # representative -> its number
     loc, ids, ends = _numbered_blocks(domain, basis, index)
-    root = merge_classes_generators(index, stage1.gens.rotation_generators(), basis, closure_cap)
-    del index  # now it holds the merge's cell points too
+    if len(stage1.blocks) == 1:
+        root = merge_classes_generators(index, stage1.blocks[0].rotations, basis, closure_cap)
+    else:
+        root = merge_classes_blocks(index, stage1.blocks, closure_cap)
+    del index  # it holds the merge's cell points too, or nothing
     class_of_rep: list[int] = []
     classes = 0
     for r, t in enumerate(root):

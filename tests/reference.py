@@ -15,6 +15,13 @@ nothing; full_walk_merge_classes below is the same walk with every edge,
 witness_merge_classes the full walk over the sorted representatives read
 as a witness dict, and closure_merge_classes an earlier form still, one
 witness's closure at a time, one point at a time. All are kept as oracles.
+dense_fixes_the_cell and dense_maps_the_lattice_into_itself are the dense
+forms of the merge's two cell tests, which now reduce sparse vectors.
+reference_axis_blocks finds the axis blocks that no generator couples by
+merging overlapping axis sets, with no union-find; block_walk_added
+counts the cell points the block merge adds by an orbit walk one point at
+a time in each block (walk_added), under the generators and rows that
+restricted_to restricts to it.
 
 The production reduction walks the Hermite-normal-form echelon over whole
 coordinate columns; reduce_mod_lattice below takes the same steps one point
@@ -369,6 +376,85 @@ def full_walk_merge_classes(
                     parent[b] = a
         frontier, ids = fresh, fresh_ids
     return list(map(find, range(len(reps))))
+
+
+def dense_fixes_the_cell(basis: LatticeBasis, signs: Sequence[int], perm: Sequence[int]) -> bool:
+    """Whether the rotation y[i] = signs[i] * x[perm[i]] fixes every cell
+    point, by the dense test that the sparse labeling._fixes_the_cell
+    replaced: the n x n matrix of every (R - I)·e_j, held as coordinate
+    columns (column i holds coordinate i of each) and reduced whole."""
+    axes = range(basis.n)
+    cols = [[s * (p == j) - (i == j) for j in axes] for i, (s, p) in enumerate(zip(signs, perm))]
+    if cols:
+        reduce_columns(basis, cols)
+    return not any(map(any, cols))
+
+
+def dense_maps_the_lattice_into_itself(basis: LatticeBasis, r: SignedPermutation) -> bool:
+    """Whether R·b reduces to 0 for every Hermite row b, over dense columns."""
+    cols = [[s * b[p] for b in basis.hnf_rows] for s, p in zip(r.signs, r.perm)]
+    if cols:
+        reduce_columns(basis, cols)
+    return not any(map(any, cols))
+
+
+def reference_axis_blocks(gens: GeneratingSet) -> list[tuple[int, ...]]:
+    """The axis blocks that no generator couples, sorted, by merging sets:
+    the axes each generator touches (a translation's nonzero entries, the
+    axes a rotation moves or negates) are one set, and each set absorbs
+    every block it shares an axis with. With two blocks or more the
+    untouched axes form one more; otherwise every axis is one block."""
+    sets = [{i for i, x in enumerate(v) if x} for v in gens.translation_vectors()]
+    sets += [{i for i, (s, p) in enumerate(zip(r.signs, r.perm)) if p != i or s != 1}
+             for r in gens.rotation_generators()]
+    blocks: list[set[int]] = []
+    for axes in filter(None, sets):
+        for b in [b for b in blocks if b & axes]:
+            axes |= b
+            blocks.remove(b)
+        blocks.append(axes)
+    untouched = set(range(gens.n)).difference(*blocks)
+    if untouched and len(blocks) > 1:
+        blocks.append(untouched)
+    return sorted(map(tuple, map(sorted, blocks))) if len(blocks) > 1 else [tuple(range(gens.n))]
+
+
+def restricted_to(axes: Sequence[int], rotations: Iterable[SignedPermutation],
+                  basis: LatticeBasis) -> tuple[list[SignedPermutation], LatticeBasis]:
+    """The rotations and Hermite rows that touch the axes, restricted to them."""
+    at = {a: i for i, a in enumerate(axes)}
+    rots = [SignedPermutation(tuple(r.signs[a] for a in axes), tuple(at[r.perm[a]] for a in axes))
+            for r in rotations if any(r.perm[a] != a or r.signs[a] != 1 for a in axes)]
+    rows = [tuple(b[a] for a in axes) for b in basis.hnf_rows if any(b[a] for a in axes)]
+    return rots, LatticeBasis(len(axes), tuple(rows))
+
+
+def walk_added(reps: Iterable[Point], rotation_gens: Sequence[SignedPermutation],
+               basis: LatticeBasis) -> int:
+    """The cell points in the orbits of the representatives beyond them, by
+    a walk one point at a time: the count a merge that closes every orbit
+    adds, and so the smallest closure cap it passes."""
+    seen = set(map(tuple, reps))
+    todo, start = list(seen), len(seen)
+    for p in todo:  # todo grows as the walk finds cell points
+        for r in rotation_gens:
+            q = rotate_mod_lattice(basis, r, p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen) - start
+
+
+def block_walk_added(gens: GeneratingSet, basis: LatticeBasis, reps: Iterable[Point]) -> int:
+    """The cell points the merge adds over all axis blocks: in each block of
+    reference_axis_blocks, walk_added from the distinct projections of the
+    representatives, under the generators and rows restricted to it."""
+    reps = list(reps)
+    added = 0
+    for axes in reference_axis_blocks(gens):
+        rots, sub = restricted_to(axes, gens.rotation_generators(), basis)
+        added += walk_added({tuple(p[a] for a in axes) for p in reps}, rots, sub)
+    return added
 
 
 def merge_classes_group(

@@ -412,10 +412,13 @@ def test_run_oracle_check_reports_diff(tmp_path, capsys, monkeypatch):
 
 
 def _with_basis(rows):
-    """A run_stage1 that puts the lattice of the rows in place of the basis."""
+    """A run_stage1 that puts the lattice of the rows in place of the basis,
+    split into the generators' axis blocks."""
     def run(gens, max_dimension):
         s = run_stage1(gens, max_dimension)
-        return isorbit.pipeline.Stage1(gens, s.neg_basis, s.perm_order, hnf_reduce(rows, gens.n))
+        basis = hnf_reduce(rows, gens.n)
+        return isorbit.pipeline.Stage1(gens, s.neg_basis, s.perm_order, basis,
+                                       isorbit.pipeline.axis_blocks(gens, basis))
     return run
 
 
@@ -554,6 +557,36 @@ def test_no_stdout_gives_an_io_error_and_writes_nothing(tmp_path, capsys, monkey
         "error": "IOError", "message": "no standard output to write to"}
 
 
+# the child caps its own address space at 48 MB past what it maps once
+# isorbit is imported; parsing 400,000 points needs more than that
+OUT_OF_MEMORY = """\
+import re, resource, sys
+from isorbit.cli import main
+with open("/proc/self/status", encoding="ascii") as f:
+    mapped = int(re.search(r"VmSize:\\s+(\\d+) kB", f.read())[1]) << 10
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = mapped + (48 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_running_out_of_memory_is_one_json_error(tmp_path):
+    gens = write(tmp_path / "gens.json", {"n": 4, "generators": [
+        {"type": "translation", "v": [0, 1, 1, 0]}]})
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [%s]}' % ",".join(
+        f"[{i}, {i + 1}, {i + 2}, {i + 3}]" for i in range(400_000)), encoding="ascii")
+    out = tmp_path / "out.tsv"
+    done = _python(OUT_OF_MEMORY, "--gens", gens, "--domain", points, "--format", "tsv",
+                   "--output", out)
+    assert done.returncode == 1 and not done.stdout and not out.exists()
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "OutOfMemory", "message": "the run ran out of memory"}
+
+
 def test_the_output_joins_small_pieces_into_64_kb_writes(tmp_path, monkeypatch, capfd):
     # the JSON writer makes pieces of a few bytes to a few KB; the output
     # file's buffer copies them and writes when the next piece does not
@@ -682,13 +715,13 @@ def test_a_box_of_distinct_representatives_holds_at_most_370_bytes_per_point(tmp
     # every point of 0..0,0..N,0..0,0..0 is its own representative under
     # this rank-2 lattice, so stage 2 moves the first block's points, not
     # its representatives, and holds what the merge of N representatives
-    # holds: 357.4 bytes a point on Python 3.11 (351.6 in a fresh process).
-    # The peak comes while the merge reduces a column of a generator's
-    # images: the representative tuples (76) and stage 2's dict of them,
-    # which the merge extends (69), the quotient column and the new column
-    # with their ints (41 each), the union-find parents (40), the
-    # representatives' columns (34) and coordinate ints (32), and three
-    # lists or arrays of 4 to 9 bytes
+    # holds: 308.4 bytes a point on Python 3.11. The generators split the
+    # axes into the blocks {0} and {1, 2, 3}, and only the flip of axis 0
+    # moves a cell point, so the merge runs on the one value of axis 0 and
+    # numbers the projections on axes 1 to 3 together. The peak comes while
+    # it numbers those: the representative tuples (72) and stage 2's dict
+    # of them (68), their coordinate ints (32), the projection tuples (64)
+    # and their dict (68), and the 4-byte numbers
     gens_doc = {"n": 4, "generators": [
         {"type": "translation", "v": [0, 1, 1, 0]},
         {"type": "negation", "signs": [-1, 1, 1, 1]},

@@ -30,6 +30,7 @@ from isorbit import (
     run_stage2,
     validate_atomic,
 )
+from isorbit.labeling import AxisBlock
 
 SWAP = SignedPermutation.permutation((1, 0))
 FLIP = SignedPermutation.negation((-1, -1))
@@ -66,7 +67,12 @@ RECORDS = {
                       lambda: compute_orbits(_gens(Isometry.rotation(FLIP)), BOX),
                       lambda: compute_orbits(_gens(Isometry.rotation(FLIP)), BOX[::-1]),
                       lambda: compute_orbits(_gens(), BOX)),
-    "Stage1": (Stage1, ("gens", "neg_basis", "perm_order", "basis"),
+    "AxisBlock": (AxisBlock, ("axes", "rotations", "basis"),
+                  lambda: AxisBlock((0, 1), (SWAP,), hnf_reduce([(1, 1)], 2)),
+                  lambda: AxisBlock((0, 1), (SignedPermutation((1, 1), (1, 0)),),
+                                    hnf_reduce([(2, 2), (1, 1)], 2)),
+                  lambda: AxisBlock((0, 1), (), hnf_reduce([(1, 1)], 2))),
+    "Stage1": (Stage1, ("gens", "neg_basis", "perm_order", "basis", "blocks"),
                lambda: run_stage1(_gens(Isometry.rotation(FLIP))),
                lambda: run_stage1(_gens(Isometry.rotation(FLIP))),
                lambda: run_stage1(_gens(Isometry.rotation(SWAP)))),

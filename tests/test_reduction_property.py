@@ -9,9 +9,10 @@ tests/reference.py, and in any order of the representatives it roots each
 orbit at its first one. The edges it skips join nothing: it gives the
 roots of the walk that skips none, or trips the closure cap with the same
 message, and a mutant that skips a 3-cycle's edges as an involution's
-does not. The closure cap counts the cell points the merge adds: a cap
-of that count passes, through the merge, stage 2 and the exact check, and
-one less fails. The exact check of --oracle-check passes every run, at
+does not. The closure cap counts the cell points the merge adds over all
+axis blocks: a cap of the count that an orbit walk in each block finds
+passes, through stage 2 and the exact check (and, with one block, through
+the merge and the full walk), and one less fails. The exact check of --oracle-check passes every run, at
 every lattice rank, and at n = 6 to 12 with a lattice rank below n.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
@@ -40,6 +41,7 @@ from isorbit.check import first_failure  # noqa: E402
 from isorbit.labeling import DEFAULT_CLOSURE_CAP  # noqa: E402
 from conftest import merge_list, merge_witnesses, mutant_module  # noqa: E402
 from reference import (  # noqa: E402
+    block_walk_added,
     build_pseudoinverse,
     closure_merge_classes,
     full_walk_merge_classes,
@@ -110,15 +112,16 @@ def test_batched_reduction_matches_single_point_form(case):
 
 
 @st.composite
-def ranked_generators_and_points(draw):
-    """Atomic generators whose lattice has a drawn rank 0..n, and points.
+def ranked_generators_and_points(draw, max_n=5):
+    """Atomic generators whose lattice has a drawn rank 0..n, n at most
+    max_n, and points.
 
     The translations live on `rank` chosen coordinates and the permutations
     keep those coordinates among themselves, so the rotations leave the
     lattice's span alone and a rank below n survives stage 1; the orbits
     then run off along the other coordinates, away from the domain.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     rank = draw(st.integers(0, n))
     coords = draw(st.permutations(range(n)))
     inside, outside = coords[:rank], coords[rank:]
@@ -236,21 +239,31 @@ def added_cell_points(reps, gens, basis):
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(st.one_of(ranked_generators_and_points(), wide_generators_and_points()))
 def test_a_cap_of_the_added_cell_points_passes_and_one_less_fails(case):
+    # v comes from an orbit walk in each axis block of its own, one point
+    # at a time; with one block the one-block merge and the full walk
+    # must add v cell points too
     stage1, points = case
     basis, gens = stage1.basis, stage1.gens.rotation_generators()
     reps = sorted(reduce_points(basis, points)[0])
-    roots, v = added_cell_points(reps, gens, basis)
+    v = block_walk_added(stage1.gens, basis, reps)
     hypothesis.event("no cell point added" if v == 0 else "cell points added")
-    assert merge_list(reps, gens, basis, v) == roots
-    assert full_walk_merge_classes(reps, gens, basis, v) == roots
+    hypothesis.event("one axis block" if len(stage1.blocks) == 1 else "several axis blocks")
+    labeling = run_stage2(stage1, points).labeling()
     stage2 = run_stage2(stage1, points, v)
+    assert stage2.labeling() == labeling
     assert first_failure(stage1, stage2, v) is None
     if v:
-        for merge in (merge_list, full_walk_merge_classes):
-            with pytest.raises(ClosureCapExceededError):
-                merge(reps, gens, basis, v - 1)
         with pytest.raises(ClosureCapExceededError):
             run_stage2(stage1, points, v - 1)
+    if len(stage1.blocks) == 1:
+        roots, added = added_cell_points(reps, gens, basis)
+        assert added == v
+        assert merge_list(reps, gens, basis, v) == roots
+        assert full_walk_merge_classes(reps, gens, basis, v) == roots
+        if v:
+            for merge in (merge_list, full_walk_merge_classes):
+                with pytest.raises(ClosureCapExceededError):
+                    merge(reps, gens, basis, v - 1)
 
 
 def roots_or_error(merge, reps, gens, basis, closure_cap):
