@@ -27,7 +27,6 @@ from .errors import (
     InvalidDomainError,
     InvalidRotationError,
     IsorbitError,
-    IterationCapExceededError,
     NotAtomicError,
 )
 from .gf2 import Gf2Basis, negation_basis_from_generators, rref
@@ -60,7 +59,6 @@ __all__ = [
     "InvalidRotationError",
     "Isometry",
     "IsorbitError",
-    "IterationCapExceededError",
     "LatticeBasis",
     "NotAtomicError",
     "OrbitLabeling",

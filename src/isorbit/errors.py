@@ -27,10 +27,6 @@ class DimensionTooLargeError(IsorbitError):
     code = "DimensionTooLarge"
 
 
-class IterationCapExceededError(IsorbitError):
-    code = "IterationCapExceeded"
-
-
 class ClosureCapExceededError(IsorbitError):
     code = "ClosureCapExceeded"
 

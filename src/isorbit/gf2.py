@@ -88,16 +88,16 @@ def negation_basis_from_generators(
     their conjugates under the group the permutation generators generate.
 
     Touches only the generators: conjugates the current basis rows by each
-    generator, re-reduces, and repeats until the basis stops changing. Every
-    update strictly raises the dimension, so at most n updates can happen.
+    generator, re-reduces, and repeats until the basis stops changing. That
+    ends by itself: an update keeps the old rows, so it strictly raises the
+    dimension, and there are at most n updates, n + 2 calls of rref in all.
     """
     perm_list = [tuple(p) for p in perm_gens]
     basis = rref([mask_of(g) for g in negations], n)
-    for _ in range(n + 1):
+    while True:
         masks = list(basis.rows)
         masks.extend(permute_mask(row, p) for row in basis.rows for p in perm_list)
         updated = rref(masks, n)
         if updated == basis:
             return basis
         basis = updated
-    raise AssertionError("negation basis failed to stabilize")  # unreachable

@@ -104,10 +104,6 @@ class Isometry:
         return self.r.n
 
     @classmethod
-    def identity(cls, n: int) -> "Isometry":
-        return cls((0,) * n, SignedPermutation.identity(n))
-
-    @classmethod
     def translation(cls, v: Sequence[int]) -> "Isometry":
         return cls(tuple(v), SignedPermutation.identity(len(v)))
 

@@ -34,7 +34,7 @@ from functools import cached_property
 from operator import sub
 
 from ._record import record
-from .errors import DimensionMismatchError, IterationCapExceededError
+from .errors import DimensionMismatchError
 from .isometry import Point, SignedPermutation, int_tuple
 
 
@@ -190,21 +190,21 @@ def translation_basis_from_generators(
     vectors: Iterable[Sequence[int]],
     rotation_gens: Iterable[SignedPermutation],
     n: int,
-    max_iterations: int | None = None,
 ) -> LatticeBasis:
     """Lattice generated by the vectors and all their images under the
     rotation group the generators generate.
 
     Touches only the generators: conjugates the current basis rows by each
     generator, re-reduces, and repeats until the Hermite form stops changing.
-    Unlike the boolean case there is no rank-increase guarantee per update,
-    hence no a-priori iteration bound; the cap (default 64*n) turns a
-    would-be hang into an error and is far above anything observed.
+    It ends by itself. Each lattice lies in S = span(G·V), G the group and
+    V the vectors, and a pass keeps the old rows, so one that changes the
+    form enlarges the lattice: it raises the rank, at most rank(S) times,
+    or at least halves a finite index. Pass k holds V's images under all
+    words of k generators, so at most d + 1 passes run, d G's Cayley diameter.
     """
     gens = list(rotation_gens)
-    cap = max_iterations if max_iterations is not None else 64 * max(n, 1)
     basis = hnf_reduce([tuple(v) for v in vectors], n)
-    for _ in range(cap):
+    while True:
         rows = set(basis.hnf_rows)
         for b in basis.hnf_rows:
             for r in gens:
@@ -213,5 +213,3 @@ def translation_basis_from_generators(
         if updated == basis:
             return basis
         basis = updated
-    raise IterationCapExceededError(
-        f"translation basis did not stabilize within {cap} iterations")

@@ -11,6 +11,7 @@ from conftest import (
     random_signed_permutation,
     signed_perm_matrix,
 )
+import isorbit.gf2
 from isorbit import (
     DimensionMismatchError,
     SignedPermutation,
@@ -111,6 +112,25 @@ def test_negation_basis_generators_without_permutations():
     basis = negation_basis_from_generators(
         [negation_of(m, 3) for m in masks], [], 3)
     assert basis == rref(masks, 3)
+
+
+def test_negation_basis_generators_fill_z32_within_n_plus_2_reductions(monkeypatch):
+    # each update keeps the old rows and raises the dimension, so the loop
+    # reduces once, then at most n times with a change and once without
+    n = 32
+    calls = []
+    real = isorbit.gf2.rref
+
+    def counted(masks, n):
+        calls.append(n)
+        return real(masks, n)
+
+    monkeypatch.setattr(isorbit.gf2, "rref", counted)
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple((i + 1) % n for i in range(n))
+    basis = negation_basis_from_generators([neg(-1, *[1] * (n - 1))], [swap, cycle], n)
+    assert basis.dim == n
+    assert len(calls) <= n + 2
 
 
 def test_negation_basis_variants_agree():

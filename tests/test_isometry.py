@@ -31,7 +31,7 @@ def test_apply_cyclic_shift_matches_matrix_oracle():
 
 
 def test_apply_identity():
-    assert apply(Isometry.identity(2), (5, -7)) == (5, -7)
+    assert apply(Isometry.translation((0, 0)), (5, -7)) == (5, -7)
 
 
 def test_apply_shift_after_point_reflection():
@@ -41,7 +41,7 @@ def test_apply_shift_after_point_reflection():
 
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        apply(Isometry.identity(2), (1, 2, 3))
+        apply(Isometry.translation((0, 0)), (1, 2, 3))
 
 
 def test_squared_distance_is_preserved():
@@ -90,8 +90,8 @@ def test_validate_atomic_dimension_mismatch():
 
 
 def test_validate_atomic_identity_counts_as_translation():
-    gens = validate_atomic([Isometry.identity(2)], 2)
-    assert gens.translations == (Isometry.identity(2),)
+    gens = validate_atomic([Isometry.translation((0, 0))], 2)
+    assert gens.translations == (Isometry.translation((0, 0)),)
     assert gens.negations == () and gens.permutations == ()
 
 

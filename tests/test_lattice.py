@@ -4,14 +4,19 @@ from random import Random
 import pytest
 
 from conftest import exact_lattice_member, random_signed_permutation
+import isorbit.lattice
 from isorbit import (
     DimensionMismatchError,
     InputError,
-    IterationCapExceededError,
+    Isometry,
     SignedPermutation,
     hnf_reduce,
+    run_stage1,
+    run_stage2,
     translation_basis_from_generators,
+    validate_atomic,
 )
+from isorbit.check import first_failure
 from isorbit.permgroup import DEFAULT_MAX_DIMENSION
 from reference import (
     assemble_rotation_group,
@@ -156,18 +161,13 @@ def test_generators_variant_without_rotations():
     assert basis.hnf_rows == ((2, 2),)
 
 
-def test_generators_variant_iteration_cap():
-    with pytest.raises(IterationCapExceededError):
-        translation_basis_from_generators(
-            [(1, 0, 0)], [SignedPermutation.permutation((2, 0, 1))], 3,
-            max_iterations=1)
-
-
 @pytest.mark.parametrize("n", [10, 16, DEFAULT_MAX_DIMENSION])
 @pytest.mark.parametrize("shape", ["e0 + cycle", "e0 + swap + cycle + flip", "big + cycle"])
-def test_generators_variant_settles_far_below_the_cap(n, shape):
-    # n + 1 passes suffice, against the default cap of 64 * n, up to the
-    # default permutation-group dimension
+def test_generators_variant_settles_far_below_the_cap(n, shape, monkeypatch):
+    # the closure stops when the form stops changing, here within n + 1
+    # passes; the exact check certifies the lattice: (a) and (b) put
+    # span(G·V) inside it, and (f) rebuilds it from V with integer
+    # coefficients, so it is span(G·V)
     cycle = SignedPermutation.permutation(tuple((i + 1) % n for i in range(n)))
     swap = SignedPermutation.permutation((1, 0) + tuple(range(2, n)))
     flip = SignedPermutation.negation((-1,) + (1,) * (n - 1))
@@ -177,9 +177,21 @@ def test_generators_variant_settles_far_below_the_cap(n, shape):
         "e0 + swap + cycle + flip": ([e0], [swap, cycle, flip]),
         "big + cycle": ([(2 ** 200 + 1, 3 ** 100) + (0,) * (n - 2)], [cycle]),
     }[shape]
-    basis = translation_basis_from_generators(vectors, rotations, n, max_iterations=n + 1)
-    assert basis == translation_basis_from_generators(vectors, rotations, n)
-    assert basis.m == n
+    calls = []
+    real = isorbit.lattice.hnf_reduce
+
+    def counted(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(isorbit.lattice, "hnf_reduce", counted)
+    gens = validate_atomic([Isometry.translation(v) for v in vectors]
+                           + [Isometry.rotation(r) for r in rotations], n)
+    stage1 = run_stage1(gens)
+    assert len(calls) <= n + 2  # the first reduction, then the passes
+    monkeypatch.undo()
+    assert stage1.basis.m == n
+    assert first_failure(stage1, run_stage2(stage1, [])) is None
 
 
 def _random_rotation_generators(rng, n, count):
@@ -207,9 +219,10 @@ def test_variants_agree_on_random_instances():
     rng = Random(504)
     for _ in range(40):
         n = rng.randint(1, 5)
-        vectors = [tuple(rng.randint(-4, 4) for _ in range(n))
+        bound = rng.choice((4, 2 ** 70))  # a wide bound gives long index chains
+        vectors = [tuple(rng.randint(-bound, bound) for _ in range(n))
                    for _ in range(rng.randint(0, 4))]
-        rot_gens = _random_rotation_generators(rng, n, rng.randint(0, 3))
+        rot_gens = _random_rotation_generators(rng, n, rng.randint(0, 4))
         rot = _closure_of(rot_gens, n)
         standard = translation_basis_from_group(vectors, rot.elements, n)
         incremental = translation_basis_from_generators(vectors, rot_gens, n)

@@ -146,7 +146,7 @@ def test_public_api_is_what_a_run_calls():
         "Box", "BoxTooLargeError", "ClosureCapExceededError", "DigitLimitExceededError",
         "DimensionMismatchError", "DimensionTooLargeError", "GeneratingSet", "Gf2Basis",
         "InputError", "InvalidDomainError", "InvalidRotationError", "Isometry",
-        "IsorbitError", "IterationCapExceededError", "LatticeBasis", "NotAtomicError",
+        "IsorbitError", "LatticeBasis", "NotAtomicError",
         "OrbitLabeling", "Point", "SignedPermutation", "Stage1", "Stage2",
         "compute_labeling", "compute_orbits", "hnf_reduce", "merge_classes_generators",
         "negation_basis_from_generators", "perm_group_order", "rref", "run_stage1",
@@ -173,6 +173,10 @@ def test_public_api_is_what_a_run_calls():
     assert not hasattr(isorbit.cli, "DEFAULT_MAX_PADDING")
     assert not hasattr(isorbit.Isometry, "apply")
     assert not hasattr(isorbit.GeneratingSet, "members")
+    # and the stage-1 pass cap: both closures end when they stop growing
+    assert not hasattr(isorbit, "IterationCapExceededError")
+    assert not hasattr(isorbit.errors, "IterationCapExceededError")
+    assert not hasattr(isorbit.Isometry, "identity")
 
 
 def test_sorted_points_are_taken_as_they_are(monkeypatch):
