@@ -16,9 +16,10 @@ always keeping the smaller number as the root. Points are numbered by
 stage 2's own dict of the representatives, which holds 0..R-1 in the
 order stage 2 first met them; the merge adds the cell points it finds to
 it with larger numbers, so the root of every orbit is its first
-representative. The closure cap bounds the cell points the merge adds
-beyond the representatives, over all orbits together, so it bounds what
-the merge holds.
+representative; in Z^1 the dict may key the points by their ints. The
+closure cap bounds the cell points the merge adds beyond the
+representatives, over all orbits together, so it bounds what the merge
+holds.
 
 Two kinds of edge are known to join nothing, and the merge skips them
 without changing a root or where the cap trips: every edge of a generator
@@ -31,28 +32,27 @@ they cost what R moves and the rows they use, not n^2.
 When the generators split the axes into blocks that none of them couples
 (pipeline.axis_blocks), G is the direct product of the blocks' groups and
 L the direct sum of their lattices, so two representatives share an orbit
-exactly when their projections do in every block. merge_classes_blocks
-then runs the merge above on each block's distinct projections, only in
-the blocks whose rotations move their cells, and never walks the product
-orbit; a representative's root is the first one whose roots agree with
-its own in every block. With one block stage 2 calls
-merge_classes_generators itself.
+exactly when their projections do in every block. Stage 2 then numbers
+each block's projections as it reads the domain, and runs the merge above
+on each one's own dict, only in the blocks whose rotations move their
+cells (pipeline.axis_parts and pipeline.merge_parts), so it never walks
+the product orbit. With one block the dict holds whole representatives.
 
-Stage 2 then opens a class at each root, which numbers the classes in
-the order of their smallest points (see pipeline.run_stage2), and records
-them as a Stage2: one 4-byte class index per point of the domain, in
-sorted point order, and each label's sorted index, read off the former.
+Stage 2 then opens a class at each tuple of the parts' roots, in the
+order it read them, which numbers the classes in the order of their
+smallest points (see pipeline.run_stage2), and records them as a Stage2:
+one 4-byte class index per point of the domain, in sorted point order,
+and each label's sorted index, read off the former.
 OrbitLabeling is the same partition with the points listed.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from functools import cached_property
-from itertools import compress, count, repeat
-from operator import add, itemgetter, mul, ne, neg
+from itertools import compress, count
+from operator import itemgetter, ne, neg
 from types import MappingProxyType
 
 from ._record import record
@@ -75,11 +75,13 @@ def merge_classes_generators(
 
     index numbers the distinct representatives 0..R-1 in its insertion
     order, as defaultdict(count().__next__) numbers them; other numbers
-    raise InputError. The merge adds every cell point it visits to index,
-    numbered from R on. Returns the root of every representative: the
-    smallest number of a representative in its orbit. The frontier starts
-    as the representatives and then holds the cell points first seen in
-    the previous round; so each cell point is rotated once per generator.
+    raise InputError. In Z^1 its keys may be ints rather than 1-tuples,
+    all of them, as stage 2 keys a part of one axis. The merge adds every
+    cell point it visits to index, numbered from R on. Returns the root of
+    every representative: the smallest number of a representative in its
+    orbit. The frontier starts as the representatives and then holds the
+    cell points first seen in the previous round; so each cell point is
+    rotated once per generator.
     A point seen for the first time joins its source's component; an image
     already seen joins the two components, the smaller root winning, so
     every root is a representative.
@@ -107,7 +109,7 @@ def merge_classes_generators(
     """
     n = basis.n
     gens = list(rotation_gens)
-    _check_numbering(index, gens, n)
+    flat = _check_numbering(index, gens, n)
     reps = len(index)  # numbered 0..reps-1
     limit = reps + closure_cap  # the most cell points the merge may hold
     parent = list(range(reps))
@@ -129,8 +131,8 @@ def merge_classes_generators(
     # its index in gens (None for the representatives), in id order
     frontier = [(None, index, range(reps))]
     while frontier and gens:
-        groups = [(g, [list(map(itemgetter(j), pts)) for j in range(n)], ids)
-                  for g, pts, ids in frontier]
+        groups = [(g, [list(pts)] if flat else [list(map(itemgetter(j), pts)) for j in range(n)],
+                   ids) for g, pts, ids in frontier]
         frontier = []
         for k, r in enumerate(gens):
             fresh: list[Point] = []
@@ -141,7 +143,7 @@ def merge_classes_generators(
                 images = [cols[p] if s == 1 else list(map(neg, cols[p]))
                           for s, p in zip(r.signs, r.perm)]
                 reduce_columns(basis, images)
-                for i, q in zip(ids, zip(*images)):
+                for i, q in zip(ids, images[0] if flat else zip(*images)):
                     # after path compression one hop finds most roots
                     a = parent[i]
                     if parent[a] != a:
@@ -181,75 +183,19 @@ class AxisBlock:
     basis: LatticeBasis
 
 
-def merge_classes_blocks(
-    index: dict[Point, int],
-    blocks: Sequence[AxisBlock],
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
-) -> array:
-    """The roots of merge_classes_generators, found block by block.
-
-    Every generator lies in one block, so G is the direct product of the
-    blocks' groups and L the direct sum of their lattices: two
-    representatives share an orbit exactly when their projections share
-    one in every block, and a representative's projection on a block is
-    already reduced in the block's lattice. index numbers the
-    representatives 0..R-1, as for merge_classes_generators, and is left
-    empty.
-
-    Each block whose rotations move its cell is a part, merged on its own
-    distinct projections, numbered in the order first met, by
-    merge_classes_generators; the axes of all the other blocks form one
-    more part, whose projection's number is its root. A part's projections
-    stream out of index into a 4-byte number a representative, and only
-    its distinct projections are held, one part at a time. closure_cap
-    bounds the cell points added over all parts, and the error names the
-    whole merge's cap and R. Once index is cleared, one pass gives each
-    representative the first one whose roots agree with its own in every
-    part, keyed by one int that holds them all: the sum of each part's
-    root times the product of the earlier parts' sizes.
-    """
-    reps = len(index)
-    _check_numbering(index, (), sum(len(b.axes) for b in blocks))
-    parts, rest = [], []  # (axes, rotations, basis) of the blocks merged; the others' axes
-    for b in blocks:
-        if all(_fixes_the_cell(b.basis, r.signs, r.perm) for r in b.rotations):
-            rest += b.axes
-        else:
-            parts.append((b.axes, b.rotations, b.basis))
-    if rest:
-        parts.append((rest, (), None))
-    added = 0
-    key, stride = None, 1
-    for axes, rotations, basis in parts:
-        ids: dict[Point, int] = defaultdict(count().__next__)
-        root = array("I", map(ids.__getitem__, zip(*[map(itemgetter(a), index) for a in axes])))
-        size = len(ids)
-        if rotations:
-            try:
-                roots = merge_classes_generators(ids, rotations, basis, closure_cap - added)
-            except ClosureCapExceededError:
-                raise _cap_error(closure_cap, reps) from None
-            added += len(ids) - size
-            root = array("I", map(roots.__getitem__, root))
-        del ids
-        term = root if stride == 1 else map(mul, root, repeat(stride))
-        key = term if key is None else map(add, key, term)
-        stride *= size
-    index.clear()
-    first: dict[int, int] = {}
-    return array("I", map(first.setdefault, key, count()))
-
-
 def _check_numbering(index: dict[Point, int], rotations: Sequence[SignedPermutation],
-                     n: int) -> None:
+                     n: int) -> bool:
     """Every point and rotation is in Z^n, and index numbers its points
-    0..R-1 in insertion order."""
-    for k in set(map(len, index)) | {r.n for r in rotations}:
+    0..R-1 in insertion order. Returns whether the points are ints, as
+    stage 2 keys them in Z^1: then every one must be."""
+    flat = n == 1 and type(next(iter(index), None)) is int
+    for k in ({1} if flat else set(map(len, index))) | {r.n for r in rotations}:
         if k != n:
             raise DimensionMismatchError(f"rotation or point in Z^{k}, lattice in Z^{n}")
     wrong = next(compress(enumerate(index.values()), map(ne, index.values(), count())), None)
     if wrong:
         raise InputError("representative {0} is numbered {1!r}, not {0}".format(*wrong))
+    return flat
 
 
 def _cap_error(closure_cap: int, reps: int) -> ClosureCapExceededError:

@@ -1,15 +1,17 @@
 """The class merge by axis blocks, and the sparse cell-fixing test.
 
-When no generator couples two blocks of axes, stage 2 merges each block
-on its own distinct projections (labeling.merge_classes_blocks). Pairs of
+When no generator couples two blocks of axes, stage 2 numbers each
+block's projections as it reads the domain and merges each block on its
+own (pipeline.axis_parts and merge_parts). Pairs of
 instances on interleaved axes give the partition of the walk over the
 whole product orbit in tests/reference.py, at every lattice rank, and
 stage 1's blocks are those that merging overlapping axis sets finds. Under
 S_k on each of b blocks the class key is each block's sorted coordinates,
 and S4^4, S4^5 and S3^8 on 10 points finish under the default caps and
-pass the exact check. Mutants that must fail: a negation or a permutation
-split across blocks, a translation whose support is ignored, a key that
-maps a representative to the wrong first one, and a check that does not
+pass the exact check. A run whose blocks all fix their cells, with no
+free axis left, gives one class. Mutants that must fail: a negation or a
+permutation split across blocks, a translation whose support is ignored,
+a class key that drops the earlier parts' sizes, and a check that does not
 test that each generator lies in one block.
 
 labeling._fixes_the_cell tests (R - I)·e_j sparsely; it agrees with the
@@ -23,7 +25,7 @@ Needs hypothesis (the ``test`` extra); the module is skipped without it.
 
 import random
 import time
-from itertools import count, product
+from itertools import product
 
 import pytest
 
@@ -34,6 +36,7 @@ import isorbit.check  # noqa: E402
 import isorbit.labeling  # noqa: E402
 import isorbit.pipeline  # noqa: E402
 from isorbit import (  # noqa: E402
+    Box,
     Isometry,
     SignedPermutation,
     Stage1,
@@ -240,17 +243,17 @@ def test_a_check_that_skips_the_block_test_passes_a_wrong_run():
 
 def test_a_key_that_drops_the_earlier_blocks_sizes_fails():
     # a swap on each of two blocks: the roots (0, 1) and (1, 0) of two
-    # representatives differ, but their sums agree
+    # representatives' parts differ, but their sums agree
     raw = [rotation((1,) * 4, (1, 0, 2, 3)), rotation((1,) * 4, (0, 1, 3, 2))]
     stage1 = run_stage1(validate_atomic(raw, 4))
-    points = list(product(range(2), repeat=4))
-    index = dict(zip(points, count()))  # rank 0: every point is its own representative
-    real = isorbit.labeling.merge_classes_blocks(dict(index), stage1.blocks)
-    mutant = mutant_module(isorbit.labeling, [(
+    points = list(product(range(2), repeat=4))  # rank 0: each is its own representative
+    assert [axes for axes, _r, _b in isorbit.pipeline.axis_parts(stage1.blocks, stage1.basis)] == [
+        (0, 1), (2, 3)]
+    mutant = mutant_module(isorbit.pipeline, [(
         "term = root if stride == 1 else map(mul, root, repeat(stride))", "term = root")])
-    wrong = mutant.merge_classes_blocks(dict(index), stage1.blocks)
-    walked = full_walk_merge_classes(points, stage1.gens.rotation_generators(), stage1.basis)
-    assert list(real) == walked != list(wrong)
+    walked = walked_partition(stage1, points)
+    assert run_stage2(stage1, points).labeling().partition() == walked
+    assert mutant.run_stage2(stage1, points).labeling().partition() != walked
 
 
 def test_the_untouched_axes_form_one_block_beside_two_or_more():
@@ -272,14 +275,18 @@ def test_the_untouched_axes_form_one_block_beside_two_or_more():
 
 def test_a_run_with_every_block_fixed_keeps_each_representative():
     # translations (1, 0) and (0, 1) make the cell one point: each flip
-    # fixes it, so no block is merged and index is left empty
+    # fixes it, so no block is merged, and the rest keys on no axis, since
+    # both pivots are 1: every point is in one class
     raw = [Isometry.translation((1, 0)), Isometry.translation((0, 1)),
            rotation((-1, 1), (0, 1)), rotation((1, -1), (0, 1))]
     stage1 = run_stage1(validate_atomic(raw, 2))
     assert [tuple(b.axes) for b in stage1.blocks] == [(0,), (1,)]
-    index = {(0, 0): 0}
-    assert list(isorbit.labeling.merge_classes_blocks(index, stage1.blocks)) == [0]
-    assert index == {}
+    assert isorbit.pipeline.axis_parts(stage1.blocks, stage1.basis) == [([], (), None)]
+    points = [(3, -1), (0, 0), (-2, 5)]
+    for domain in (points, Box((-2, -1), (3, 5))):
+        stage2 = run_stage2(stage1, domain)
+        assert list(stage2.label_at) == [0] and set(stage2.class_of) == {0}
+        assert first_failure(stage1, stage2) is None
 
 
 def test_a_cap_error_names_the_whole_merge():

@@ -714,14 +714,14 @@ def test_streamed_json_run_holds_at_most_10_bytes_per_point(tmp_path):
 def test_a_box_of_distinct_representatives_holds_at_most_370_bytes_per_point(tmp_path):
     # every point of 0..0,0..N,0..0,0..0 is its own representative under
     # this rank-2 lattice, so stage 2 moves the first block's points, not
-    # its representatives, and holds what the merge of N representatives
-    # holds: 308.4 bytes a point on Python 3.11. The generators split the
-    # axes into the blocks {0} and {1, 2, 3}, and only the flip of axis 0
-    # moves a cell point, so the merge runs on the one value of axis 0 and
-    # numbers the projections on axes 1 to 3 together. The peak comes while
-    # it numbers those: the representative tuples (72) and stage 2's dict
-    # of them (68), their coordinate ints (32), the projection tuples (64)
-    # and their dict (68), and the 4-byte numbers
+    # its representatives: 90.1 bytes a point on Python 3.11. The
+    # generators split the axes into the blocks {0} and {1, 2, 3}, and only
+    # the flip of axis 0 moves a cell point, so the merge runs on the one
+    # value of axis 0, and the rest is keyed by axis 3 alone (the pivots
+    # of axes 1 and 2 are 1): stage 2 holds a dict of N ints, N classes
+    # opened at int keys, and 4-byte numbers. When it numbered whole
+    # representatives as 4-tuples, and then their projections, it held
+    # 308.4 bytes a point
     gens_doc = {"n": 4, "generators": [
         {"type": "translation", "v": [0, 1, 1, 0]},
         {"type": "negation", "signs": [-1, 1, 1, 1]},
@@ -1061,6 +1061,44 @@ def test_closure_cap_exceeded_is_one_json_error(tmp_path, capsys):
                               "beyond its R = 1 representatives"}
     code, _ = run_main(tmp_path, box + ["--closure-cap", "7"], gens_doc=gens_doc)
     assert code == 0
+
+
+# S3 on axes 0 to 2, with the translation (1, 1, 1, 0, 0, 0), and S3 on
+# axes 3 to 5: two parts, each merged on its own projections
+S3_TWICE_DOC = {"n": 6, "generators": [
+    {"type": "translation", "v": [1, 1, 1, 0, 0, 0]},
+    *({"type": "permutation", "perm": p} for p in (
+        [1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5], [0, 1, 2, 4, 5, 3]))]}
+
+
+def cap_error_line(cap: int, reps: int) -> str:
+    return ('{"error": "ClosureCapExceeded", "message": "the class merge passed the closure '
+            f'cap of {cap} cell points beyond its R = {reps} representatives"}}\n')
+
+
+def test_a_closure_cap_tripped_across_parts_prints_the_whole_merge_s_r(
+        tmp_path, capsys, monkeypatch):
+    # the cap counts the cell points added over both parts, and R counts the
+    # distinct representatives, not the points read nor the product of the
+    # parts' sizes. The points file has 4 points and 3 representatives
+    # ((1, 2, 3) is (0, 1, 2) moved by the translation) of 2 projections a
+    # part; each part adds 10 cell points, so the second part trips a cap
+    # of 19. The box's blocks of 3 points repeat its 21 representatives;
+    # only its second part adds cell points, 4
+    stage1 = run_stage1(parse_generators(json.dumps(S3_TWICE_DOC)))
+    assert [len(rotations) for _a, rotations, _b in isorbit.pipeline.axis_parts(
+        stage1.blocks, stage1.basis)] == [2, 2]
+    points = write(tmp_path / "points.json", {"points": [
+        [0, 1, 2, 0, 1, 2], [1, 2, 3, 0, 1, 2], [0, 1, 2, 5, 6, 7], [0, 2, 4, 0, 1, 2]]})
+    monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", 3)
+    for domain, added, reps in [(["--domain", points], 20, 3),
+                                (["--box", "0..1,0..1,0..1,0..2,0..0,0..0"], 4, 21)]:
+        argv = domain + ["--format", "tsv", "--closure-cap"]
+        code, _ = run_main(tmp_path, argv + [str(added - 1)], gens_doc=S3_TWICE_DOC)
+        assert code == 1
+        assert capsys.readouterr().err == cap_error_line(added - 1, reps)
+        code, _ = run_main(tmp_path, argv + [str(added)], gens_doc=S3_TWICE_DOC)
+        assert code == 0
 
 
 def test_closure_cap_past_the_digit_limit_is_one_json_error(tmp_path, capsys):

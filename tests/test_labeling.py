@@ -149,6 +149,24 @@ def test_merge_takes_an_index_numbered_in_order_and_extends_it():
     assert index == {(0, 1): 0, (0, 0): 1, (0, -1): 2}
 
 
+def test_merge_takes_ints_for_points_of_z1():
+    # stage 2 keys a part of one axis by the int itself: the merge gives
+    # the roots, cell points and cap of 1-tuple keys, and still checks the
+    # numbering. Under x -> -x mod 7, 3 and 4 share an orbit, and 2 finds 5
+    basis = hnf_reduce([(7,)], 1)
+    flip = [SignedPermutation((-1,), (0,))]
+    ints = dict(zip([3, 0, 4, 2], count()))
+    tuples = {(x,): i for x, i in ints.items()}
+    assert merge_classes_generators(ints, flip, basis) == merge_classes_generators(
+        tuples, flip, basis) == [0, 1, 0, 3]
+    assert ints == {x: i for (x,), i in tuples.items()} == {3: 0, 0: 1, 4: 2, 2: 3, 5: 4}
+    for index in ({3: 0}, {(3,): 0}):
+        with pytest.raises(ClosureCapExceededError, match="cap of 0 cell points beyond its R = 1"):
+            merge_classes_generators(index, flip, basis, 0)
+    with pytest.raises(InputError, match="representative 0 is numbered 1, not 0"):
+        merge_classes_generators({3: 1}, flip, basis)
+
+
 def test_merge_generators_no_generators():
     basis = diagonal_cell()
     reps = {(0, 0), (1, 0)}

@@ -48,13 +48,18 @@ numbers, one map for every delta) must each change the bytes or move
 more blocks; and the parent rule the box had before it named each
 parent (any block past a head's first stepping from the block before
 it) must move more blocks of a box of many heads, with the same classes.
+A full-rank box whose generators split its axes into two parts steps
+each part's numbers through the part's own maps, and writes the bytes of
+its points shuffled into a file and of the whole-list chain; one map
+shared by the parts must fail.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
 """
 import itertools
 import json
-from collections import Counter, defaultdict
+import random
+from collections import Counter
 from contextlib import nullcontext
 from math import prod
 from unittest import mock
@@ -142,11 +147,6 @@ def sizes(block, module=isorbit.domain):
     """BLOCK_POINTS of isorbit.domain (or of a mutant of it) patched to
     block; the writers read it at each call."""
     return mock.patch.object(module, "BLOCK_POINTS", block)
-
-
-def numbering() -> defaultdict:
-    """An index as run_stage2 makes one: each new key gets the next number."""
-    return defaultdict(itertools.count().__next__)
 
 
 def run_cli(gens_path, domain, fmt, out) -> bytes:
@@ -254,7 +254,7 @@ def test_a_box_writes_the_bytes_of_its_points_file(workdir, data, gens, block):
     basis = run_stage1(parse_generators(json.dumps(gens_doc))).basis
     with sizes(block):
         counts = [size for size, _shift, _parent in Box(lo, hi).shifted_blocks()[1]]
-        loc, _ids, _ends = isorbit.pipeline._numbered_blocks(Box(lo, hi), basis, numbering())
+        loc = isorbit.pipeline._numbered_blocks(Box(lo, hi), basis, [range(n)])[0]
     assert not short or counts.count(counts[0]) < len(counts)
     hypothesis.event(f"rank {rank} of n = {n}")
     hypothesis.event("base points moved" if loc is None else "base representatives moved")
@@ -449,7 +449,7 @@ def test_one_index_gathers_write_the_bytes_of_the_points_file(workdir, monkeypat
     box = Box(lo, hi)
     with sizes(block):
         counts = [size for size, _shift, _parent in box.shifted_blocks()[1]]
-        loc, _ids, _ends = isorbit.pipeline._numbered_blocks(box, stage1.basis, numbering())
+        loc = isorbit.pipeline._numbered_blocks(box, stage1.basis, [range(box.n)])[0]
         chunk, _texts, _join = isorbit.cli._point_texts(box, "%d,%d", ",")
         pieces = chunk_pieces(isorbit.pipeline.run_stage2(stage1, box), chunk)
         tail = isorbit.cli._tail_table(box, "%d,%d")[1]
@@ -612,3 +612,69 @@ def test_a_parent_one_block_back_past_a_head_s_first_moves_more_blocks(monkeypat
     mutated, more = run()
     assert mutated == right
     assert (moves, more) == (3, 10)
+
+
+# scatter4's generators with the translations (4, 0, 0, 0) and (0, 0, 0, 5):
+# the Hermite rows (4, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 4) and (0, 0, 0, 5)
+# make a 20-point cell, and the flip of axis 0 moves it, so stage 2 numbers
+# two parts: axis 0, merged, and the rest, keyed on axis 3 alone
+PARTS = {"n": 4, "generators": [
+    {"type": "translation", "v": [0, 1, 1, 0]},
+    {"type": "negation", "signs": [-1, 1, 1, 1]},
+    {"type": "permutation", "perm": [0, 1, 3, 2]},
+    {"type": "translation", "v": [4, 0, 0, 0]},
+    {"type": "translation", "v": [0, 0, 0, 5]}]}
+PARTS_BOX = (-9, 0, 0, 0), (9, 15, 15, 15)
+SHARED_MAP = (isorbit.pipeline, [(
+    "maps = [defaultdict(lambda k=prod(pivots[a][0] for a in axes): [None] * k) if gate else None\n"
+    "            for axes in part_axes]",
+    "maps = [defaultdict(lambda: [None] * cell) if gate else None] * len(parts)")])
+
+
+@pytest.fixture(scope="module")
+def parts_files(workdir):
+    """The generators, the box's points shuffled into a points file, and the
+    whole-list chain's bytes of those points in each format."""
+    gens_path, dom = workdir / "parts.json", workdir / "parts_points.json"
+    gens_path.write_text(json.dumps(PARTS), encoding="utf-8")
+    points = list(itertools.product(*(range(a, b + 1) for a, b in zip(*PARTS_BOX))))
+    shuffled = list(points)
+    random.Random(5).shuffle(shuffled)
+    dom.write_text(json.dumps({"points": shuffled}), encoding="utf-8")
+    return gens_path, dom, {fmt: oracle_bytes(PARTS, points, fmt) for fmt in ("json", "tsv")}
+
+
+@pytest.mark.parametrize("block", [48, 64, isorbit.domain.BLOCK_POINTS])
+def test_a_box_of_several_parts_steps_each_part_through_its_own_maps(
+        workdir, monkeypatch, parts_files, block):
+    # under blocks of 48 and 64 the box cuts axis 2, in slices of 3 values
+    # (each head ending in a short slice of 1) or of 4, and a head's carry
+    # moves axis 1 or axes 0 and 1; under the default it cuts axis 0 alone,
+    # so the rest's maps are the identity and axis 0's are not
+    gens_path, dom, oracle = parts_files
+    stage1 = run_stage1(parse_generators(json.dumps(PARTS)))
+    parts = isorbit.pipeline.axis_parts(stage1.blocks, stage1.basis)
+    assert [(list(axes), bool(rotations)) for axes, rotations, _b in parts] == [
+        ([0], True), ([3], False)]
+    box = Box(*PARTS_BOX)
+    calls = Counter()
+    with sizes(block), counted_moves(isorbit.pipeline, calls):
+        blocks = sum(1 for _ in box.shifted_blocks()[1])
+        isorbit.pipeline.run_stage2(stage1, box)
+    assert 0 < calls["moves"] - 1 < blocks - 1  # some blocks step, some move
+    spec = "--box=" + ",".join(f"{a}..{b}" for a, b in zip(*PARTS_BOX))
+
+    def outputs():
+        for fmt in ("json", "tsv"):
+            with sizes(block):
+                try:
+                    yield (run_cli(gens_path, [spec], fmt, workdir / f"box.{fmt}"),
+                           run_cli(gens_path, ["--domain", str(dom)], fmt, workdir / f"pts.{fmt}"),
+                           oracle[fmt])
+                except Exception:  # a mutant may fail outright
+                    yield None
+
+    assert all(out is not None and out[0] == out[1] == out[2] for out in outputs())
+    # one step map shared by the parts mixes their numbers
+    monkeypatch.setattr(isorbit.cli, "run_stage2", mutant_module(*SHARED_MAP).run_stage2)
+    assert not any(out is not None and out[0] == out[1] == out[2] for out in outputs())
