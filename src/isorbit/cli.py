@@ -313,13 +313,20 @@ def _tail_table(box: Box, template: str) -> tuple[int, list[str]]:
     """(k, table): axes k.. are the trailing axes with at most BLOCK_POINTS
     points, and table holds the texts of their points in sorted order,
     each filled into the template's slots past the k-th (one %d per
-    axis, no other conversion), made by adding an axis's texts at a time."""
-    k, table = box.split(domain.BLOCK_POINTS)[0], [""]
+    axis, no other conversion), made by adding an axis's texts at a time.
+    An axis of one value adds its one text to the texts of the axis
+    before it, not to every text of the table."""
+    k, table, texts = box.split(domain.BLOCK_POINTS)[0], [""], [""]
+
+    def joined() -> list[str]:  # every text of the table followed by every one of texts
+        return list(map(add, chain.from_iterable(map(repeat, table, repeat(len(texts)))),
+                        texts * len(table)))
     for r, piece in zip(box.ranges[k:], template.split("%d")[k + 1:]):
-        texts = list(map(add, map(str, r), repeat(piece)))
-        table = list(map(add, chain.from_iterable(map(repeat, table, repeat(len(r)))),
-                         texts * len(table)))
-    return k, table
+        if len(r) == 1:
+            texts = list(map(add, texts, repeat(str(r[0]) + piece)))
+        else:
+            table, texts = joined(), list(map(add, map(str, r), repeat(piece)))
+    return k, joined()
 
 
 def _point_texts(points: Box | SortedPoints, template: str, sep: str) -> tuple[

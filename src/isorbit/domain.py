@@ -11,10 +11,12 @@ A domain is one of two kinds:
 
 Both give their points in sorted order, in blocks of at most BLOCK_POINTS,
 as coordinate columns to reduce, and by sorted index (at). A points list
-gives each block's columns (column_blocks). A box block is the product of
-one range per axis: the trailing axes that fit in a block whole, the next
-axis (the cut axis) cut into slices, and one value of each leading axis.
-When the last axis alone is longer than a block, the block cuts that axis.
+gives each block's columns (column_blocks). A box is cut at a bound of
+at most BLOCK_POINTS, which stage 2 sizes by the box's point count and
+its cell. A box block is the product of one range per axis: the
+trailing axes that fit in a block whole, the next axis (the cut axis) cut
+into slices, and one value of each leading axis. When the last axis
+alone is longer than a block, the block cuts that axis.
 So every box block is a translate of a prefix of the first block, and a
 box gives the columns of that block alone, the base, with every block's
 point count, shift and parent, an earlier block of at least as many
@@ -93,11 +95,13 @@ class Box:
             inner *= len(ranges[k])
         return k, inner
 
-    def shifted_blocks(self) -> tuple[list[list[int]], Iterator[
+    def shifted_blocks(self, bound: int | None = None) -> tuple[list[list[int]], Iterator[
             tuple[int, list[int], tuple[int, tuple[int, ...]] | None]]]:
         """(base, blocks): the coordinate columns of the first block, the
         base, and for every block in sorted order its point count, its
         shift and its parent, the base first with shift 0 and no parent.
+        The box is cut in blocks of at most bound points (at least 1),
+        BLOCK_POINTS, read at each call, when bound is None.
 
         Every block is the first point count points of the base moved by
         its shift: only the leading axes and the cut axis move. A block's
@@ -114,11 +118,13 @@ class Box:
         there are at most n values of d: the step, and a carry per leading
         axis.
         """
+        if bound is None:
+            bound = BLOCK_POINTS
         ranges = self.ranges
-        k, inner = self.split(BLOCK_POINTS)
+        k, inner = self.split(bound)
         if not k:  # the box is one block
             return _columns(ranges), iter([(self.size, [0] * len(ranges), None)])
-        cut, step, zeros = ranges[k - 1], BLOCK_POINTS // inner, [0] * (len(ranges) - k)
+        cut, step, zeros = ranges[k - 1], bound // inner, [0] * (len(ranges) - k)
         slices = range(0, len(cut), step)  # each slice's shift on the cut axis
         counts = [len(cut[i:i + step]) * inner for i in slices]
         along = (*[0] * (k - 1), step, *zeros)

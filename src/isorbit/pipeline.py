@@ -12,11 +12,12 @@ labeling.merge_classes_generators on each merged part's own projections
 (merge_parts), and gives each class a key made of every part's root.
 
 Stage 2 reads the domain in sorted blocks (see domain.py). A box's blocks
-are translates of its first, so only that one is reduced point by point;
-the others come from its distinct representatives moved by the block's
-shift, or, since a translation permutes the cell Z^n/L, from those of a
-parent block that the box names, through a step map when the cell is
-small (see _numbered_blocks).
+are translates of its first, so only that one, sized by the box's point
+count and its cell, is reduced point by point; the others come from its
+distinct representatives moved by the block's shift, or, since a
+translation permutes the cell Z^n/L, from those of a parent block that
+the box names, through a step map when the cell is small (see
+_numbered_blocks).
 What stage 2 holds is per part's projection, per local representative or
 per block, but for the 4-byte class of every point that it returns.
 """
@@ -28,7 +29,7 @@ from bisect import bisect_left
 from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, filterfalse, repeat
-from math import prod
+from math import isqrt, prod
 from operator import add, gt, mul, ne, or_
 
 from . import domain as domains
@@ -322,6 +323,18 @@ def _numbered_blocks(
     moved and reduced once, and fill their delta's maps from the parent's
     numbers. A box whose lattice is not of full rank, or of larger index,
     moves every block.
+
+    The base's size. Where the maps are on (the gate), the box is cut at
+    min(BLOCK_POINTS, 4 * max(isqrt(N), cell)) points, N its point count,
+    else at BLOCK_POINTS. The base is the one block reduced and numbered
+    point by point, about 0.45 us a point, and each block past it costs
+    about 8 us, a step through a map or a move of the base's
+    representatives (crit8's box, Python 3.11), so 4 isqrt(N) points
+    about balances the two. The cell term keeps the base at least four
+    cells long, so it meets most of the cell and the maps fill from it:
+    under 4 isqrt(N) alone, a base shorter than that misses maps and moves
+    more blocks (stage 2 of chords4's generators on -5..5,0..15,3..9,0..15
+    took 8.1 ms rather than 7.1).
     """
     indexes = [defaultdict(count().__next__) for _ in part_axes]
     numbers_of = [array("I") for _ in part_axes]  # each part's ids
@@ -335,7 +348,10 @@ def _numbered_blocks(
             end += size
             ends.append((size, end))
         return None, indexes, numbers_of, ends
-    base, blocks = domain.shifted_blocks()
+    cell = prod(p for _c, p, _b in basis.echelon)  # its point count, at full rank
+    gate = basis.m == domain.n and cell <= domains.BLOCK_POINTS
+    base, blocks = domain.shifted_blocks(
+        min(domains.BLOCK_POINTS, 4 * max(isqrt(len(domain)), cell)) if gate else None)
     reduce_columns(basis, base)
     points = len(base[0]) if base else 1
     local = defaultdict(count().__next__)
@@ -347,8 +363,6 @@ def _numbered_blocks(
         base = list(map(list, zip(*local)))
     del local
     pivots = basis.by_pivot
-    cell = prod(p for _c, p, _b in basis.echelon)  # its point count, at full rank
-    gate = basis.m == domain.n and cell <= domains.BLOCK_POINTS
     # per part, delta -> its step map, where the cell is finite and small; a
     # part's numbers count the points of its own cell, its pivots' product
     maps = [defaultdict(lambda k=prod(pivots[a][0] for a in axes): [None] * k) if gate else None

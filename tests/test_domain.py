@@ -1,7 +1,8 @@
 """Box blocks, and the CLI's point texts by table: the blocks as shifted
-prefixes of the base and their parents, the tail table's bound, the texts
-of each chunk and their joins against a plain %d fill of every point, and
-ranges of sorted indices read as rows."""
+prefixes of the base and their parents under every bound, the tail table's
+bound and its axes of one value, the texts of each chunk and their joins
+against a plain %d fill of every point, and ranges of sorted indices read
+as rows."""
 
 import itertools
 import tracemalloc
@@ -15,7 +16,7 @@ import isorbit.domain
 from isorbit import Box
 from isorbit.cli import _point_texts, _tail_table
 
-TEMPLATE_OF = {n: "[" + ", ".join(["%d"] * n) + "]" for n in range(5)}
+TEMPLATE_OF = {n: "[" + ", ".join(["%d"] * n) + "]" for n in range(7)}
 
 
 def random_boxes(seed, count):
@@ -26,12 +27,24 @@ def random_boxes(seed, count):
         yield Box(lo, [a + rng.choice([0, 0, 1, 2, 4, 7]) for a in lo])
 
 
+def check_shifted_blocks(box, base, blocks):
+    """The base's first point count points, each block's moved by its
+    shift and laid end to end, are the box's sorted points; each parent
+    (p, d) is an earlier block p of at least as many points, whose shift is
+    the block's less d, and there are at most n values of d."""
+    n, rows = box.n, list(zip(*base)) if base else [()]
+    assert all(count <= len(rows) for count, _t, _parent in blocks)
+    assert [tuple(map(add, x, t)) for count, t, _parent in blocks
+            for x in rows[:count]] == list(box)
+    assert blocks[0][1:] == ([0] * n, None)
+    for b, (count, t, (p, d)) in enumerate(blocks[1:], 1):
+        assert p < b and blocks[p][0] >= count
+        assert d == tuple(map(sub, t, blocks[p][1]))
+    assert len({d for _count, _t, (_p, d) in blocks[1:]}) <= n
+
+
 @pytest.mark.parametrize("block", [1, 3, 7, 24])
 def test_blocks_are_shifted_prefixes_of_the_base_each_after_its_parent(block, monkeypatch):
-    # the base's first point count points, each block's moved by its shift
-    # and laid end to end, are the box's sorted points; each parent (p, d)
-    # is an earlier block p of at least as many points, whose shift is the
-    # block's less d, and there are at most n values of d
     monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", block)
     rng = Random(block)
     for _ in range(300):
@@ -39,15 +52,63 @@ def test_blocks_are_shifted_prefixes_of_the_base_each_after_its_parent(block, mo
         lo = [rng.randint(-12, 5) for _ in range(n)]
         box = Box(lo, [a + rng.choice([0, 1, 2, 3, 5, 8]) for a in lo])
         base, blocks = box.shifted_blocks()
-        rows, blocks = list(zip(*base)) if base else [()], list(blocks)
-        assert all(count <= len(rows) for count, _t, _parent in blocks)
-        assert [tuple(map(add, x, t)) for count, t, _parent in blocks
-                for x in rows[:count]] == list(box)
-        assert blocks[0][1:] == ([0] * n, None)
-        for b, (count, t, (p, d)) in enumerate(blocks[1:], 1):
-            assert p < b and blocks[p][0] >= count
-            assert d == tuple(map(sub, t, blocks[p][1]))
-        assert len({d for _count, _t, (_p, d) in blocks[1:]}) <= n
+        check_shifted_blocks(box, base, list(blocks))
+
+
+# a last axis longer than many bounds, axes of one value first, in the
+# middle and last, and a 0-axis box
+EVERY_BOUND_BOXES = [
+    Box((), ()),
+    Box((-3, 0, 2, 0), (-1, 0, 5, 4)),
+    Box((0, 1, 0, 0, 0), (1, 3, 0, 6, 1)),
+    Box((4, 0, 0), (4, 2, 9)),
+    Box((-1, 0), (1, 299)),
+    Box((0, 0, 0, 0, 0, 0), (3, 3, 3, 3, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("box", EVERY_BOUND_BOXES, ids=lambda box: f"{box.lo}..{box.hi}")
+def test_blocks_of_every_bound_are_shifted_prefixes_of_the_base(box):
+    # every bound from 1 to BLOCK_POINTS, as stage 2 may size a box's base
+    # by any of them: the blocks hold at most bound points, their counts
+    # sum to the box's, and they are shifted prefixes of the base. Bounds
+    # that split the box alike give the same blocks, so each distinct
+    # result is checked once
+    seen = set()
+    for bound in range(1, isorbit.domain.BLOCK_POINTS + 1):
+        base, blocks = box.shifted_blocks(bound)
+        blocks = list(blocks)
+        key = (tuple(map(tuple, base)), tuple(
+            (count, tuple(t), parent) for count, t, parent in blocks))
+        if key in seen:
+            continue
+        seen.add(key)
+        assert max(count for count, _t, _parent in blocks) <= bound
+        assert sum(count for count, _t, _parent in blocks) == len(box)
+        check_shifted_blocks(box, base, blocks)
+    assert len(seen) > 1 or box.n == 0
+
+
+@pytest.mark.parametrize("spec", [
+    ((0, 0, 0, 0, 0, 0), (9, 9, 9, 9, 0, 0)),  # crit8's box: the last two axes
+    ((0, 0, 0, 0, 0), (0, 9, 0, 9, 0)),  # first, in the middle and last
+    ((5, -2, 0), (5, 2, 3)),  # first
+    ((0, 0), (99, 0)),
+    ((0, 7, 0, 0), (3, 7, 7, 7)),  # past the split, in the middle
+    ((-4, 0, 3), (-4, 0, 3)),  # every axis
+])
+@pytest.mark.parametrize("bound", [1, 4, 64, 4096])
+def test_the_tail_table_folds_axes_of_one_value(spec, bound, monkeypatch):
+    # an axis of one value adds its text to the axis before's texts: the
+    # table is the template's tail filled for every point of axes k.., in
+    # both writers' templates
+    monkeypatch.setattr(isorbit.domain, "BLOCK_POINTS", bound)
+    box = Box(*spec)
+    for template in (TEMPLATE_OF[box.n], ",".join(["%d"] * box.n)):
+        k, table = _tail_table(box, template)
+        assert k == box.split(bound)[0]
+        tail = "%d".join(["", *template.split("%d")[k + 1:]])
+        assert table == [tail % p for p in itertools.product(*box.ranges[k:])]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 5, 16, 256])

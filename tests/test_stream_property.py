@@ -51,7 +51,10 @@ it) must move more blocks of a box of many heads, with the same classes.
 A full-rank box whose generators split its axes into two parts steps
 each part's numbers through the part's own maps, and writes the bytes of
 its points shuffled into a file and of the whole-list chain; one map
-shared by the parts must fail.
+shared by the parts must fail. Where the maps are on, stage 2 cuts a box
+at a bound sized by its point count and cell: on full-rank lattices of
+one part or several, the classes and labels are those of the box cut at
+BLOCK_POINTS, and crit8's box reduces a base of at most 400 points.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it, so
 the rest of the suite still collects.
@@ -61,7 +64,7 @@ import json
 import random
 from collections import Counter
 from contextlib import nullcontext
-from math import prod
+from math import isqrt, prod
 from unittest import mock
 
 import pytest
@@ -188,13 +191,14 @@ def box_and_points_bytes(workdir, gens_doc, lo, hi, fmt) -> tuple[bytes, bytes]:
 
 
 @st.composite
-def boxes(draw, n):
-    """(lo, hi) of a box in Z^n of up to 6 values an axis and 1,500 points:
-    tables of every bound stop inside it, with several heads."""
+def boxes(draw, n, values=6, most=1500):
+    """(lo, hi) of a box in Z^n of up to 6 values an axis and 1,500 points
+    (or the given counts): tables of every bound stop inside it, with
+    several heads."""
     lo = draw(st.lists(st.integers(-12, 3), min_size=n, max_size=n))
     hi, points = [], 1
     for a in lo:
-        k = draw(st.integers(1, min(6, 1500 // points)))
+        k = draw(st.integers(1, min(values, most // points)))
         hi.append(a + k - 1)
         points *= k
     return lo, hi
@@ -678,3 +682,88 @@ def test_a_box_of_several_parts_steps_each_part_through_its_own_maps(
     # one step map shared by the parts mixes their numbers
     monkeypatch.setattr(isorbit.cli, "run_stage2", mutant_module(*SHARED_MAP).run_stage2)
     assert not any(out is not None and out[0] == out[1] == out[2] for out in outputs())
+
+
+@st.composite
+def gated_generators(draw):
+    """(n, parts drawn, generator document) of a full-rank lattice of index
+    at most 4^5 = 1,024, below BLOCK_POINTS, so stage 2 sizes a box's base
+    by its cell: the axes fall in up to three groups, each with its own
+    upper triangular translations, negations and permutations, so that
+    stage 2 numbers one part or several."""
+    n = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    gens = []
+    for axes in map(range, [0, *cuts], [*cuts, n]):
+        for i in axes:
+            v = [0] * n
+            v[i] = draw(st.integers(1, 4))
+            for j in range(i + 1, axes.stop):
+                v[j] = draw(st.integers(-3, 3))
+            gens.append({"type": "translation", "v": v})
+        for _ in range(draw(st.integers(0, 2))):
+            signs = [draw(st.sampled_from([1, -1])) if a in axes else 1 for a in range(n)]
+            gens.append({"type": "negation", "signs": signs})
+        for _ in range(draw(st.integers(0, 1))):
+            perm = list(range(n))
+            perm[axes.start:axes.stop] = draw(st.permutations(axes))
+            gens.append({"type": "permutation", "perm": perm})
+    return n, len(cuts) + 1, {"n": n, "generators": draw(st.permutations(gens))}
+
+
+def blocks_of_block_points():
+    """Box.shifted_blocks patched to cut every box at BLOCK_POINTS, the
+    bound stage 2 passes ignored."""
+    shifted_blocks = Box.shifted_blocks
+    return mock.patch.object(Box, "shifted_blocks", lambda self, bound=None: shifted_blocks(self))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.data(), gated_generators())
+def test_a_sized_base_gives_the_classes_of_a_base_of_block_points(data, gens):
+    # stage 2 cuts a gated box at min(BLOCK_POINTS, 4 max(isqrt(N), cell)):
+    # the classes and labels are those of the box cut at BLOCK_POINTS
+    n, groups, gens_doc = gens
+    stage1 = run_stage1(parse_generators(json.dumps(gens_doc)))
+    assert stage1.basis.m == n
+    lo, hi = data.draw(boxes(n, values=12, most=3000))
+    box = Box(lo, hi)
+    cell = prod(p for _c, p, _b in stage1.basis.echelon)
+    bound = min(isorbit.domain.BLOCK_POINTS, 4 * max(isqrt(len(box)), cell))
+    parts = isorbit.pipeline.axis_parts(stage1.blocks, stage1.basis)
+    hypothesis.event(f"{len(parts)} part{'s' * (len(parts) > 1)} of {groups} group(s)")
+    hypothesis.event("base sized below the box" if bound < len(box) else "box one block")
+    sized = isorbit.pipeline.run_stage2(stage1, box)
+    with blocks_of_block_points():
+        pinned = isorbit.pipeline.run_stage2(stage1, box)
+    assert (sized.class_of, sized.label_at) == (pinned.class_of, pinned.label_at)
+
+
+CRIT8 = {"n": 6, "generators": [
+    *({"type": "translation", "v": [2 * (a == i) for a in range(6)]} for i in range(3)),
+    {"type": "negation", "signs": [-1, 1, 1, 1, 1, 1]},
+    {"type": "permutation", "perm": [1, 0, 2, 3, 4, 5]},
+    {"type": "permutation", "perm": [1, 2, 3, 4, 5, 0]}]}
+
+
+def test_crit8_s_base_reduces_at_most_400_points():
+    # crit8's 10,000-point box has a 64-point cell: its base is cut at
+    # 4 isqrt(10,000) = 400 points rather than 4,000, and the classes stay
+    stage1 = run_stage1(parse_generators(json.dumps(CRIT8)))
+    box = Box((0,) * 6, (9, 9, 9, 9, 0, 0))
+
+    def run():  # the point count of each reduce_columns call, the base's first
+        sizes, reduce_columns = [], isorbit.pipeline.reduce_columns
+
+        def counted(basis, cols):
+            sizes.append(len(cols[0]))
+            reduce_columns(basis, cols)
+        with mock.patch.object(isorbit.pipeline, "reduce_columns", counted):
+            stage2 = isorbit.pipeline.run_stage2(stage1, box)
+        return (stage2.class_of, stage2.label_at), sizes
+
+    right, sizes = run()
+    assert sizes[0] <= 400
+    with blocks_of_block_points():
+        pinned, pinned_sizes = run()
+    assert pinned == right and pinned_sizes[0] == 4000
